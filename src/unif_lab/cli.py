@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Every subcommand is a pure function of its flags: fixed flags and seed give
-byte-identical output, and --threads resizes worker pools without touching
-any reported number (chunking is fixed, reduction order is fixed).  Timing
-lines (bench) go to stderr so stdout stays reproducible.
+byte-identical output.  --threads is accepted and ignored; every command
+runs single-threaded.  Timing lines (bench) go to stderr so stdout stays
+reproducible.
 
 Exit codes: 0 success, 2 usage error, 3 numeric-contract violation
 (e.g. a box average more negative than truncation noise), 4 a `verify`
@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -329,8 +328,6 @@ _SUITES: Dict[str, Callable[..., uniformity.SuiteReport]] = {
     "direct": duality.run_direct_bound_suite,
 }
 
-_CHUNK = 24  # fixed chunk size so results never depend on --threads
-
 
 def _suite_kwargs(args) -> Dict:
     """Map verify flags onto each suite's parameters (defaults per suite)."""
@@ -349,20 +346,6 @@ def _suite_kwargs(args) -> Dict:
     return kw
 
 
-def _run_suite(name: str, trials: int, seed: int, threads: int,
-               kwargs: Dict) -> uniformity.SuiteReport:
-    fn = _SUITES[name]
-    if threads <= 1 or trials <= _CHUNK:
-        return fn(trials, seed=seed, **kwargs)
-    chunks = [(i, min(_CHUNK, trials - i)) for i in range(0, trials, _CHUNK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda c: fn(c[1], seed=seed + c[0], **kwargs), chunks))
-    violations = sum(p.violations for p in parts)
-    worst = max(p.worst_slack for p in parts)
-    return uniformity.SuiteReport(name, trials, violations, worst)
-
-
 def _cmd_verify(args) -> int:
     seed = args.seed
     if args.gen:
@@ -373,7 +356,7 @@ def _cmd_verify(args) -> int:
                 "accepted as a --gen override")
         seed = int(args.gen.split(":", 1)[1])
     kwargs = _suite_kwargs(args)
-    rep = _run_suite(args.suite, args.trials, seed, args.threads, kwargs)
+    rep = _SUITES[args.suite](args.trials, seed=seed, **kwargs)
     obj = {"op": "verify", "params": {"suite": args.suite,
                                       "trials": args.trials,
                                       "seed": seed, **kwargs},
@@ -442,7 +425,8 @@ def _add_common(sp, *names) -> None:
         sp.add_argument("--lo", type=int, default=None)
         sp.add_argument("--len", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted and ignored")
     sp.add_argument("--out", default=None, help="write output to a file")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--csv", action="store_true")

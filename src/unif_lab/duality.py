@@ -14,7 +14,8 @@ The dual function averages the cube products missing the base vertex:
   (D_k a)(n) = (1/H^k) sum_{h in [0,H)^k} prod_{eps != 0} C^{|eps|} a_{n+eps.h}
 
 so that pairing it against a regroups exactly into the powered box norm:
-avg_n a_n (D_k a)(n) = S_H.
+avg_n a_n (D_k a)(n) = S_H.  It is the box-norm cube sum with the constant 1
+at the base vertex.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .errors import FrequencyGridMismatch
 from .generators import TrigPoly, quad_phase_seq, trig_poly_seq
 from .nilmanifold import HeisElem, IDENTITY_POINT, character_ez, nilsequence
 from .seq_core import ComplexSeq, IntervalSpec, cyclic, from_samples
-from .uniformity import (BoxParams, SuiteReport, _operand_array,
-                         _sliding_sums, _suite_samples, box_norm)
+from .uniformity import (BoxParams, SuiteReport, _cube_sum, _operand_array,
+                         _suite_samples, box_norm)
 
 GRID_TOL = 1e-12
 
@@ -77,23 +78,6 @@ def dual_norm_k2(p: TrigPoly) -> float:
 # Dual functions
 # ---------------------------------------------------------------------------
 
-def _dual_rec(x: np.ndarray, k: int, h: int, out_len: int) -> np.ndarray:
-    """d[n] = (1/H^k) sum_h prod_{eps != 0} C^{|eps|} x[n + eps.h].
-
-    Recursion on the last cube coordinate:
-    d_k(x)[n] = avg_{h'} conj(x[n+h']) * d_{k-1}(x * conj(shift_{h'} x))[n],
-    which keeps the cost at O(H^(k-1) * len).
-    """
-    if k == 1:
-        return np.conj(_sliding_sums(x, h, out_len)) / h
-    acc = np.zeros(out_len, dtype=np.complex128)
-    m = out_len + (k - 1) * (h - 1)
-    for hh in range(h):
-        delta = x[:m] * np.conj(x[hh:hh + m])
-        acc += np.conj(x[hh:hh + out_len]) * _dual_rec(delta, k - 1, h, out_len)
-    return acc / h
-
-
 def dual_function(a: ComplexSeq, p: BoxParams) -> ComplexSeq:
     """The dual function D_k a on p.interval.
 
@@ -103,7 +87,10 @@ def dual_function(a: ComplexSeq, p: BoxParams) -> ComplexSeq:
     N-periodic dual function of the wrapped sequence.
     """
     x = _operand_array(a, p)
-    d = _dual_rec(x, p.k, p.H, p.interval.length)
+    out_len = p.interval.length
+    d = np.zeros(out_len, dtype=np.complex128)
+    _cube_sum([np.ones_like(x)] + [x] * ((1 << p.k) - 1), p.k, p.H, out_len, d)
+    d /= p.H ** p.k
     label = f"dual[k={p.k},H={p.H}]({a.label})"
     return from_samples(d, lo=p.interval.lo, label=label)
 
@@ -169,8 +156,11 @@ def inverse_search(a: ComplexSeq, n: int, kind: str = "fourier",
     Dictionaries: "fourier" (all N grid exponentials), "quad" (quadratic
     phases e(alpha m^2) over `grid`), "heis" (nilsequences tau=(alpha,1,0),
     f = e(z) over `grid`).  Purely empirical: reports the best correlators
-    found in the finite dictionary, nothing more.
+    found in the finite dictionary, nothing more.  Raises ValueError for
+    top < 1.
     """
+    if top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
     samples = a.sample(0, n)
     hits: List[Tuple[str, float]] = []
     if kind == "fourier":

@@ -25,9 +25,7 @@ import numpy as np
 
 from .errors import GeneratorSpecError
 from .nilmanifold import HeisElem, HeisPoint, named_character, orbit_points
-from .seq_core import ComplexSeq
-
-TWO_PI_I = 2j * np.pi
+from .seq_core import TWO_PI_I, ComplexSeq
 
 RotationPoint = float
 SkewPoint = Tuple[float, float]

@@ -19,9 +19,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import DuplicateFrequencyError, GeneratorSpecError
-from .seq_core import ComplexSeq, IntervalSpec
-
-TWO_PI_I = 2j * np.pi
+from .seq_core import TWO_PI_I, ComplexSeq, IntervalSpec
 
 
 def _e(phase: np.ndarray) -> np.ndarray:

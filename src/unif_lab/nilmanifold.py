@@ -21,9 +21,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import GeneratorSpecError
-from .seq_core import ComplexSeq, IntervalSpec
-
-TWO_PI_I = 2j * np.pi
+from .seq_core import TWO_PI_I, ComplexSeq, IntervalSpec
 
 
 @dataclass(frozen=True)
@@ -164,20 +162,8 @@ def nilsequence(tau: HeisElem, x0: HeisPoint, f: PointFunction,
     Uses the closed form for tau^n: the z coordinate is n*tau.z plus
     C(n,2)*tau.x*tau.y, exact in float64 while n*(n-1)/2 stays below 2^53.
     """
-    a, b, c = x0.x, x0.y, x0.z
-
     def _eval(ns: np.ndarray) -> np.ndarray:
-        nf = ns.astype(np.float64)
-        binom = (ns * (ns - 1) // 2).astype(np.float64)
-        gx = nf * tau.x
-        gy = nf * tau.y
-        gz = nf * tau.z + binom * (tau.x * tau.y)
-        # right-multiply by lift(x0)
-        px = gx + a
-        py = gy + b
-        pz = gz + c + gx * b
-        x, y, z = _reduce_arrays(px, py, pz)
-        return np.asarray(f(x, y, z), dtype=np.complex128)
+        return np.asarray(f(*orbit_points(tau, x0, ns)), dtype=np.complex128)
 
     valid = None if rng is None else (rng.lo, rng.hi)
     return ComplexSeq(_eval, valid, sup_bound, label=label)

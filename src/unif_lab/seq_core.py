@@ -26,6 +26,8 @@ from .errors import IncompatibleRangeError, SequenceRangeError
 
 Range = Optional[Tuple[int, int]]  # half-open [lo, hi); None = unbounded
 
+TWO_PI_I = 2j * np.pi  # e(t) = exp(TWO_PI_I * t)
+
 
 @dataclass(frozen=True)
 class IntervalSpec:
@@ -183,21 +185,28 @@ def interval_average(a: ComplexSeq, interval: IntervalSpec,
     return AvgReport(complex(vals.mean()), interval.length, mode)
 
 
+def _sliding_sums(x: np.ndarray, width: int, out_len: int) -> np.ndarray:
+    """W[n] = sum_{h<width} x[n+h] for n < out_len, via centered prefix sums.
+
+    Centering by the mean keeps the prefix bounded, so rounding does not
+    grow with the array even for constant input (where the result is exact).
+    """
+    mu = x.mean()
+    prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(x - mu)))
+    return (prefix[width:width + out_len] - prefix[:out_len]) + width * mu
+
+
 def sup_window_average(a: ComplexSeq, search_range: IntervalSpec,
                        n: int) -> float:
     """max over starts M in search_range of |(1/n) sum_{m=M}^{M+n-1} a_m|.
 
-    Uses a mean-centered prefix sum so the scan is O(range) with rounding
-    that stays bounded even when partial sums would otherwise grow.
+    Uses the mean-centered prefix sums of _sliding_sums, so the scan is
+    O(range) with bounded rounding.
     """
     if n < 1:
         raise ValueError("window length must be >= 1")
-    lo, hi = search_range.lo, search_range.hi
-    vals = a.sample(lo, hi + n - 1)
-    mu = vals.mean()
-    prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(vals - mu)))
-    window_sums = prefix[n:n + search_range.length] - prefix[:search_range.length]
-    window_sums = window_sums + n * mu
+    vals = a.sample(search_range.lo, search_range.hi + n - 1)
+    window_sums = _sliding_sums(vals, n, search_range.length)
     return float(np.max(np.abs(window_sums)) / n)
 
 

@@ -16,9 +16,11 @@ formulas) hold exactly at the finite stage.
 Computation paths, all agreeing to better than 1e-9:
 
   direct    the literal O(|I| * H^k * 2^k) sum over the h grid, lexicographic;
-  fast      exact regrouping via the recursion S_H(a, k) = avg_h S_H(D_h a, k-1)
-            with D_h a = a * conj(shift_h a), base case a mean-centered
-            prefix-sum sliding window; O(H^(k-1) * |I|);
+  fast      one cube recursion over 2^k per-vertex arrays (_cube_sum) that
+            differences the last coordinate down to a mean-centered
+            prefix-sum sliding window; O(H^(k-1) * |I|).  It also serves
+            csg_check (2^k operands) and the dual function (the constant 1
+            at the base vertex);
   fft       k = 2 cyclic: per-difference circular correlation by FFT,
             O(H * N log N);
   spectral  k <= 2 cyclic with H = N: the closed forms |mean|^2 and
@@ -40,9 +42,10 @@ import numpy as np
 
 from .errors import NegativityViolation, SupBoundViolation
 from .generators import rademacher_seq
-from .seq_core import (INTERVAL, ComplexSeq, DomainMode, IntervalSpec, add,
-                       conjugate, cyclic, from_samples, product,
-                       require_margin, sample_mode, shift, wrap_cyclic)
+from .seq_core import (INTERVAL, ComplexSeq, DomainMode, IntervalSpec,
+                       _sliding_sums, add, conjugate, cyclic, from_samples,
+                       product, require_margin, sample_mode, shift,
+                       wrap_cyclic)
 
 NEGATIVITY_FLOOR = -1e-9
 
@@ -89,75 +92,46 @@ def _operand_array(a: ComplexSeq, p: BoxParams) -> np.ndarray:
     return a.sample(p.interval.lo, p.interval.lo + span)
 
 
-def _sliding_sums(x: np.ndarray, width: int, out_len: int) -> np.ndarray:
-    """W[n] = sum_{h<width} x[n+h] for n < out_len, via centered prefix sums.
-
-    Centering by the mean keeps the prefix bounded, so rounding does not
-    grow with the array even for constant input (where the result is exact).
-    """
-    mu = x.mean()
-    prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(x - mu)))
-    return (prefix[width:width + out_len] - prefix[:out_len]) + width * mu
-
-
 # ---------------------------------------------------------------------------
 # Powered-value computation paths (complex averages, before Re/clamp)
 # ---------------------------------------------------------------------------
 
-def _powered_k2_kernel(x: np.ndarray, h: int, out_len: int,
-                       chunk: int = 16) -> complex:
-    """(1/H^2) sum_{h1,h2} c_{(h1,h2)} with the h1 rows batched.
+def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
+              acc: np.ndarray) -> None:
+    """acc[n] += sum_{h in [0,H)^k} prod_eps C^{|eps|} xs[m][n + eps.h].
 
-    Rows Delta_{h1} x are materialized chunk-wise from a stride view, their
-    width-H sliding sums taken by centered cumsum along the row axis, and
-    each chunk reduced in one pass; chunking is fixed so results do not
-    depend on worker counts.
+    Vertex m holds eps with eps_{i+1} = bit i of m.  Recursion on the last
+    cube coordinate: at shift h_k, vertex v and v + 2^(k-1) merge into
+    xs[v] * conj(shift_{h_k} xs[v + 2^(k-1)]), a (k-1)-cube; at k = 1 the
+    h sum is a sliding window.  Pairs of the same two arrays (by identity)
+    are multiplied once, so a single sequence costs one product per shift
+    and the whole sum O(H^(k-1) * len).
     """
-    m = out_len + h - 1
-    base = x[:m]
-    win = np.lib.stride_tricks.sliding_window_view(x, m)
-    acc = 0.0 + 0.0j
-    for start in range(0, h, chunk):
-        rows = base[np.newaxis, :] * np.conj(win[start:min(start + chunk, h)])
-        mu = rows.mean(axis=1, keepdims=True)
-        pref = np.cumsum(rows - mu, axis=1)
-        w = pref[:, h - 1:h - 1 + out_len].copy()
-        w[:, 1:] -= pref[:, :out_len - 1]
-        w += h * mu
-        acc += complex(np.sum(rows[:, :out_len] * np.conj(w)))
-    return acc / (h * h * out_len)
-
-
-def _powered_fast(x: np.ndarray, k: int, h: int, out_len: int) -> complex:
     if k == 1:
-        w = _sliding_sums(x, h, out_len)
-        return complex(np.mean(x[:out_len] * np.conj(w))) / h
-    if k == 2 and out_len >= 8192:
-        # batching rows only pays once the per-row arrays are large
-        return _powered_k2_kernel(x, h, out_len)
-    acc = 0.0 + 0.0j
-    m = out_len + (k - 1) * (h - 1)
-    for hh in range(h):
-        delta = x[:m] * np.conj(x[hh:hh + m])
-        acc += _powered_fast(delta, k - 1, h, out_len)
-    return acc / h
-
-
-def _powered_fast_mixed(xs: List[np.ndarray], k: int, h: int,
-                        out_len: int) -> complex:
-    """Mixed-sequence powered value; vertex m holds sequence xs[m], with
-    eps_{i+1} = bit i of m and C^{|eps|} conjugation."""
-    if k == 1:
-        w = _sliding_sums(xs[1], h, out_len)
-        return complex(np.mean(xs[0][:out_len] * np.conj(w))) / h
-    acc = 0.0 + 0.0j
+        w = np.conj(_sliding_sums(xs[1], h, out_len))
+        w *= xs[0][:out_len]
+        acc += w
+        return
     half = 1 << (k - 1)
     m = out_len + (k - 1) * (h - 1)
+    pairs: dict = {}  # (id, id) of a vertex pair -> its first vertex
+    rep = [pairs.setdefault((id(xs[v]), id(xs[v + half])), v)
+           for v in range(half)]
     for hh in range(h):
-        merged = [xs[v][:m] * np.conj(xs[v + half][hh:hh + m])
-                  for v in range(half)]
-        acc += _powered_fast_mixed(merged, k - 1, h, out_len)
-    return acc / h
+        merged = {}
+        for v in pairs.values():
+            prod = np.conj(xs[v + half][hh:hh + m])
+            prod *= xs[v][:m]
+            merged[v] = prod
+        _cube_sum([merged[r] for r in rep], k - 1, h, out_len, acc)
+
+
+def _cube_average(xs: List[np.ndarray], k: int, h: int,
+                  out_len: int) -> complex:
+    """(1/H^k) sum_h c_h with vertex m reading xs[m]."""
+    acc = np.zeros(out_len, dtype=np.complex128)
+    _cube_sum(xs, k, h, out_len, acc)
+    return complex(acc.mean()) / h ** k
 
 
 def _powered_direct(x: np.ndarray, k: int, h: int,
@@ -238,7 +212,7 @@ def _powered_complex(a: ComplexSeq, p: BoxParams, path: str) -> complex:
             raise ValueError("fft path needs cyclic mode, k = 2, I = [0, N)")
         return _powered_fft_k2(x[:p.mode.modulus], p.H)
     if path == "fast":
-        return _powered_fast(x, p.k, p.H, out_len)
+        return _cube_average([x] * (1 << p.k), p.k, p.H, out_len)
     if path == "direct":
         return _powered_direct(x, p.k, p.H, out_len)[0]
     raise ValueError(f"unknown computation path {path!r}")
@@ -431,7 +405,7 @@ def csg_check(seqs: Sequence[ComplexSeq], p: BoxParams) -> CsgReport:
     if len(seqs) != (1 << p.k):
         raise ValueError(f"need {1 << p.k} sequences for k={p.k}")
     xs = [_operand_array(s, p) for s in seqs]
-    s_mixed = _powered_fast_mixed(list(xs), p.k, p.H, p.interval.length)
+    s_mixed = _cube_average(xs, p.k, p.H, p.interval.length)
     norms = tuple(box_norm(s, p, with_tail=False).value for s in seqs)
     rhs = float(np.prod(norms))
     warning = None

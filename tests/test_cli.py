@@ -98,6 +98,14 @@ class TestSubcommands:
         assert obj["hits"][0]["spec"] == "exp:0.25"
         assert obj["hits"][0]["corr"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_search_top_must_be_positive(self, top):
+        code, out, err = run_cli(["search", "--gen", "exp:0.25", "--N", "64",
+                                  "--top", top])
+        assert code == 2
+        assert out == ""
+        assert "top must be >= 1" in err
+
     def test_weighted_scan(self):
         code, out, _ = run_cli(["weighted", "--w", "tm:pm", "--system",
                                 "rot:0.41421356", "--obs", "ex,ex",
@@ -166,11 +174,19 @@ class TestReproducibility:
         _, out2, _ = run_cli(argv)
         assert out1.encode() == out2.encode()
 
-    def test_thread_count_does_not_change_output(self):
-        base = ["verify", "csg", "--trials", "30", "--seed", "3"]
+    @pytest.mark.parametrize("base", [
+        pytest.param(["verify", "csg", "--trials", "30", "--seed", "3"],
+                     id="csg"),
+        pytest.param(["verify", "subadd", "--trials", "30", "--seed", "1",
+                      "--N", "64", "--H", "8"], id="subadd"),
+        pytest.param(["verify", "direct", "--trials", "30", "--seed", "3",
+                      "--N", "256"], id="direct"),
+    ])
+    def test_thread_count_does_not_change_output(self, base):
         _, out1, _ = run_cli(base + ["--threads", "1"])
-        _, out4, _ = run_cli(base + ["--threads", "4"])
-        assert out1.encode() == out4.encode()
+        for threads in ("2", "4"):
+            _, out, _ = run_cli(base + ["--threads", threads])
+            assert out.encode() == out1.encode()
 
     def test_console_entry_point(self):
         proc = subprocess.run(

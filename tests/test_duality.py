@@ -88,20 +88,28 @@ class TestDualFunction:
         assert np.allclose(d.sample(0, 64), 1.0, atol=1e-12)
 
     def test_matches_brute_force(self):
-        # independent oracle: literal double loop over the h grid
+        # independent oracle: literal loop over the h grid and the cube
+        # vertices eps != 0, indices wrapped mod n in cyclic mode
+        import itertools
         n, h = 48, 4
         a = ul.rademacher_seq(3)
-        vals = a.sample(0, n + 2 * (h - 1))
-        p = ul.BoxParams(2, h, ul.IntervalSpec(0, n))
-        d = dual_function(a, p).sample(0, n)
-        for base in (0, 17, n - 1):
-            acc = 0.0 + 0.0j
-            for h1 in range(h):
-                for h2 in range(h):
-                    acc += (vals[base + h1].conjugate()
-                            * vals[base + h2].conjugate()
-                            * vals[base + h1 + h2])
-            assert abs(d[base] - acc / h ** 2) < 1e-12
+        for k in (1, 2, 3):
+            for cyc in (False, True):
+                mode = ul.cyclic(n) if cyc else ul.INTERVAL
+                vals = a.sample(0, n + k * (h - 1))
+                p = ul.BoxParams(k, h, ul.IntervalSpec(0, n), mode)
+                d = dual_function(a, p).sample(0, n)
+                for base in (0, 17, n - 1):
+                    acc = 0.0 + 0.0j
+                    for hs in itertools.product(range(h), repeat=k):
+                        term = 1.0 + 0.0j
+                        for m in range(1, 1 << k):
+                            eps = [(m >> i) & 1 for i in range(k)]
+                            idx = base + sum(e * hi for e, hi in zip(eps, hs))
+                            v = vals[idx % n if cyc else idx]
+                            term *= v.conjugate() if sum(eps) % 2 else v
+                        acc += term
+                    assert abs(d[base] - acc / h ** k) < 1e-12
 
     def test_pairing_regroups_to_powered(self):
         n, h = 512, 32

@@ -124,10 +124,10 @@ class TestPathAgreement:
             assert fast == pytest.approx(oracle, abs=1e-10)
 
     def test_fft_path_matches(self):
-        n = 256
-        for seed in range(100):
-            a = ul.rademacher_seq(seed + 50)
-            h = (8, 64, n)[seed % 3]
+        cases = [(256, (8, 64, 256)[seed % 3], seed + 50) for seed in range(100)]
+        cases.append((8192, 16, 7))
+        for n, h, seed in cases:
+            a = ul.rademacher_seq(seed)
             p = ul.BoxParams(2, h, ul.IntervalSpec(0, n), ul.cyclic(n))
             fast = ul.box_norm(a, p, path="fast", with_tail=False).powered
             fft = ul.box_norm(a, p, path="fft", with_tail=False).powered
@@ -248,25 +248,26 @@ class TestCsg:
         assert not rep.exact_mode
 
     def test_mixed_matches_brute(self):
-        # independent oracle for the mixed pairing, tiny case
+        # independent oracle for the mixed pairing, tiny cases
         import itertools
-        n, h, k = 32, 3, 2
-        seqs = [ul.rademacher_seq(40 + i) for i in range(4)]
-        vals = [s.sample(0, n) for s in seqs]
-        total = 0.0 + 0.0j
-        for hs in itertools.product(range(h), repeat=k):
-            for idx in range(n):
-                term = 1.0 + 0.0j
-                for m in range(1 << k):
-                    eps = [(m >> i) & 1 for i in range(k)]
-                    off = sum(e * hi for e, hi in zip(eps, hs))
-                    v = vals[m][(idx + off) % n]
-                    term *= v.conjugate() if sum(eps) % 2 else v
-                total += term / n
-        oracle = abs(total / h ** k)
-        p = ul.BoxParams(k, h, ul.IntervalSpec(0, n), ul.cyclic(n))
-        rep = ul.csg_check(seqs, p)
-        assert rep.lhs == pytest.approx(oracle, abs=1e-10)
+        n, h = 32, 3
+        for k in (2, 3):
+            seqs = [ul.rademacher_seq(40 + i) for i in range(1 << k)]
+            vals = [s.sample(0, n) for s in seqs]
+            total = 0.0 + 0.0j
+            for hs in itertools.product(range(h), repeat=k):
+                for idx in range(n):
+                    term = 1.0 + 0.0j
+                    for m in range(1 << k):
+                        eps = [(m >> i) & 1 for i in range(k)]
+                        off = sum(e * hi for e, hi in zip(eps, hs))
+                        v = vals[m][(idx + off) % n]
+                        term *= v.conjugate() if sum(eps) % 2 else v
+                    total += term / n
+            oracle = abs(total / h ** k)
+            p = ul.BoxParams(k, h, ul.IntervalSpec(0, n), ul.cyclic(n))
+            rep = ul.csg_check(seqs, p)
+            assert rep.lhs == pytest.approx(oracle, abs=1e-10)
 
     def test_seeded_suite(self):
         rep = run_csg_suite(40, n=512, h=16, seed=2)
