@@ -23,6 +23,7 @@ import numpy as np
 from . import duality, ergodic_weights, generators, nilmanifold, uniformity
 from .errors import (GeneratorSpecError, NegativityViolation,
                      SupBoundViolation, UnifLabError)
+from .generators import _floats
 from .seq_core import INTERVAL, DomainMode, IntervalSpec, cyclic
 from .uniformity import BoxParams, NormReport
 
@@ -116,7 +117,7 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj))
+    _emit(args, json.dumps(obj, allow_nan=False))
 
 
 def _csv_lines(header: Sequence[str], rows) -> str:
@@ -221,29 +222,27 @@ def _cmd_search(args) -> int:
 def _parse_system(text: str) -> ergodic_weights.DynSystem:
     kind, _, rest = text.partition(":")
     if kind == "rot":
-        return ergodic_weights.rotation(float(rest))
+        return ergodic_weights.rotation(_floats(rest, 1, "rot:")[0])
     if kind == "skew":
-        return ergodic_weights.skew(float(rest))
+        return ergodic_weights.skew(_floats(rest, 1, "skew:")[0])
     if kind == "heis":
-        parts = [float(p) for p in rest.split(",")]
-        if len(parts) != 3:
-            raise GeneratorSpecError("heis system needs tau as a,b,c")
-        return ergodic_weights.heis_system(nilmanifold.HeisElem(*parts))
+        tau = _floats(rest, 3, "heis system tau")
+        return ergodic_weights.heis_system(nilmanifold.HeisElem(*tau))
     raise GeneratorSpecError(f"unknown system {text!r}")
+
+
+def _heis_x0(text: Optional[str]) -> nilmanifold.HeisPoint:
+    if not text:
+        return nilmanifold.IDENTITY_POINT
+    return nilmanifold.HeisPoint(*(v % 1.0 for v in _floats(text, 3, "--x0")))
 
 
 def _parse_x0(sys_: ergodic_weights.DynSystem, text: Optional[str]):
     if sys_.kind == "rotation":
-        return float(text) if text else 0.0
+        return _floats(text, 1, "--x0")[0] if text else 0.0
     if sys_.kind == "skew":
-        if not text:
-            return (0.0, 0.0)
-        parts = [float(p) for p in text.split(",")]
-        return (parts[0], parts[1])
-    if not text:
-        return nilmanifold.IDENTITY_POINT
-    parts = [float(p) % 1.0 for p in text.split(",")]
-    return nilmanifold.HeisPoint(*parts)
+        return tuple(_floats(text, 2, "--x0")) if text else (0.0, 0.0)
+    return _heis_x0(text)
 
 
 def _cmd_weighted(args) -> int:
@@ -283,15 +282,8 @@ def _cmd_ww(args) -> int:
 
 
 def _cmd_heis(args) -> int:
-    tau_vals = [float(v) for v in args.tau.split(",")]
-    if len(tau_vals) != 3:
-        raise GeneratorSpecError("--tau needs three components a,b,c")
-    tau = nilmanifold.HeisElem(*tau_vals)
-    if args.x0:
-        parts = [float(v) % 1.0 for v in args.x0.split(",")]
-        x0 = nilmanifold.HeisPoint(*parts)
-    else:
-        x0 = nilmanifold.IDENTITY_POINT
+    tau = nilmanifold.HeisElem(*_floats(args.tau, 3, "--tau"))
+    x0 = _heis_x0(args.x0)
     f = nilmanifold.named_character(args.f)
     rng = _parse_range(args.range)
     seq = nilmanifold.nilsequence(tau, x0, f, rng)

@@ -28,9 +28,9 @@ import numpy as np
 from .errors import FrequencyGridMismatch
 from .generators import TrigPoly, quad_phase_seq, trig_poly_seq
 from .nilmanifold import HeisElem, IDENTITY_POINT, character_ez, nilsequence
-from .seq_core import ComplexSeq, IntervalSpec, cyclic, from_samples
-from .uniformity import (BoxParams, SuiteReport, _cube_sum, _operand_array,
-                         _suite_samples, box_norm)
+from .seq_core import ComplexSeq, from_samples, sample_mode
+from .uniformity import (BoxParams, SuiteReport, _cube_sum, _cyclic_box,
+                         _operand_array, _run_trials, _suite_seq, box_norm)
 
 GRID_TOL = 1e-12
 
@@ -46,11 +46,8 @@ def dft_coefficients(a: ComplexSeq, n: int) -> SpectrumReport:
     """lambda_j = (1/N) sum_{m<N} a_m e(-mj/N) for every bin j."""
     samples = a.sample(0, n)
     coefs = np.fft.fft(samples) / n
-    terms = tuple((j / n, complex(coefs[j])) for j in range(n))
-    mags = np.abs(coefs)
-    hk2 = float(np.sum(mags ** 4) ** 0.25)
-    dual2 = float(np.sum(mags ** (4.0 / 3.0)) ** 0.75)
-    return SpectrumReport(TrigPoly(terms), hk2, dual2)
+    poly = TrigPoly(tuple((j / n, complex(coefs[j])) for j in range(n)))
+    return SpectrumReport(poly, hk_norm_k2(poly), dual_norm_k2(poly))
 
 
 def spectrum_probe(a: ComplexSeq, n: int,
@@ -98,8 +95,7 @@ def dual_function(a: ComplexSeq, p: BoxParams) -> ComplexSeq:
 def dual_pairing(a: ComplexSeq, p: BoxParams) -> complex:
     """avg_{n in I} a_n * (D_k a)(n); its real part is the powered box norm."""
     d = dual_function(a, p)
-    base = a.eval(p.interval.indices() % p.mode.modulus) \
-        if p.mode.is_cyclic else a.sample(p.interval.lo, p.interval.hi)
+    base = sample_mode(a, p.interval.lo, p.interval.hi, p.mode)
     vals = d.sample(p.interval.lo, p.interval.hi)
     return complex(np.mean(base * vals))
 
@@ -138,8 +134,7 @@ def direct_bound_check(a: ComplexSeq, b: TrigPoly,
     a_vals = a.sample(0, n)
     b_vals = trig_poly_seq(b).sample(0, n)
     corr = abs(complex(np.mean(a_vals * b_vals)))
-    box = box_norm(from_samples(a_vals),
-                   BoxParams(2, n, IntervalSpec(0, n), cyclic(n)))
+    box = box_norm(from_samples(a_vals), _cyclic_box(2, n, n))
     dual = dual_norm_k2(b)
     return DirectBoundReport(corr, box.value * dual, box.value, dual)
 
@@ -167,22 +162,18 @@ def inverse_search(a: ComplexSeq, n: int, kind: str = "fourier",
         coefs = np.fft.fft(samples) / n  # bin j <-> |avg a_m conj(e(mj/N))|
         for j in range(n):
             hits.append((f"exp:{j / n!r}", float(abs(coefs[j]))))
-    elif kind == "quad":
+    elif kind in ("quad", "heis"):
         if grid is None:
-            raise ValueError("quad dictionary needs a grid of coefficients")
-        for alpha in grid:
-            b = quad_phase_seq(alpha).sample(0, n)
-            corr = abs(complex(np.mean(samples * np.conj(b))))
-            hits.append((f"quad:{float(alpha)!r}", corr))
-    elif kind == "heis":
-        if grid is None:
-            raise ValueError("heis dictionary needs a grid of coefficients")
-        for alpha in grid:
-            seq = nilsequence(HeisElem(float(alpha), 1.0, 0.0),
-                              IDENTITY_POINT, character_ez(1))
-            b = seq.sample(0, n)
-            corr = abs(complex(np.mean(samples * np.conj(b))))
-            hits.append((f"heis:tau=({float(alpha)!r},1,0);f=ez", corr))
+            raise ValueError(f"{kind} dictionary needs a grid of coefficients")
+        for alpha in map(float, grid):
+            if kind == "quad":
+                spec, b = f"quad:{alpha!r}", quad_phase_seq(alpha)
+            else:
+                spec = f"heis:tau=({alpha!r},1,0);f=ez"
+                b = nilsequence(HeisElem(alpha, 1.0, 0.0), IDENTITY_POINT,
+                                character_ez(1))
+            corr = abs(complex(np.mean(samples * np.conj(b.sample(0, n)))))
+            hits.append((spec, corr))
     else:
         raise ValueError(f"unknown dictionary {kind!r}")
     hits.sort(key=lambda item: (-item[1], item[0]))
@@ -195,35 +186,29 @@ def inverse_search(a: ComplexSeq, n: int, kind: str = "fourier",
 
 def run_direct_bound_suite(trials: int, n: int = 4096,
                            seed: int = 0) -> SuiteReport:
-    worst = -np.inf
-    violations = 0
     rng_master = np.random.default_rng(seed)
-    for t in range(trials):
-        a = from_samples(_suite_samples(seed + t, n))
+
+    def slack(t: int) -> float:
+        a = _suite_seq(seed + t, n)
         rng = np.random.default_rng(rng_master.integers(1 << 62))
         bins = rng.choice(n, size=5, replace=False)
         coefs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         b = TrigPoly(tuple((int(j) / n, complex(c))
                            for j, c in zip(bins, coefs)))
         rep = direct_bound_check(a, b, n)
-        slack = rep.corr - rep.bound - 1e-9
-        worst = max(worst, slack)
-        if slack > 0:
-            violations += 1
-    return SuiteReport("direct-bound", trials, violations, float(worst))
+        return rep.corr - rep.bound - 1e-9
+
+    return _run_trials("direct-bound", trials, slack)
 
 
 def run_pairing_suite(trials: int, n: int = 1024, h: int = 32, k: int = 2,
                       seed: int = 0) -> SuiteReport:
-    worst = -np.inf
-    violations = 0
-    p = BoxParams(k, h, IntervalSpec(0, n), cyclic(n))
-    for t in range(trials):
-        a = from_samples(_suite_samples(seed + t, n))
+    p = _cyclic_box(k, h, n)
+
+    def slack(t: int) -> float:
+        a = _suite_seq(seed + t, n)
         pairing = dual_pairing(a, p).real
         powered = box_norm(a, p, with_tail=False).powered
-        slack = abs(pairing - powered) - 1e-9
-        worst = max(worst, slack)
-        if slack > 0:
-            violations += 1
-    return SuiteReport("dual-pairing", trials, violations, float(worst))
+        return abs(pairing - powered) - 1e-9
+
+    return _run_trials("dual-pairing", trials, slack)

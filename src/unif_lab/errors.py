@@ -28,7 +28,8 @@ class FrequencyGridMismatch(UnifLabError):
 
 
 class NegativityViolation(UnifLabError):
-    """A box-norm average came out more negative than truncation noise allows.
+    """A box-norm average came out non-finite, or more negative than
+    truncation noise allows.
 
     Averages may dip below zero by at most 1e-9 (that much is clamped);
     anything worse indicates a bug or a misuse of the estimator.

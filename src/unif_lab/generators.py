@@ -11,10 +11,11 @@ Throughout, e(t) = exp(2*pi*i*t).
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -365,7 +366,7 @@ def parse_genpoly_expr(text: str) -> GenPolyAst:
     def parse_factor() -> GenPolyAst:
         tok = take()
         if tok.group("num"):
-            return Const(float(tok.group("num")))
+            return Const(_parse_number(tok.group("num"), "numeral"))
         if tok.group("op") == "-":
             return Mul(Const(-1.0), parse_factor())
         if tok.group("op") == "(":
@@ -412,12 +413,29 @@ def parse_genpoly_expr(text: str) -> GenPolyAst:
 
 
 def _parse_number(text: str, what: str) -> float:
+    """A finite float or a named constant; anything else is a spec error."""
+    if text in _NAMED_CONSTANTS:
+        return _NAMED_CONSTANTS[text]
     try:
-        if text in _NAMED_CONSTANTS:
-            return _NAMED_CONSTANTS[text]
-        return float(text)
+        val = float(text)
     except ValueError:
         raise GeneratorSpecError(f"bad {what}: {text!r}") from None
+    if not math.isfinite(val):
+        raise GeneratorSpecError(f"{what} must be finite: {text!r}")
+    return val
+
+
+def _floats(text: str, count: int, what: str) -> List[float]:
+    """Exactly `count` comma-separated finite numbers."""
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != count or not all(map(math.isfinite, vals)):
+        raise GeneratorSpecError(
+            f"{what} needs {count} comma-separated finite numbers, "
+            f"got {text!r}")
+    return vals
 
 
 def parse_generator(spec: str) -> ComplexSeq:
@@ -489,6 +507,9 @@ def parse_trig_terms(arg: str) -> TrigPoly:
             coef = complex(fields["l"])
         except ValueError:
             raise GeneratorSpecError(f"bad coefficient {fields['l']!r}") from None
+        if not cmath.isfinite(coef):
+            raise GeneratorSpecError(
+                f"coefficient must be finite: {fields['l']!r}")
         terms.append((_parse_number(fields["t"], "frequency"), coef))
     if not terms:
         raise GeneratorSpecError("empty trig polynomial")

@@ -21,6 +21,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import GeneratorSpecError
+from .generators import _floats
 from .seq_core import TWO_PI_I, ComplexSeq, IntervalSpec
 
 
@@ -208,14 +209,7 @@ def _parse_triple(text: str, what: str) -> Tuple[float, float, float]:
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
-    parts = body.split(",")
-    if len(parts) != 3:
-        raise GeneratorSpecError(f"{what} needs three comma-separated numbers")
-    try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError:
-        raise GeneratorSpecError(f"bad {what}: {text!r}") from None
-    return vals  # type: ignore[return-value]
+    return tuple(_floats(body, 3, what))  # type: ignore[return-value]
 
 
 def parse_heis_spec(arg: str) -> ComplexSeq:

@@ -157,12 +157,10 @@ def sample_mode(a: ComplexSeq, lo: int, hi: int, mode: DomainMode) -> np.ndarray
     return a.sample(lo, hi)
 
 
-def require_margin(a: ComplexSeq, interval: IntervalSpec, k: int, h: int,
-                   mode: DomainMode) -> None:
-    """Check the margin contract: reads reach [lo, lo + len + k*(H-1)]."""
-    if mode.is_cyclic:
-        a.require_range(0, mode.modulus, "cyclic evaluation")
-        return
+def require_margin(a: ComplexSeq, interval: IntervalSpec, k: int,
+                   h: int) -> None:
+    """Check the interval-mode margin contract: reads reach
+    [lo, lo + len + k*(H-1))."""
     a.require_range(interval.lo, interval.hi + k * (h - 1),
                     f"k={k}, H={h} box average on {interval}")
 

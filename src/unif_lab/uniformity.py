@@ -34,9 +34,10 @@ inequalities are checked empirically by the seeded suites below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from itertools import product as iproduct
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,14 +83,10 @@ class NormReport:
 
 def _operand_array(a: ComplexSeq, p: BoxParams) -> np.ndarray:
     """Samples covering [I.lo, I.hi + k*(H-1)), wrapped mod N when cyclic."""
-    span = p.interval.length + p.k * (p.H - 1)
-    if p.mode.is_cyclic:
-        n = p.mode.modulus
-        a.require_range(0, n, "cyclic evaluation")
-        idx = np.arange(p.interval.lo, p.interval.lo + span, dtype=np.int64) % n
-        return a.eval(idx)
-    require_margin(a, p.interval, p.k, p.H, p.mode)
-    return a.sample(p.interval.lo, p.interval.lo + span)
+    if not p.mode.is_cyclic:
+        require_margin(a, p.interval, p.k, p.H)
+    return sample_mode(a, p.interval.lo, p.interval.hi + p.k * (p.H - 1),
+                       p.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +185,7 @@ def _powered_spectral(x: np.ndarray, k: int) -> complex:
 
 
 def _auto_path(p: BoxParams) -> str:
+    """"spectral" where its closed forms hold, else "fast"."""
     if (p.mode.is_cyclic and p.k <= 2 and p.H == p.mode.modulus
             and p.interval.lo == 0 and p.interval.length == p.mode.modulus):
         return "spectral"
@@ -200,9 +198,7 @@ def _powered_complex(a: ComplexSeq, p: BoxParams, path: str) -> complex:
     if path == "auto":
         path = _auto_path(p)
     if path == "spectral":
-        if not (p.mode.is_cyclic and p.k <= 2 and p.H == p.mode.modulus
-                and p.interval.lo == 0
-                and p.interval.length == p.mode.modulus):
+        if _auto_path(p) != "spectral":
             raise ValueError("spectral path needs cyclic mode, k <= 2, "
                              "H = N, I = [0, N)")
         return _powered_spectral(x[:p.mode.modulus], p.k)
@@ -226,7 +222,6 @@ def box_correlation(a: ComplexSeq, h: Sequence[int], p: BoxParams) -> complex:
     """c_h for a single shift tuple h (entries may be any integers)."""
     if len(h) != p.k:
         raise ValueError(f"h must have {p.k} entries")
-    ns = p.interval.indices()
     term = np.ones(p.interval.length, dtype=np.complex128)
     for m in range(1 << p.k):
         pat = [(m >> i) & 1 for i in range(p.k)]
@@ -238,9 +233,9 @@ def box_correlation(a: ComplexSeq, h: Sequence[int], p: BoxParams) -> complex:
 
 def _finalize_norm(s_h: complex, p: BoxParams, tail: float) -> NormReport:
     raw = s_h.real
-    if raw < NEGATIVITY_FLOOR:
+    if not math.isfinite(raw) or raw < NEGATIVITY_FLOOR:
         raise NegativityViolation(
-            f"box average {raw} below the truncation-noise floor "
+            f"box average {raw} is not finite or is below the noise floor "
             f"{NEGATIVITY_FLOOR} (k={p.k}, H={p.H}, {p.mode.describe()})")
     powered = max(raw, 0.0)
     return NormReport(powered ** (1.0 / (1 << p.k)), powered, p, tail)
@@ -258,10 +253,8 @@ def box_norm(a: ComplexSeq, p: BoxParams, path: str = "auto",
     resolved = _auto_path(p) if path == "auto" else path
     s_h = _powered_complex(a, p, resolved)
     tail = 0.0
-    if with_tail:
-        if p.mode.is_cyclic and p.H == p.mode.modulus:
-            tail = 0.0
-        elif p.H == 1:
+    if with_tail and not (p.mode.is_cyclic and p.H == p.mode.modulus):
+        if p.H == 1:
             tail = abs(s_h)
         elif resolved == "direct":
             tail = abs(_powered_direct(_operand_array(a, p), p.k, p.H,
@@ -324,31 +317,23 @@ def uniformity_norm_proxy(a: ComplexSeq, search_range: IntervalSpec,
     starts = range(search_range.lo, search_range.hi - window_len + 1, stride)
     if len(starts) == 0:
         raise ValueError("search range shorter than the window")
-    best_val, best_m = -1.0, search_range.lo
-    for m in starts:
-        if per_window == "cyclic":
-            win = from_samples(a.sample(m, m + window_len))
-            rep = box_norm(win, BoxParams(k, window_len,
-                                          IntervalSpec(0, window_len),
-                                          cyclic(window_len)),
-                           with_tail=False)
-        else:
-            rep = box_norm(a, BoxParams(k, h, IntervalSpec(m, window_len),
-                                        INTERVAL), with_tail=False)
-        if rep.value > best_val:
-            best_val, best_m = rep.value, m
-    # recompute the winner with the tail diagnostic; params carry the
-    # argmax window so the report says where the maximum was attained
-    if per_window == "cyclic":
-        win = from_samples(a.sample(best_m, best_m + window_len))
-        rep = box_norm(win, BoxParams(k, window_len,
-                                      IntervalSpec(0, window_len),
-                                      cyclic(window_len)))
-        params = BoxParams(k, window_len, IntervalSpec(best_m, window_len),
-                           cyclic(window_len))
-        return NormReport(rep.value, rep.powered, params, rep.h_tail)
-    return box_norm(a, BoxParams(k, h, IntervalSpec(best_m, window_len),
-                                 INTERVAL))
+
+    def window(m: int, with_tail: bool) -> NormReport:
+        # params carry the window itself, so the report says where the
+        # maximum was attained
+        if per_window == "interval":
+            return box_norm(a, BoxParams(k, h, IntervalSpec(m, window_len),
+                                         INTERVAL), with_tail=with_tail)
+        win = from_samples(a.sample(m, m + window_len))
+        rep = box_norm(win, _cyclic_box(k, window_len, window_len),
+                       with_tail=with_tail)
+        here = replace(rep.params, interval=IntervalSpec(m, window_len))
+        return replace(rep, params=here)
+
+    # max() keeps the first window that attains the maximum; the winner is
+    # recomputed with the tail diagnostic
+    best_m = max(starts, key=lambda m: window(m, False).value)
+    return window(best_m, True)
 
 
 @dataclass(frozen=True)
@@ -431,8 +416,27 @@ class SuiteReport:
         return self.violations == 0
 
 
-def _suite_samples(seed: int, n: int) -> np.ndarray:
-    """Deterministic bounded complex test vector for a seeded suite case.
+def _run_trials(name: str, trials: int,
+                slack: Callable[[int], float]) -> SuiteReport:
+    """Score slack(t) for t = 0, 1, ..., trials-1, in that order.
+
+    A positive slack is a violation; the report keeps the worst one.  Suites
+    that draw from one master RNG rely on the order.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    slacks = [slack(t) for t in range(trials)]
+    return SuiteReport(name, trials, sum(1 for s in slacks if s > 0),
+                       float(max(slacks)))
+
+
+def _cyclic_box(k: int, h: int, n: int) -> BoxParams:
+    """BoxParams on I = [0, N) in cyclic(N) mode."""
+    return BoxParams(k, h, IntervalSpec(0, n), cyclic(n))
+
+
+def _suite_seq(seed: int, n: int) -> ComplexSeq:
+    """Deterministic bounded complex test sequence on [0, n) for a suite case.
 
     Cycles through sign sequences, unimodular random phases, trig mixtures
     with a dominant constant term, and quadratic phases, so the suites see
@@ -444,91 +448,71 @@ def _suite_samples(seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     ns = np.arange(n)
     if kind == 0:
-        return rademacher_seq(seed).sample(0, n)
-    if kind == 1:
-        return np.exp(2j * np.pi * rng.random(n))
-    if kind == 2:
+        vals = rademacher_seq(seed).sample(0, n)
+    elif kind == 1:
+        vals = np.exp(2j * np.pi * rng.random(n))
+    elif kind == 2:
         vals = np.full(n, 0.6 + 0.0j)
         for w in (0.25, 0.15):
             t = rng.integers(0, n) / n
             vals += w * np.exp(2j * np.pi * ((ns * t) % 1.0))
-        return vals
-    alpha = rng.random()
-    return np.exp(2j * np.pi * ((alpha * ns.astype(np.float64) ** 2) % 1.0))
+    else:
+        alpha = rng.random()
+        phases = (alpha * ns.astype(np.float64) ** 2) % 1.0
+        vals = np.exp(2j * np.pi * phases)
+    return from_samples(vals)
 
 
 def run_vdc_suite(trials: int, length: int = 8192, h: int = 64,
                   seed: int = 0) -> SuiteReport:
-    worst = -np.inf
-    violations = 0
     interval = IntervalSpec(0, length)
-    for t in range(trials):
-        a = rademacher_seq(seed + t)
-        rep = vdc_bound(a, interval, h)
-        slack = rep.lhs - rep.rhs - 1e-12
-        worst = max(worst, slack)
-        if slack > 0:
-            violations += 1
-    return SuiteReport("vdc", trials, violations, float(worst))
+
+    def slack(t: int) -> float:
+        rep = vdc_bound(rademacher_seq(seed + t), interval, h)
+        return rep.lhs - rep.rhs - 1e-12
+
+    return _run_trials("vdc", trials, slack)
 
 
 def run_csg_suite(trials: int, n: int = 1024, h: int = 32,
                   ks: Sequence[int] = (2, 3), seed: int = 0) -> SuiteReport:
-    worst = -np.inf
-    violations = 0
-    count = 0
-    params_by_k = {k: BoxParams(k, h, IntervalSpec(0, n), cyclic(n))
-                   for k in ks}
-    for t in range(trials):
+    params_by_k = {k: _cyclic_box(k, h, n) for k in ks}
+
+    def slack(t: int) -> float:
         k = ks[t % len(ks)]
-        seqs = [from_samples(_suite_samples(seed + 1000 * t + m, n))
-                for m in range(1 << k)]
+        seqs = [_suite_seq(seed + 1000 * t + m, n) for m in range(1 << k)]
         rep = csg_check(seqs, params_by_k[k])
-        slack = rep.lhs - rep.rhs - 1e-9
-        worst = max(worst, slack)
-        if slack > 0:
-            violations += 1
-        count += 1
-    return SuiteReport("csg", count, violations, float(worst))
+        return rep.lhs - rep.rhs - 1e-9
+
+    return _run_trials("csg", trials, slack)
 
 
 def run_subadditivity_suite(trials: int, n: int = 1024, h: int = 32,
                             ks: Sequence[int] = (1, 2, 3),
                             seed: int = 0) -> SuiteReport:
-    worst = -np.inf
-    violations = 0
-    for t in range(trials):
-        k = ks[t % len(ks)]
-        p = BoxParams(k, h, IntervalSpec(0, n), cyclic(n))
-        a = from_samples(_suite_samples(seed + 2 * t, n))
-        b = from_samples(_suite_samples(seed + 2 * t + 1, n))
+    def slack(t: int) -> float:
+        p = _cyclic_box(ks[t % len(ks)], h, n)
+        a = _suite_seq(seed + 2 * t, n)
+        b = _suite_seq(seed + 2 * t + 1, n)
         lhs = box_norm(add(a, b), p, with_tail=False).value
         rhs = (box_norm(a, p, with_tail=False).value
                + box_norm(b, p, with_tail=False).value)
-        slack = lhs - rhs - 1e-9
-        worst = max(worst, slack)
-        if slack > 0:
-            violations += 1
-    return SuiteReport("subadditivity", trials, violations, float(worst))
+        return lhs - rhs - 1e-9
+
+    return _run_trials("subadditivity", trials, slack)
 
 
 def run_monotonicity_suite(trials: int, n: int = 1024, h: int = 32,
                            ks: Sequence[int] = (1, 2),
                            seed: int = 0) -> SuiteReport:
-    worst = -np.inf
-    violations = 0
-    for t in range(trials):
+    def slack(t: int) -> float:
         k = ks[t % len(ks)]
-        a = from_samples(_suite_samples(seed + t, n))
-        lo = box_norm(a, BoxParams(k, h, IntervalSpec(0, n), cyclic(n)),
-                      with_tail=False).value
-        hi = box_norm(a, BoxParams(k + 1, h, IntervalSpec(0, n), cyclic(n)),
-                      with_tail=False).value
-        slack = lo - hi - 1e-9
-        worst = max(worst, slack)
-        if slack > 0:
-            violations += 1
-    return SuiteReport("monotonicity", trials, violations, float(worst))
+        a = _suite_seq(seed + t, n)
+        lo = box_norm(a, _cyclic_box(k, h, n), with_tail=False).value
+        hi = box_norm(a, _cyclic_box(k + 1, h, n), with_tail=False).value
+        return lo - hi - 1e-9
+
+    return _run_trials("monotonicity", trials, slack)
 
 
 def run_recursion_suite(trials: int, n: int = 1024, h: int = 32,
@@ -541,21 +525,16 @@ def run_recursion_suite(trials: int, n: int = 1024, h: int = 32,
     of the twisted factors may be legitimately negative even though their
     mean is the nonnegative k+1 quantity.
     """
-    worst = -np.inf
-    violations = 0
-    for t in range(trials):
+    def slack(t: int) -> float:
         k = ks[t % len(ks)]
-        a = wrap_cyclic(from_samples(_suite_samples(seed + t, n)), n)
-        p_k = BoxParams(k, h, IntervalSpec(0, n), cyclic(n))
-        p_k1 = BoxParams(k + 1, h, IntervalSpec(0, n), cyclic(n))
+        a = wrap_cyclic(_suite_seq(seed + t, n), n)
+        p_k = _cyclic_box(k, h, n)
         acc = 0.0
         for hh in range(h):
             twisted = product(shift(a, hh), conjugate(a))
             acc += box_powered_signed(twisted, p_k)
         lhs = acc / h
-        rhs = box_powered_signed(a, p_k1)
-        slack = abs(lhs - rhs) - 1e-9
-        worst = max(worst, slack)
-        if slack > 0:
-            violations += 1
-    return SuiteReport("recursion", trials, violations, float(worst))
+        rhs = box_powered_signed(a, _cyclic_box(k + 1, h, n))
+        return abs(lhs - rhs) - 1e-9
+
+    return _run_trials("recursion", trials, slack)

@@ -7,6 +7,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unif_lab import cli
 
@@ -146,6 +148,14 @@ class TestSubcommands:
         assert code == 4
         assert json.loads(out)["violations"] == 1
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_trials_must_be_positive(self, trials):
+        code, out, err = run_cli(["verify", "vdc", "--trials", trials,
+                                  "--len", "64", "--H", "4"])
+        assert code == 2
+        assert out == ""
+        assert "trials must be >= 1" in err
+
     def test_bench_small(self):
         code, out, err = run_cli(["bench", "--N", "512", "--H", "16"])
         assert code == 0
@@ -164,6 +174,93 @@ class TestSubcommands:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["value"] == pytest.approx(1.0, abs=1e-9)
+
+
+NORM_FLAGS = ["--N", "64", "--H", "8"]
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("argv, expected", [
+        pytest.param(["norm", "--gen", "exp:nan"] + NORM_FLAGS, 2,
+                     id="exp-nan"),
+        pytest.param(["norm", "--gen", "exp:inf"] + NORM_FLAGS, 2,
+                     id="exp-inf"),
+        pytest.param(["norm", "--gen", "quad:-inf"] + NORM_FLAGS, 2,
+                     id="quad-minus-inf"),
+        pytest.param(["norm", "--gen", "genpoly:e(" + "9" * 400 + "*n)"]
+                     + NORM_FLAGS, 2, id="genpoly-numeral-overflow"),
+        pytest.param(["dual", "--trig", "t=0.1,l=nan"], 2, id="trig-l-nan"),
+        pytest.param(["dual", "--trig", "t=0.1,l=1e400"], 2,
+                     id="trig-l-overflow"),
+        pytest.param(["gen", "--gen", "heis:tau=(nan,1,0)", "--range", "0:4"],
+                     2, id="heis-spec-tau-nan"),
+        # finite numerals whose phases overflow: the average is NaN
+        pytest.param(["norm", "--gen",
+                      "genpoly:e(1" + "0" * 300 + "*n*n*n*n*n)"] + NORM_FLAGS,
+                     3, id="genpoly-nan-average"),
+    ])
+    def test_non_finite_never_printed(self, argv, expected):
+        code, out, err = run_cli(argv)
+        assert code == expected
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["weighted", "--w", "rad:1", "--system", "skew:0.1",
+                      "--x0", "0.1", "--obs", "ex", "--N", "64"],
+                     id="skew-x0-short"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "heis:0.1,1,0",
+                      "--x0", "0.1", "--obs", "ez", "--N", "64"],
+                     id="heis-x0-short"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "heis:0.1,1",
+                      "--obs", "ez", "--N", "64"], id="heis-system-short"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "rot:nan",
+                      "--obs", "ex", "--N", "64"], id="rot-nan"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "rot:0.1",
+                      "--x0", "0.1,0.2", "--obs", "ex", "--N", "64"],
+                     id="rot-x0-long"),
+        pytest.param(["heis", "--tau", "0.1,1", "--range", "0:4"],
+                     id="heis-tau-short"),
+        pytest.param(["heis", "--tau", "0.1,1,0", "--x0", "0.1,x,0",
+                      "--range", "0:4"], id="heis-x0-bad"),
+    ])
+    def test_malformed_tuples_exit_two(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+FUZZ_VALUES = ["nan", "inf", "-inf", "1e400", "9" * 400, "0.25", "-3", "",
+               "x"]
+FUZZ_TEMPLATES = [
+    "norm --gen exp:{} --N 64 --H 8",
+    "norm --gen quad:{} --N 64 --H 8",
+    "dual --trig t={},l=0.5",
+    "dual --trig t=0.1,l={}",
+    "heis --tau {} --range 0:8",
+    "weighted --w rad:1 --system skew:{} --obs ex --N 64",
+    "weighted --w rad:1 --system skew:0.1 --x0 {} --obs ex --N 64",
+    "verify vdc --trials {} --len 64 --H 4",
+]
+
+
+class TestFuzz:
+    @given(template=st.sampled_from(FUZZ_TEMPLATES),
+           value=st.one_of(
+               st.lists(st.sampled_from(FUZZ_VALUES), min_size=1,
+                        max_size=3).map(",".join),
+               st.integers(-3, 3).map(str)))
+    @settings(max_examples=60, deadline=None)
+    def test_numeric_fields(self, template, value):
+        # argparse reports a malformed flag value by raising SystemExit(2)
+        argv = [tok.replace("{}", value) for tok in template.split()]
+        try:
+            code, out, _ = run_cli(argv)
+        except SystemExit as exc:
+            code, out = exc.code, ""
+        assert code in (0, 2, 3, 4)
+        assert "nan" not in out.lower() and "inf" not in out.lower()
 
 
 class TestReproducibility:

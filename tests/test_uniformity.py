@@ -169,6 +169,14 @@ class TestNegativityContract:
                     + math.cos(2 * math.pi * 0.6)) / 3
         assert signed == pytest.approx(expected, abs=1e-3)
 
+    @pytest.mark.parametrize("path", ["fast", "direct"])
+    def test_non_finite_average_raises(self, path):
+        vals = np.ones(64, dtype=np.complex128)
+        vals[5] = np.nan
+        p = ul.BoxParams(2, 8, ul.IntervalSpec(0, 64), ul.cyclic(64))
+        with pytest.raises(NegativityViolation, match="not finite"):
+            ul.box_norm(ul.from_samples(vals), p, path=path)
+
     def test_exact_zero_clamps(self):
         # alternating sequence, even H: the k=1 average is exactly zero
         rep_val = ul.u1_norm(ul.exp_seq(0.5), ul.IntervalSpec(0, 1000), 64)
@@ -315,6 +323,17 @@ class TestProxy:
                                        2, 16, per_window="interval")
         assert 0.0 <= rep.value <= 1.0
         assert rep.params.mode is ul.INTERVAL or not rep.params.mode.is_cyclic
+
+
+    @pytest.mark.parametrize("per_window", ["cyclic", "interval"])
+    def test_ties_keep_first_window(self, per_window):
+        # every window of a constant ties; the first one is the argmax
+        # (the CLI prints params.interval.lo as argmax_lo)
+        rep = ul.uniformity_norm_proxy(ul.constant_seq(1.0),
+                                       ul.IntervalSpec(100, 4096), 512, 256,
+                                       2, 64, per_window=per_window)
+        assert rep.value == pytest.approx(1.0, abs=1e-9)
+        assert rep.params.interval.lo == 100
 
 
 class TestReports:
