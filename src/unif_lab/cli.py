@@ -6,14 +6,15 @@ runs single-threaded.  Timing lines (bench) go to stderr so stdout stays
 reproducible.
 
 Exit codes: 0 success, 2 usage error, 3 numeric-contract violation
-(e.g. a box average more negative than truncation noise), 4 a `verify`
-suite found a violated inequality.
+(e.g. a box average more negative than truncation noise, or a non-finite
+CSV value), 4 a `verify` suite found a violated inequality.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence
@@ -30,6 +31,8 @@ from .uniformity import BoxParams, NormReport
 USAGE_EXIT = 2
 CONTRACT_EXIT = 3
 VERIFY_EXIT = 4
+# a larger verify --trials would run for days (or, at 10^300, forever)
+_MAX_TRIALS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +62,16 @@ def _parse_grid(text: str) -> List[float]:
                 f"bad grid {text!r}, expected lo:hi:steps") from None
         if n < 1:
             raise GeneratorSpecError("grid needs at least one step")
-        return [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
-    return [float(s) for s in text.split(",") if s]
+        grid = [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
+    else:
+        try:
+            grid = [float(s) for s in text.split(",") if s]
+        except ValueError:
+            raise GeneratorSpecError(
+                f"bad grid {text!r}, expected a,b,c") from None
+    if not all(map(math.isfinite, grid)):
+        raise GeneratorSpecError(f"--grid values must be finite, got {text!r}")
+    return grid
 
 
 def _mode_from_args(args) -> DomainMode:
@@ -88,6 +99,9 @@ def _box_params(args) -> BoxParams:
 
 
 def _fmt(x: float) -> str:
+    """A CSV float; a non-finite value breaks the numeric contract."""
+    if not math.isfinite(x):
+        raise NegativityViolation(f"CSV value {x} is not finite")
     return repr(float(x))
 
 
@@ -125,6 +139,12 @@ def _csv_lines(header: Sequence[str], rows) -> str:
     for row in rows:
         lines.append(",".join(str(c) for c in row))
     return "\n".join(lines)
+
+
+def _samples_csv(ns, vals) -> str:
+    """The n,re,im table of complex samples vals at indices ns."""
+    rows = ((n, _fmt(v.real), _fmt(v.imag)) for n, v in zip(ns, vals))
+    return _csv_lines(("n", "re", "im"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +185,7 @@ def _cmd_gen(args) -> int:
                "values": [[float(v.real), float(v.imag)] for v in vals]}
         _emit_json(args, obj)
     else:
-        rows = ((n, _fmt(v.real), _fmt(v.imag))
-                for n, v in zip(range(rng.lo, rng.hi), vals))
-        _emit(args, _csv_lines(("n", "re", "im"), rows))
+        _emit(args, _samples_csv(range(rng.lo, rng.hi), vals))
     return 0
 
 
@@ -200,9 +218,7 @@ def _cmd_dualfn(args) -> int:
     p = _box_params(args)
     d = duality.dual_function(a, p)
     vals = d.sample(p.interval.lo, p.interval.hi)
-    rows = ((n, _fmt(v.real), _fmt(v.imag))
-            for n, v in zip(range(p.interval.lo, p.interval.hi), vals))
-    _emit(args, _csv_lines(("n", "re", "im"), rows))
+    _emit(args, _samples_csv(range(p.interval.lo, p.interval.hi), vals))
     return 0
 
 
@@ -246,6 +262,9 @@ def _parse_x0(sys_: ergodic_weights.DynSystem, text: Optional[str]):
 
 
 def _cmd_weighted(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise GeneratorSpecError(
+            f"--threshold must be finite, got {args.threshold}")
     w = generators.parse_generator(args.w)
     sys_ = _parse_system(args.system)
     fs = [ergodic_weights.named_observable(sys_, name)
@@ -303,8 +322,7 @@ def _cmd_heis(args) -> int:
                "max_abs_dev": dev, "ok": dev <= 1e-6}
         _emit_json(args, obj)
         return 0
-    rows = ((n, _fmt(v.real), _fmt(v.imag)) for n, v in zip(ns, vals))
-    _emit(args, _csv_lines(("n", "re", "im"), rows))
+    _emit(args, _samples_csv(ns, vals))
     return 0
 
 
@@ -339,6 +357,9 @@ def _suite_kwargs(args) -> Dict:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials > _MAX_TRIALS:
+        raise GeneratorSpecError(
+            f"--trials must be at most {_MAX_TRIALS}, got {args.trials}")
     seed = args.seed
     if args.gen:
         # `--gen rad:SEED` re-bases the driving sign sequences on SEED

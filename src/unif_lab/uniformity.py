@@ -26,6 +26,9 @@ Computation paths, all agreeing to better than 1e-9:
   spectral  k <= 2 cyclic with H = N: the closed forms |mean|^2 and
             sum_j |hat a(j)|^4 in O(N log N).
 
+Every path but spectral also returns, from the same pass, the average of
+c_h over the outermost shell max(h) = H-1: box_norm's h_tail diagnostic.
+
 In cyclic mode with H = N the h average runs over the whole group and the
 quantity is a sum of squared magnitudes, hence exactly nonnegative; at
 H < N small negative dips are truncation noise (clamped), and the stated
@@ -94,7 +97,8 @@ def _operand_array(a: ComplexSeq, p: BoxParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
-              acc: np.ndarray) -> None:
+              acc: np.ndarray, shell: Optional[list] = None,
+              on_shell: bool = False) -> None:
     """acc[n] += sum_{h in [0,H)^k} prod_eps C^{|eps|} xs[m][n + eps.h].
 
     Vertex m holds eps with eps_{i+1} = bit i of m.  Recursion on the last
@@ -102,12 +106,16 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
     xs[v] * conj(shift_{h_k} xs[v + 2^(k-1)]), a (k-1)-cube; at k = 1 the
     h sum is a sliding window.  Pairs of the same two arrays (by identity)
     are multiplied once, so a single sequence costs one product per shift
-    and the whole sum O(H^(k-1) * len).
+    and the whole sum O(H^(k-1) * len).  A one-element `shell` list also
+    gains the n-sum over max(h) = H-1 (on_shell: an outer h_i is H-1).
     """
     if k == 1:
         w = np.conj(_sliding_sums(xs[1], h, out_len))
         w *= xs[0][:out_len]
         acc += w
+        if shell is not None:
+            shell[0] += (w.sum() if on_shell else
+                         np.vdot(xs[1][h - 1:h - 1 + out_len], xs[0][:out_len]))
         return
     half = 1 << (k - 1)
     m = out_len + (k - 1) * (h - 1)
@@ -120,15 +128,18 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
             prod = np.conj(xs[v + half][hh:hh + m])
             prod *= xs[v][:m]
             merged[v] = prod
-        _cube_sum([merged[r] for r in rep], k - 1, h, out_len, acc)
+        _cube_sum([merged[r] for r in rep], k - 1, h, out_len, acc, shell,
+                  on_shell or hh == h - 1)
 
 
-def _cube_average(xs: List[np.ndarray], k: int, h: int,
-                  out_len: int) -> complex:
-    """(1/H^k) sum_h c_h with vertex m reading xs[m]."""
-    acc = np.zeros(out_len, dtype=np.complex128)
-    _cube_sum(xs, k, h, out_len, acc)
-    return complex(acc.mean()) / h ** k
+def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
+                  with_tail: bool = False) -> Tuple[complex, complex]:
+    """(1/H^k) sum_h c_h with vertex m reading xs[m], and the average of c_h
+    over the shell max(h) = H-1 (0 unless with_tail)."""
+    acc, shell = np.zeros(out_len, dtype=np.complex128), [0j]
+    _cube_sum(xs, k, h, out_len, acc, shell if with_tail else None)
+    tail = complex(shell[0]) / (out_len * (h ** k - (h - 1) ** k))
+    return complex(acc.mean()) / h ** k, tail
 
 
 def _powered_direct(x: np.ndarray, k: int, h: int,
@@ -138,7 +149,6 @@ def _powered_direct(x: np.ndarray, k: int, h: int,
     weights = [sum(pat) & 1 for pat in patterns]
     total = 0.0 + 0.0j
     shell = 0.0 + 0.0j
-    shell_count = 0
     for hs in iproduct(range(h), repeat=k):
         term = np.ones(out_len, dtype=np.complex128)
         for pat, odd in zip(patterns, weights):
@@ -149,28 +159,34 @@ def _powered_direct(x: np.ndarray, k: int, h: int,
         total += c_h
         if max(hs) == h - 1:
             shell += c_h
-            shell_count += 1
-    denom = h ** k
-    return total / denom, (shell / shell_count if shell_count else total)
+    return total / h ** k, shell / (h ** k - (h - 1) ** k)
 
 
-def _powered_fft_k2(x: np.ndarray, h: int) -> complex:
+def _powered_fft_k2(x: np.ndarray, h: int,
+                    with_tail: bool = False) -> Tuple[complex, complex]:
     """k = 2, cyclic, I = [0, N): per-difference circular FFT correlation.
 
     avg_{h2<H} (1/N) sum_n g(n) conj(g(n+h2)) = sum_j |hat g(j)|^2 kern(j)
     with kern = fft(indicator of [0,H)) / H, applied for each h1 with
-    g = a * conj(shift_{h1} a).
+    g = a * conj(shift_{h1} a).  The shell max(h) = H-1 is the row h1 = H-1
+    plus, in every other row, the h2 = H-1 term: |hat g|^2 against
+    e(-j(H-1)/N).  Returns (grid average, shell average; 0 unless with_tail).
     """
     n = x.size
     indicator = np.zeros(n, dtype=np.float64)
     indicator[:h] = 1.0
     kern = np.fft.fft(indicator) / h
-    acc = 0.0 + 0.0j
+    last = np.exp(-2j * np.pi * ((np.arange(n) * (h - 1)) % n) / n)
+    acc = shell = 0.0 + 0.0j
     for h1 in range(h):
         g = x * np.conj(np.roll(x, -h1))
         ghat = np.fft.fft(g) / n
-        acc += complex(np.sum((ghat.real ** 2 + ghat.imag ** 2) * kern))
-    return acc / h
+        mags2 = ghat.real ** 2 + ghat.imag ** 2
+        row = complex(np.sum(mags2 * kern))
+        acc += row
+        if with_tail:
+            shell += h * row if h1 == h - 1 else complex(np.dot(mags2, last))
+    return acc / h, shell / (2 * h - 1)
 
 
 def _powered_spectral(x: np.ndarray, k: int) -> complex:
@@ -192,7 +208,9 @@ def _auto_path(p: BoxParams) -> str:
     return "fast"
 
 
-def _powered_complex(a: ComplexSeq, p: BoxParams, path: str) -> complex:
+def _powered_complex(a: ComplexSeq, p: BoxParams, path: str,
+                     with_tail: bool = False) -> Tuple[complex, complex]:
+    """(S_H, outermost-shell average; 0 unless with_tail) in one pass."""
     x = _operand_array(a, p)
     out_len = p.interval.length
     if path == "auto":
@@ -201,16 +219,16 @@ def _powered_complex(a: ComplexSeq, p: BoxParams, path: str) -> complex:
         if _auto_path(p) != "spectral":
             raise ValueError("spectral path needs cyclic mode, k <= 2, "
                              "H = N, I = [0, N)")
-        return _powered_spectral(x[:p.mode.modulus], p.k)
+        return _powered_spectral(x[:p.mode.modulus], p.k), 0j
     if path == "fft":
         if not (p.mode.is_cyclic and p.k == 2 and p.interval.lo == 0
                 and p.interval.length == p.mode.modulus):
             raise ValueError("fft path needs cyclic mode, k = 2, I = [0, N)")
-        return _powered_fft_k2(x[:p.mode.modulus], p.H)
+        return _powered_fft_k2(x[:p.mode.modulus], p.H, with_tail)
     if path == "fast":
-        return _cube_average([x] * (1 << p.k), p.k, p.H, out_len)
+        return _cube_average([x] * (1 << p.k), p.k, p.H, out_len, with_tail)
     if path == "direct":
-        return _powered_direct(x, p.k, p.H, out_len)[0]
+        return _powered_direct(x, p.k, p.H, out_len)
     raise ValueError(f"unknown computation path {path!r}")
 
 
@@ -245,27 +263,14 @@ def box_norm(a: ComplexSeq, p: BoxParams, path: str = "auto",
              with_tail: bool = True) -> NormReport:
     """Finite-stage box norm with the outermost-shell diagnostic.
 
-    h_tail is |average of c_h over the shell max(h) = H-1|: the marginal
-    contribution the truncation is still moving.  With H = N in cyclic mode
-    the average runs over the whole group, there is no truncation remainder,
-    and h_tail is reported as 0.
+    h_tail is |average of c_h over the shell max(h) = H-1|, accumulated by
+    the same kernel pass as S_H: how much the truncation is still moving.
+    It is 0 without with_tail, and at H = N in cyclic mode, where the average
+    runs over the whole group and there is no truncation remainder.
     """
-    resolved = _auto_path(p) if path == "auto" else path
-    s_h = _powered_complex(a, p, resolved)
-    tail = 0.0
-    if with_tail and not (p.mode.is_cyclic and p.H == p.mode.modulus):
-        if p.H == 1:
-            tail = abs(s_h)
-        elif resolved == "direct":
-            tail = abs(_powered_direct(_operand_array(a, p), p.k, p.H,
-                                       p.interval.length)[1])
-        else:
-            p_prev = BoxParams(p.k, p.H - 1, p.interval, p.mode)
-            s_prev = _powered_complex(a, p_prev, resolved)
-            big = (p.H ** p.k) * s_h
-            small = ((p.H - 1) ** p.k) * s_prev
-            tail = abs(big - small) / (p.H ** p.k - (p.H - 1) ** p.k)
-    return _finalize_norm(s_h, p, tail)
+    with_tail = with_tail and not (p.mode.is_cyclic and p.H == p.mode.modulus)
+    s_h, shell = _powered_complex(a, p, path, with_tail)
+    return _finalize_norm(s_h, p, abs(shell) if with_tail else 0.0)
 
 
 def box_powered_signed(a: ComplexSeq, p: BoxParams, path: str = "auto") -> float:
@@ -276,7 +281,7 @@ def box_powered_signed(a: ComplexSeq, p: BoxParams, path: str = "auto") -> float
     average well below zero while the k+1 aggregate stays nonnegative, so
     identity checks need the signed quantity that box_norm refuses to expose.
     """
-    return _powered_complex(a, p, path).real
+    return _powered_complex(a, p, path)[0].real
 
 
 def u1_norm(a: ComplexSeq, interval: IntervalSpec, h: int,
@@ -390,7 +395,7 @@ def csg_check(seqs: Sequence[ComplexSeq], p: BoxParams) -> CsgReport:
     if len(seqs) != (1 << p.k):
         raise ValueError(f"need {1 << p.k} sequences for k={p.k}")
     xs = [_operand_array(s, p) for s in seqs]
-    s_mixed = _cube_average(xs, p.k, p.H, p.interval.length)
+    s_mixed = _cube_average(xs, p.k, p.H, p.interval.length)[0]
     norms = tuple(box_norm(s, p, with_tail=False).value for s in seqs)
     rhs = float(np.prod(norms))
     warning = None

@@ -156,6 +156,14 @@ class TestSubcommands:
         assert out == ""
         assert "trials must be >= 1" in err
 
+    def test_verify_trials_capped(self):
+        # a count that could never finish is refused before any trial
+        code, out, err = run_cli(["verify", "vdc", "--trials",
+                                  "1" + "0" * 300, "--len", "64", "--H", "4"])
+        assert code == 2
+        assert out == ""
+        assert "--trials must be at most" in err
+
     def test_bench_small(self):
         code, out, err = run_cli(["bench", "--N", "512", "--H", "16"])
         assert code == 0
@@ -177,6 +185,8 @@ class TestSubcommands:
 
 
 NORM_FLAGS = ["--N", "64", "--H", "8"]
+# a finite numeral whose phases overflow during evaluation
+OVERFLOW_GEN = "genpoly:e(1" + "0" * 300 + "*n*n*n*n*n)"
 
 
 class TestBadNumbers:
@@ -194,10 +204,25 @@ class TestBadNumbers:
                      id="trig-l-overflow"),
         pytest.param(["gen", "--gen", "heis:tau=(nan,1,0)", "--range", "0:4"],
                      2, id="heis-spec-tau-nan"),
-        # finite numerals whose phases overflow: the average is NaN
-        pytest.param(["norm", "--gen",
-                      "genpoly:e(1" + "0" * 300 + "*n*n*n*n*n)"] + NORM_FLAGS,
-                     3, id="genpoly-nan-average"),
+        # the average of the overflowing samples is NaN
+        pytest.param(["norm", "--gen", OVERFLOW_GEN] + NORM_FLAGS, 3,
+                     id="genpoly-nan-average"),
+        # the same NaN samples reach every CSV writer
+        pytest.param(["gen", "--gen", OVERFLOW_GEN, "--range", "60:63"], 3,
+                     id="gen-csv-nan"),
+        pytest.param(["dualfn", "--gen", OVERFLOW_GEN] + NORM_FLAGS, 3,
+                     id="dualfn-csv-nan"),
+        pytest.param(["ww", "--gen", OVERFLOW_GEN, "--N", "64", "--csv"], 3,
+                     id="ww-csv-nan"),
+        pytest.param(["dual", "--gen", OVERFLOW_GEN, "--N", "64", "--csv"], 3,
+                     id="dual-csv-nan"),
+        pytest.param(["search", "--gen", "exp:0.25", "--N", "64", "--dict",
+                      "quad", "--grid", "nan,0.1"], 2, id="search-grid-nan"),
+        pytest.param(["search", "--gen", "exp:0.25", "--N", "64", "--dict",
+                      "quad", "--grid", "0:inf:3"], 2, id="search-grid-inf"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "rot:0.1",
+                      "--obs", "ex", "--grid", "64,128", "--threshold", "nan"],
+                     2, id="weighted-threshold-nan"),
     ])
     def test_non_finite_never_printed(self, argv, expected):
         code, out, err = run_cli(argv)
@@ -231,8 +256,8 @@ class TestBadNumbers:
         assert err.startswith("error:")
 
 
-FUZZ_VALUES = ["nan", "inf", "-inf", "1e400", "9" * 400, "0.25", "-3", "",
-               "x"]
+FUZZ_VALUES = ["nan", "inf", "-inf", "1e400", "9" * 400, "1" + "0" * 300,
+               "0.25", "-3", "", "x"]
 FUZZ_TEMPLATES = [
     "norm --gen exp:{} --N 64 --H 8",
     "norm --gen quad:{} --N 64 --H 8",
@@ -242,6 +267,10 @@ FUZZ_TEMPLATES = [
     "weighted --w rad:1 --system skew:{} --obs ex --N 64",
     "weighted --w rad:1 --system skew:0.1 --x0 {} --obs ex --N 64",
     "verify vdc --trials {} --len 64 --H 4",
+    "gen --gen genpoly:e({}*n*n*n*n*n) --range 60:63",
+    "search --gen exp:0.25 --N 64 --dict quad --grid {}",
+    "weighted --w rad:1 --system rot:0.1 --obs ex --grid 64,128 "
+    "--threshold {}",
 ]
 
 

@@ -13,15 +13,18 @@ from unif_lab.uniformity import (box_powered_signed, run_csg_suite,
                                  run_subadditivity_suite, run_vdc_suite)
 
 
-def brute_powered(values, k, h, n, cyclic):
+def brute_powered(values, k, h, n, cyclic, shell=False):
     """Pure-python oracle: literal sum over the h grid and the cube.
 
     values must cover [0, n + k*(h-1)) in interval mode, or be the length-n
-    period in cyclic mode.
+    period in cyclic mode.  With shell=True the mean of c_h runs over the
+    outermost shell max(h) = H-1 only.
     """
     import itertools
+    grid = [hs for hs in itertools.product(range(h), repeat=k)
+            if not shell or max(hs) == h - 1]
     total = 0.0 + 0.0j
-    for hs in itertools.product(range(h), repeat=k):
+    for hs in grid:
         c = 0.0 + 0.0j
         for idx in range(n):
             term = 1.0 + 0.0j
@@ -32,7 +35,17 @@ def brute_powered(values, k, h, n, cyclic):
                 term *= v.conjugate() if sum(eps) % 2 else v
             c += term
         total += c / n
-    return total / h ** k
+    return total / len(grid)
+
+
+TAIL_CASES = [
+    pytest.param(path, k, h, cyc, id=f"{path}-k{k}-H{h}-{mode}")
+    for path in ("fast", "fft", "direct")
+    for k in (1, 2, 3)
+    for cyc, mode in ((True, "cyclic"), (False, "interval"))
+    for h in (1, 3)
+    if path != "fft" or (k == 2 and cyc)
+]
 
 
 class TestBoxCorrelation:
@@ -363,6 +376,33 @@ class TestReports:
         t_fast = ul.box_norm(a, p, path="fast").h_tail
         t_direct = ul.box_norm(a, p, path="direct").h_tail
         assert t_fast == pytest.approx(t_direct, abs=1e-10)
+
+    @pytest.mark.parametrize("path, k, h, cyc", TAIL_CASES)
+    def test_tail_matches_shell_oracle(self, path, k, h, cyc):
+        # a constant plus small random phases keeps every average positive
+        n = 12
+        rng = np.random.default_rng(100 * k + h)
+        values = 0.6 + 0.3 * np.exp(2j * np.pi * rng.random(n + k * (h - 1)))
+        if cyc:
+            values = values[:n]
+            p = ul.BoxParams(k, h, ul.IntervalSpec(0, n), ul.cyclic(n))
+        else:
+            p = ul.BoxParams(k, h, ul.IntervalSpec(0, n))
+        oracle = abs(brute_powered(values, k, h, n, cyc, shell=True))
+        rep = ul.box_norm(ul.from_samples(values), p, path=path)
+        assert rep.h_tail == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("path, h", [
+        ("auto", 5), ("fast", 5), ("fft", 5), ("direct", 5), ("auto", 16),
+        ("spectral", 16), ("fast", 16), ("fft", 16)])
+    def test_tail_leaves_value_unchanged(self, path, h):
+        a = ul.rademacher_seq(4)
+        p = ul.BoxParams(2, h, ul.IntervalSpec(0, 16), ul.cyclic(16))
+        with_tail = ul.box_norm(a, p, path=path)
+        without = ul.box_norm(a, p, path=path, with_tail=False)
+        assert with_tail.value == without.value
+        assert with_tail.powered == without.powered
+        assert without.h_tail == 0.0
 
     def test_margin_contract_enforced(self):
         a = ul.from_samples(np.ones(100))
