@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,9 @@ CONTRACT_EXIT = 3
 VERIFY_EXIT = 4
 # a larger verify --trials would run for days (or, at 10^300, forever)
 _MAX_TRIALS = 10 ** 6
+# CSV rows formatted per write: keeps the text held at once small without
+# paying a write call per row
+_CSV_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +101,6 @@ def _box_params(args) -> BoxParams:
                      INTERVAL)
 
 
-def _fmt(x: float) -> str:
-    """A CSV float; a non-finite value breaks the numeric contract."""
-    if not math.isfinite(x):
-        raise NegativityViolation(f"CSV value {x} is not finite")
-    return repr(float(x))
-
-
 def _norm_json(op: str, params: Dict, rep: NormReport) -> Dict:
     mode = rep.params.mode
     return {
@@ -121,30 +117,49 @@ def _norm_json(op: str, params: Dict, rep: NormReport) -> Dict:
     }
 
 
-def _emit(args, text: str) -> None:
-    data = text if text.endswith("\n") else text + "\n"
+def _emit(args, chunks: Iterable[str]) -> None:
+    """Write the text chunks, each as it is made, to --out or stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(data)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, allow_nan=False))
+    _emit(args, [json.dumps(obj, allow_nan=False) + "\n"])
 
 
-def _csv_lines(header: Sequence[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    return "\n".join(lines)
+def _require_finite(*columns: np.ndarray) -> None:
+    """A non-finite output value breaks the numeric contract."""
+    for col in columns:
+        bad = col[~np.isfinite(col)]
+        if bad.size:
+            raise NegativityViolation(f"output value {bad[0]} is not finite")
 
 
-def _samples_csv(ns, vals) -> str:
+def _emit_csv(args, header: Sequence[str], *columns: np.ndarray) -> None:
+    """Equal-length numeric columns as CSV rows, each cell its repr.
+
+    Every column is checked finite before anything is written, so a
+    contract violation leaves the output empty.  Rows are then formatted
+    and written _CSV_BLOCK at a time.
+    """
+    _require_finite(*columns)
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            cells = [map(repr, col[lo:lo + _CSV_BLOCK].tolist())
+                     for col in columns]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    _emit(args, blocks())
+
+
+def _emit_samples(args, ns: np.ndarray, vals: np.ndarray) -> None:
     """The n,re,im table of complex samples vals at indices ns."""
-    rows = ((n, _fmt(v.real), _fmt(v.imag)) for n, v in zip(ns, vals))
-    return _csv_lines(("n", "re", "im"), rows)
+    _emit_csv(args, ("n", "re", "im"), ns, vals.real, vals.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +196,12 @@ def _cmd_gen(args) -> int:
     rng = _parse_range(args.range)
     vals = a.sample(rng.lo, rng.hi)
     if args.json:
+        _require_finite(vals.real, vals.imag)
         obj = {"op": "gen", "params": {"gen": args.gen, "range": args.range},
-               "values": [[float(v.real), float(v.imag)] for v in vals]}
+               "values": np.column_stack((vals.real, vals.imag)).tolist()}
         _emit_json(args, obj)
     else:
-        _emit(args, _samples_csv(range(rng.lo, rng.hi), vals))
+        _emit_samples(args, rng.indices(), vals)
     return 0
 
 
@@ -202,10 +218,11 @@ def _cmd_dual(args) -> int:
     a = generators.parse_generator(args.gen)
     rep = duality.dft_coefficients(a, args.N)
     if args.csv:
-        rows = []
-        for j, (_, coef) in enumerate(rep.coefficients.terms):
-            rows.append((j, _fmt(coef.real), _fmt(coef.imag), _fmt(abs(coef))))
-        _emit(args, _csv_lines(("bin", "re", "im", "magnitude"), rows))
+        coefs = rep.coefficients.coefs
+        # Python's abs(complex), not np.abs: they differ in the last bit
+        mags = np.fromiter(map(abs, coefs.tolist()), np.float64, coefs.size)
+        _emit_csv(args, ("bin", "re", "im", "magnitude"),
+                  np.arange(coefs.size), coefs.real, coefs.imag, mags)
     else:
         obj = {"op": "dual", "params": {"gen": args.gen, "N": args.N},
                "hk2": rep.hk2, "dual2": rep.dual2}
@@ -218,7 +235,7 @@ def _cmd_dualfn(args) -> int:
     p = _box_params(args)
     d = duality.dual_function(a, p)
     vals = d.sample(p.interval.lo, p.interval.hi)
-    _emit(args, _samples_csv(range(p.interval.lo, p.interval.hi), vals))
+    _emit_samples(args, p.interval.indices(), vals)
     return 0
 
 
@@ -295,8 +312,7 @@ def _cmd_weighted(args) -> int:
 def _cmd_ww(args) -> int:
     phi = generators.parse_generator(args.gen)
     freqs, mags = ergodic_weights.wiener_wintner_scan(phi, args.N)
-    rows = ((_fmt(t), _fmt(m)) for t, m in zip(freqs, mags))
-    _emit(args, _csv_lines(("t_bin", "magnitude"), rows))
+    _emit_csv(args, ("t_bin", "magnitude"), freqs, mags)
     return 0
 
 
@@ -322,7 +338,7 @@ def _cmd_heis(args) -> int:
                "max_abs_dev": dev, "ok": dev <= 1e-6}
         _emit_json(args, obj)
         return 0
-    _emit(args, _samples_csv(ns, vals))
+    _emit_samples(args, ns, vals)
     return 0
 
 

@@ -25,7 +25,8 @@ from .seq_core import TWO_PI_I, ComplexSeq, IntervalSpec
 
 def _e(phase: np.ndarray) -> np.ndarray:
     """e(x) = exp(2*pi*i*x), vectorized."""
-    return np.exp(TWO_PI_I * np.asarray(phase, dtype=np.float64))
+    z = TWO_PI_I * np.asarray(phase, dtype=np.float64)
+    return np.exp(z, out=z)
 
 
 # ---------------------------------------------------------------------------
@@ -87,21 +88,36 @@ def trig_poly_seq(p: TrigPoly) -> ComplexSeq:
 def _exact_term_frac(c: float, ns: np.ndarray, j: int) -> np.ndarray:
     """frac(c * n^j) with no rounding in the product.
 
-    Writes c = m * 2^e exactly (53-bit integer m), so that
-    frac(c * n^j) = ((m * n^j) mod 2^-e) / 2^-e in exact integer arithmetic.
+    Writes c = m * 2^-d exactly (53-bit integer m), so that
+    frac(c * n^j) = ((m * n^j) mod 2^d) / 2^d in exact integer arithmetic.
     A plain Horner evaluation loses ~ulp(c * n^j) before the mod, which for
     n^2 phases at n ~ 6e4 already exceeds 1e-12; the box-correlation
     telescoping identities are only testable at that precision with the
     exact reduction.
+
+    For d <= 64 the residue is computed in uint64 wraparound arithmetic:
+    2^d divides 2^64, so the product mod 2^64 (negative n and m by two's
+    complement) keeps the low d bits exact.  The one rounding is the
+    correctly rounded residue -> float64 conversion, and dividing by the
+    power of two 2^d is exact, so the result is bit-identical to Python's
+    int / int.  Larger d, that is 0 < |c| < 2^-12, is out of uint64's reach
+    and falls back to a per-index big-int loop.
     """
     mant, exp = math.frexp(c)
     m2 = int(mant * (1 << 53))
-    e2 = exp - 53
-    if e2 >= 0 or m2 == 0:
+    d = 53 - exp
+    if d <= 0 or m2 == 0:
         return np.zeros(ns.shape, dtype=np.float64)  # c * n^j is an integer
-    d = 1 << (-e2)
-    return np.array([((m2 * (int(n) ** j)) % d) / d for n in ns],
-                    dtype=np.float64)
+    if d > 64:
+        mod = 1 << d
+        return np.array([((m2 * (int(n) ** j)) % mod) / mod for n in ns],
+                        dtype=np.float64)
+    un = np.asarray(ns, dtype=np.int64).view(np.uint64)
+    acc = np.full(un.shape, m2 % (1 << 64), dtype=np.uint64)
+    for _ in range(j):
+        acc *= un
+    acc &= np.uint64((1 << d) - 1)
+    return acc.astype(np.float64) / float(1 << d)
 
 
 def poly_phase_seq(coeffs: Sequence[float]) -> ComplexSeq:
@@ -116,7 +132,10 @@ def poly_phase_seq(coeffs: Sequence[float]) -> ComplexSeq:
         for j, c in enumerate(cs):
             if c != 0.0:
                 acc += _exact_term_frac(c, ns, j)
-        return _e(acc % 1.0)
+        # every term lies in [0, 1), so acc >= 0 and acc - floor(acc) is
+        # exactly acc % 1.0, at a fraction of np.remainder's cost
+        acc -= np.floor(acc)
+        return _e(acc)
 
     return ComplexSeq(_eval, None, 1.0, label=f"poly:{cs}")
 
@@ -186,11 +205,14 @@ def genpoly_seq(ast: GenPolyAst, form: str = "frac") -> ComplexSeq:
         raise ValueError("form must be 'frac' or 'exp'")
 
     def _eval(ns: np.ndarray) -> np.ndarray:
-        vals = ast.eval(ns)
-        frac = vals - np.floor(vals)
-        if form == "frac":
-            return frac.astype(np.complex128)
-        return _e(frac)
+        # a finite expression can still overflow to inf and give a NaN frac;
+        # the callers' finiteness checks reject it, so numpy stays quiet
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = ast.eval(ns)
+            frac = vals - np.floor(vals)
+            if form == "frac":
+                return frac.astype(np.complex128)
+            return _e(frac)
 
     return ComplexSeq(_eval, None, 1.0, label=f"genpoly:{form}")
 

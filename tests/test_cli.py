@@ -6,11 +6,13 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unif_lab import cli
+import unif_lab as ul
+from unif_lab import cli, nilmanifold
 
 
 def run_cli(argv):
@@ -210,6 +212,8 @@ class TestBadNumbers:
         # the same NaN samples reach every CSV writer
         pytest.param(["gen", "--gen", OVERFLOW_GEN, "--range", "60:63"], 3,
                      id="gen-csv-nan"),
+        pytest.param(["gen", "--gen", OVERFLOW_GEN, "--range", "60:63",
+                      "--json"], 3, id="gen-json-nan"),
         pytest.param(["dualfn", "--gen", OVERFLOW_GEN] + NORM_FLAGS, 3,
                      id="dualfn-csv-nan"),
         pytest.param(["ww", "--gen", OVERFLOW_GEN, "--N", "64", "--csv"], 3,
@@ -229,6 +233,17 @@ class TestBadNumbers:
         assert code == expected
         assert out == ""
         assert "finite" in err
+
+    def test_stderr_holds_only_the_contract_message(self):
+        # numpy's overflow warnings must not leak ahead of the message
+        proc = subprocess.run(
+            [sys.executable, "-m", "unif_lab.cli", "gen", "--gen",
+             OVERFLOW_GEN, "--range", "60:63"],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "numeric contract violation: output value nan is not finite\n")
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["weighted", "--w", "rad:1", "--system", "skew:0.1",
@@ -272,6 +287,81 @@ FUZZ_TEMPLATES = [
     "weighted --w rad:1 --system rot:0.1 --obs ex --grid 64,128 "
     "--threshold {}",
 ]
+
+
+def _csv(header, *columns):
+    """Per-row reference: integers by str, floats by repr."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(str(c) if isinstance(c, int) else repr(float(c))
+                              for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def _samples(ns, vals):
+    return _csv(("n", "re", "im"), [int(n) for n in ns], vals.real, vals.imag)
+
+
+def _gen_case(rows):
+    lo = -rows // 2 - 1
+    vals = ul.parse_generator("quad:0.3").sample(lo, lo + rows)
+    return (["gen", "--gen", "quad:0.3", "--range", f"{lo}:{lo + rows}"],
+            _samples(range(lo, lo + rows), vals))
+
+
+def _heis_case(rows):
+    lo = -rows // 3
+    tau = nilmanifold.HeisElem(0.41421356, 1.0, 0.0)
+    seq = nilmanifold.nilsequence(tau, nilmanifold.IDENTITY_POINT,
+                                  nilmanifold.named_character("ez"),
+                                  ul.IntervalSpec(lo, rows))
+    ns = np.arange(lo, lo + rows, dtype=np.int64)
+    return (["heis", "--tau", "0.41421356,1,0", "--range",
+             f"{lo}:{lo + rows}"], _samples(ns, seq.eval(ns)))
+
+
+def _dualfn_case(rows):
+    h = min(4, rows)
+    p = ul.BoxParams(2, h, ul.IntervalSpec(0, rows), ul.cyclic(rows))
+    vals = ul.dual_function(ul.exp_seq(0.125), p).sample(0, rows)
+    return (["dualfn", "--gen", "exp:0.125", "--k", "2", "--mode", "cyclic",
+             "--N", str(rows), "--H", str(h)], _samples(range(rows), vals))
+
+
+def _ww_case(rows):
+    freqs, mags = ul.wiener_wintner_scan(ul.rademacher_seq(3), rows)
+    return (["ww", "--gen", "rad:3", "--N", str(rows)],
+            _csv(("t_bin", "magnitude"), freqs, mags))
+
+
+def _dual_case(rows):
+    terms = ul.dft_coefficients(ul.rademacher_seq(3), rows).coefficients.terms
+    coefs = [c for _, c in terms]
+    return (["dual", "--gen", "rad:3", "--N", str(rows), "--csv"],
+            _csv(("bin", "re", "im", "magnitude"), range(rows),
+                 [c.real for c in coefs], [c.imag for c in coefs],
+                 [abs(c) for c in coefs]))
+
+
+class TestCsvBytes:
+    """Every CSV emitter against a per-row reference, across block edges."""
+
+    @pytest.mark.parametrize("case", [_gen_case, _heis_case, _dualfn_case,
+                                      _ww_case, _dual_case],
+                             ids=["gen", "heis", "dualfn", "ww", "dual"])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1],
+                             ids=["1", "block-1", "block", "block+1"])
+    def test_matches_per_row_reference(self, case, offset, tmp_path):
+        rows = 1 if offset is None else cli._CSV_BLOCK + offset
+        argv, want = case(rows)
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert out == want
+        path = tmp_path / "out.csv"
+        code, out, _ = run_cli(argv + ["--out", str(path)])
+        assert code == 0
+        assert out == ""
+        assert path.read_bytes() == want.encode()
 
 
 class TestFuzz:

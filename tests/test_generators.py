@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unif_lab as ul
 from unif_lab.errors import DuplicateFrequencyError, GeneratorSpecError
-from unif_lab.generators import (Add, Const, Floor, Mul, Var, parse_generator,
+from unif_lab.generators import (Add, Const, Floor, Mul, Var,
+                                 _exact_term_frac, parse_generator,
                                  parse_genpoly_expr, parse_trig_terms)
 
 
@@ -82,6 +85,52 @@ class TestPolyPhase:
             got = ul.box_correlation(a, h, p)
             want = np.exp(2j * np.pi * ((2 * alpha * h[0] * h[1]) % 1.0))
             assert abs(got - want) < 1e-12
+
+
+def big_int_term_frac(c: float, ns, j: int) -> np.ndarray:
+    """Oracle: frac(c * n^j) as (m * n^j mod 2^d) / 2^d in Python ints."""
+    m, e = math.frexp(c)
+    m, d = int(m * (1 << 53)), 53 - e
+    if d <= 0:
+        return np.zeros(len(ns))
+    return np.array([((m * int(n) ** j) % (1 << d)) / (1 << d) for n in ns])
+
+
+EXTREME_NS = np.concatenate([
+    np.arange(-3000, 3000, dtype=np.int64),
+    np.array([2 ** 62, -2 ** 62, 2 ** 63 - 1, -2 ** 63], dtype=np.int64)])
+
+
+class TestExactTermFrac:
+    @pytest.mark.parametrize("d", range(50, 70))
+    def test_bit_identical_to_big_ints(self, d):
+        # an odd 53-bit mantissa makes c = m * 2^-d need exactly d bits;
+        # d > 64 takes the big-int fallback
+        m = (1 << 52) + 2 * (0x5DEECE66D * d % (1 << 51)) + 1
+        for c in (math.ldexp(m, -d), -math.ldexp(m, -d)):
+            for j in range(6):
+                got = _exact_term_frac(c, EXTREME_NS, j)
+                want = big_int_term_frac(c, EXTREME_NS, j)
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64)), (c, j)
+
+    @given(c=st.floats(allow_nan=False, allow_infinity=False),
+           n=st.integers(-2 ** 63, 2 ** 63 - 1), j=st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_property_bit_identical(self, c, n, j):
+        ns = np.array([n], dtype=np.int64)
+        got = _exact_term_frac(c, ns, j)
+        assert got.view(np.uint64) == big_int_term_frac(c, ns, j).view(
+            np.uint64)
+
+    def test_poly_phase_matches_big_int_sum(self):
+        # the summed terms are reduced mod 1 exactly as np.remainder would
+        cs = [0.1, -0.37, 2.5, math.sqrt(2), -1e-5, 0.3]
+        frac = sum(big_int_term_frac(c, EXTREME_NS, j)
+                   for j, c in enumerate(cs)) % 1.0
+        want = np.exp(2j * np.pi * frac)
+        got = ul.poly_phase_seq(cs).eval(EXTREME_NS)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestGenPoly:
