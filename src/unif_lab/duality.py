@@ -61,14 +61,19 @@ def spectrum_probe(a: ComplexSeq, n: int,
     return out
 
 
+# a finite |lambda| above ~1e77 overflows the fourth power to inf; the
+# callers' finiteness checks reject it, so numpy stays quiet
+
 def hk_norm_k2(p: TrigPoly) -> float:
     """(sum |lambda|^4)^(1/4)."""
-    return float(np.sum(np.abs(p.coefs) ** 4) ** 0.25)
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(p.coefs) ** 4) ** 0.25)
 
 
 def dual_norm_k2(p: TrigPoly) -> float:
     """(sum |lambda|^(4/3))^(3/4)."""
-    return float(np.sum(np.abs(p.coefs) ** (4.0 / 3.0)) ** 0.75)
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(p.coefs) ** (4.0 / 3.0)) ** 0.75)
 
 
 # ---------------------------------------------------------------------------

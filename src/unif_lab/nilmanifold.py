@@ -175,12 +175,15 @@ def orbit_points(tau: HeisElem, x0: HeisPoint, ns: np.ndarray):
     ns = np.asarray(ns, dtype=np.int64)
     nf = ns.astype(np.float64)
     binom = (ns * (ns - 1) // 2).astype(np.float64)
-    gx, gy = nf * tau.x, nf * tau.y
-    gz = nf * tau.z + binom * (tau.x * tau.y)
-    px = gx + x0.x
-    py = gy + x0.y
-    pz = gz + x0.z + gx * x0.y
-    return _reduce_arrays(px, py, pz)
+    # finite but huge coordinates can overflow to inf and give NaN points;
+    # the callers' finiteness checks reject them, so numpy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx, gy = nf * tau.x, nf * tau.y
+        gz = nf * tau.z + binom * (tau.x * tau.y)
+        px = gx + x0.x
+        py = gy + x0.y
+        pz = gz + x0.z + gx * x0.y
+        return _reduce_arrays(px, py, pz)
 
 
 def cube_orbit(x: HeisPoint, tau: HeisElem, h: Tuple[int, ...],

@@ -183,15 +183,29 @@ def interval_average(a: ComplexSeq, interval: IntervalSpec,
     return AvgReport(complex(vals.mean()), interval.length, mode)
 
 
-def _sliding_sums(x: np.ndarray, width: int, out_len: int) -> np.ndarray:
+def _sliding_sums(x: np.ndarray, width: int, out_len: int,
+                  out: Optional[np.ndarray] = None,
+                  scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """W[n] = sum_{h<width} x[n+h] for n < out_len, via centered prefix sums.
 
     Centering by the mean keeps the prefix bounded, so rounding does not
     grow with the array even for constant input (where the result is exact).
+    W is written into `out` (complex, out_len) and the prefix into `scratch`
+    (complex, len(x)) when given, so a caller that slides many windows of
+    one shape can reuse both; otherwise they are allocated here.
     """
-    mu = x.mean()
-    prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(x - mu)))
-    return (prefix[width:width + out_len] - prefix[:out_len]) + width * mu
+    mu = x.sum() / len(x)  # the same bits as x.mean()
+    prefix = np.subtract(x, mu, out=scratch)
+    np.cumsum(prefix, out=prefix)
+    if out is None:
+        out = np.empty(out_len, dtype=np.complex128)
+    # prefix[i] sums the first i + 1 centred terms: W[0] = prefix[width-1],
+    # W[n] = prefix[n+width-1] - prefix[n-1] for n >= 1
+    out[0] = prefix[width - 1]
+    np.subtract(prefix[width:width - 1 + out_len], prefix[:out_len - 1],
+                out=out[1:])
+    out += width * mu
+    return out
 
 
 def sup_window_average(a: ComplexSeq, search_range: IntervalSpec,

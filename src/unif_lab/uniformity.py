@@ -18,9 +18,10 @@ Computation paths, all agreeing to better than 1e-9:
   direct    the literal O(|I| * H^k * 2^k) sum over the h grid, lexicographic;
   fast      one cube recursion over 2^k per-vertex arrays (_cube_sum) that
             differences the last coordinate down to a mean-centered
-            prefix-sum sliding window; O(H^(k-1) * |I|).  It also serves
-            csg_check (2^k operands) and the dual function (the constant 1
-            at the base vertex);
+            prefix-sum sliding window; O(H^(k-1) * |I|), with its products
+            and window in buffers made once per pass and reused for every
+            shift.  It also serves csg_check (2^k operands) and the dual
+            function (the constant 1 at the base vertex);
   fft       k = 2 cyclic: per-difference circular correlation by FFT,
             O(H * N log N);
   spectral  k <= 2 cyclic with H = N: the closed forms |mean|^2 and
@@ -98,7 +99,7 @@ def _operand_array(a: ComplexSeq, p: BoxParams) -> np.ndarray:
 
 def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
               acc: np.ndarray, shell: Optional[list] = None,
-              on_shell: bool = False) -> None:
+              on_shell: bool = False, ws: Optional[dict] = None) -> None:
     """acc[n] += sum_{h in [0,H)^k} prod_eps C^{|eps|} xs[m][n + eps.h].
 
     Vertex m holds eps with eps_{i+1} = bit i of m.  Recursion on the last
@@ -108,9 +109,22 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
     are multiplied once, so a single sequence costs one product per shift
     and the whole sum O(H^(k-1) * len).  A one-element `shell` list also
     gains the n-sum over max(h) = H-1 (on_shell: an outer h_i is H-1).
+
+    The merged products and the window are written into buffers made on
+    the first shift of a top-level call and reused for every later shift
+    (`ws`, keyed by level, is threaded through the recursion); none of
+    them outlives the call.  The arithmetic is the same, in the same
+    order, as with a fresh array per shift.
     """
+    if ws is None:
+        ws = {}
     if k == 1:
-        w = np.conj(_sliding_sums(xs[1], h, out_len))
+        if 1 not in ws:  # [prefix scratch, window]
+            ws[1] = [np.empty(len(xs[1]), dtype=np.complex128),
+                     np.empty(out_len, dtype=np.complex128)]
+        scratch, w = ws[1]
+        _sliding_sums(xs[1], h, out_len, out=w, scratch=scratch)
+        np.conj(w, out=w)
         w *= xs[0][:out_len]
         acc += w
         if shell is not None:
@@ -122,14 +136,16 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
     pairs: dict = {}  # (id, id) of a vertex pair -> its first vertex
     rep = [pairs.setdefault((id(xs[v]), id(xs[v + half])), v)
            for v in range(half)]
+    if k not in ws:  # one merged buffer per distinct vertex pair
+        ws[k] = {v: np.empty(m, dtype=np.complex128) for v in pairs.values()}
+    merged = ws[k]
+    below = [merged[r] for r in rep]
     for hh in range(h):
-        merged = {}
-        for v in pairs.values():
-            prod = np.conj(xs[v + half][hh:hh + m])
-            prod *= xs[v][:m]
-            merged[v] = prod
-        _cube_sum([merged[r] for r in rep], k - 1, h, out_len, acc, shell,
-                  on_shell or hh == h - 1)
+        for v, buf in merged.items():
+            np.conj(xs[v + half][hh:hh + m], out=buf)
+            buf *= xs[v][:m]
+        _cube_sum(below, k - 1, h, out_len, acc, shell,
+                  on_shell or hh == h - 1, ws)
 
 
 def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,

@@ -206,6 +206,9 @@ class TestBadNumbers:
                      id="trig-l-overflow"),
         pytest.param(["gen", "--gen", "heis:tau=(nan,1,0)", "--range", "0:4"],
                      2, id="heis-spec-tau-nan"),
+        # finite coordinates whose orbit overflows: 0 * inf at n = 0
+        pytest.param(["heis", "--tau", "1e300,1e300,1e300", "--range", "0:8"],
+                     3, id="heis-tau-overflow"),
         # the average of the overflowing samples is NaN
         pytest.param(["norm", "--gen", OVERFLOW_GEN] + NORM_FLAGS, 3,
                      id="genpoly-nan-average"),
@@ -380,6 +383,13 @@ class TestFuzz:
             code, out = exc.code, ""
         assert code in (0, 2, 3, 4)
         assert "nan" not in out.lower() and "inf" not in out.lower()
+
+    def test_overflowing_trig_weight_stays_quiet(self):
+        # a finite weight whose fourth power overflows: no numpy warning
+        # (an error here), no output
+        code, out, _ = run_cli(["dual", "--trig", "t=0.1,l=1e300"])
+        assert code in (2, 3)
+        assert out == ""
 
 
 class TestReproducibility:

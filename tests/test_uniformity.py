@@ -1,12 +1,16 @@
-"""Box norms: exact cases, path agreement, inequalities, proxy."""
+"""Box norms: exact cases, path agreement, inequalities, proxy, and the
+cube kernel against its allocating reference."""
 
 import cmath
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import unif_lab as ul
+from unif_lab import duality, uniformity
 from unif_lab.errors import NegativityViolation, SequenceRangeError, SupBoundViolation
 from unif_lab.uniformity import (box_powered_signed, run_csg_suite,
                                  run_monotonicity_suite, run_recursion_suite,
@@ -36,6 +40,48 @@ def brute_powered(values, k, h, n, cyclic, shell=False):
             c += term
         total += c / n
     return total / len(grid)
+
+
+def ref_sliding_sums(x, width, out_len):
+    """Reference window: mean-centred prefix sums in fresh arrays."""
+    mu = x.mean()
+    prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(x - mu)))
+    return (prefix[width:width + out_len] - prefix[:out_len]) + width * mu
+
+
+def ref_cube_sum(xs, k, h, out_len, acc, shell=None, on_shell=False):
+    """Reference cube kernel: the recursion of uniformity._cube_sum with a
+    fresh array for every merged product and every window.  The workspace
+    kernel must match it bit for bit and never peak above it in memory."""
+    if k == 1:
+        w = np.conj(ref_sliding_sums(xs[1], h, out_len))
+        w *= xs[0][:out_len]
+        acc += w
+        if shell is not None:
+            shell[0] += (w.sum() if on_shell else
+                         np.vdot(xs[1][h - 1:h - 1 + out_len], xs[0][:out_len]))
+        return
+    half = 1 << (k - 1)
+    m = out_len + (k - 1) * (h - 1)
+    pairs = {}
+    rep = [pairs.setdefault((id(xs[v]), id(xs[v + half])), v)
+           for v in range(half)]
+    for hh in range(h):
+        merged = {}
+        for v in pairs.values():
+            prod = np.conj(xs[v + half][hh:hh + m])
+            prod *= xs[v][:m]
+            merged[v] = prod
+        ref_cube_sum([merged[r] for r in rep], k - 1, h, out_len, acc, shell,
+                     on_shell or hh == h - 1)
+
+
+def reference_kernel(fn):
+    """fn() with every caller of the cube kernel on ref_cube_sum."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniformity, "_cube_sum", ref_cube_sum)
+        mp.setattr(duality, "_cube_sum", ref_cube_sum)
+        return fn()
 
 
 TAIL_CASES = [
@@ -408,3 +454,158 @@ class TestReports:
         a = ul.from_samples(np.ones(100))
         with pytest.raises(SequenceRangeError):
             ul.box_norm(a, ul.BoxParams(2, 16, ul.IntervalSpec(0, 100)))
+
+
+OPERAND_PATTERNS = ("single", "distinct", "dual")
+
+
+def cube_operands(pattern, k, h, out_len, cyclic, seed=0):
+    """2^k kernel operands covering out_len + k*(h-1) points.
+
+    single: one array at every vertex (box_norm); distinct: 2^k arrays
+    (csg_check); dual: ones at vertex 0, one array elsewhere (dual_function).
+    Cyclic operands repeat a period of length out_len.
+    """
+    rng = np.random.default_rng(seed)
+    span = out_len + k * (h - 1)
+
+    def draw():
+        period = out_len if cyclic else span
+        vals = rng.standard_normal(period) + 1j * rng.standard_normal(period)
+        return vals[np.arange(span) % period]
+
+    if pattern == "distinct":
+        return [draw() for _ in range(1 << k)]
+    x = draw()
+    if pattern == "dual":
+        return [np.ones_like(x)] + [x] * ((1 << k) - 1)
+    return [x] * (1 << k)
+
+
+class TestKernelBitIdentity:
+    """The workspace kernel gives the reference kernel's bits exactly."""
+
+    @pytest.mark.parametrize("cyclic", [True, False],
+                             ids=["cyclic", "interval"])
+    @pytest.mark.parametrize("h", [1, 2, 5, 16])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_reference(self, k, h, cyclic):
+        for out_len in (1, 7, 4099):
+            for pattern in OPERAND_PATTERNS:
+                xs = cube_operands(pattern, k, h, out_len, cyclic,
+                                   seed=out_len + k)
+                case = f"out_len={out_len} {pattern}"
+                got = uniformity._cube_average(xs, k, h, out_len, True)
+                want = reference_kernel(
+                    lambda: uniformity._cube_average(xs, k, h, out_len, True))
+                assert got == want, case
+                acc, shell = np.zeros(out_len, dtype=complex), [0j]
+                uniformity._cube_sum(xs, k, h, out_len, acc, shell)
+                ref_acc, ref_shell = np.zeros(out_len, dtype=complex), [0j]
+                ref_cube_sum(xs, k, h, out_len, ref_acc, ref_shell)
+                assert acc.tobytes() == ref_acc.tobytes(), case
+                assert shell == ref_shell, case
+
+    def test_sup_window_average_unchanged(self):
+        a = ul.rademacher_seq(9)
+        for n in (1, 5, 64):
+            got = ul.sup_window_average(a, ul.IntervalSpec(3, 500), n)
+            vals = a.sample(3, 503 + n - 1)
+            want = float(np.max(np.abs(ref_sliding_sums(vals, n, 500))) / n)
+            assert got == want
+
+
+class TestKernelWorkspace:
+    """Buffers reused inside a pass never leak into inputs or outputs."""
+
+    def test_operands_untouched(self):
+        for k in (1, 2, 3):
+            for pattern in OPERAND_PATTERNS:
+                xs = cube_operands(pattern, k, 5, 64, False)
+                before = [x.tobytes() for x in xs]
+                uniformity._cube_average(xs, k, 5, 64, True)
+                assert [x.tobytes() for x in xs] == before, (k, pattern)
+
+    def test_csg_operands_untouched(self):
+        n = 256
+        vals = [ul.rademacher_seq(60 + m).sample(0, n) for m in range(4)]
+        before = [v.tobytes() for v in vals]
+        seqs = [ul.from_samples(v) for v in vals]
+        ul.csg_check(seqs, ul.BoxParams(2, 8, ul.IntervalSpec(0, n),
+                                        ul.cyclic(n)))
+        assert [s.sample(0, n).tobytes() for s in seqs] == before
+
+    def test_repeated_and_interleaved_calls(self):
+        first = {}
+        cases = [(k, h, n) for k in (1, 2, 3) for h in (2, 5)
+                 for n in (7, 300)]
+        operands = {c: cube_operands("single", c[0], c[1], c[2], True)
+                    for c in cases}
+        for c in cases:
+            first[c] = uniformity._cube_average(operands[c], *c, True)
+            assert uniformity._cube_average(operands[c], *c, True) == first[c]
+        for c in reversed(cases):
+            assert uniformity._cube_average(operands[c], *c, True) == first[c]
+
+    def test_dual_function_output_is_its_own(self):
+        a = ul.rademacher_seq(8)
+        n = 128
+        p = ul.BoxParams(2, 6, ul.IntervalSpec(0, n), ul.cyclic(n))
+        d1 = duality.dual_function(a, p)
+        s1 = d1.sample(0, n)
+        # a second call, then a call of another shape, must not rewrite d1
+        d2 = duality.dual_function(a, p)
+        duality.dual_function(a, ul.BoxParams(3, 3, ul.IntervalSpec(0, n),
+                                              ul.cyclic(n)))
+        s2 = d2.sample(0, n)
+        assert s2.tobytes() == s1.tobytes()
+        s2 *= 0
+        assert d1.sample(0, n).tobytes() == s1.tobytes()
+        assert d2.sample(0, n).tobytes() == s1.tobytes()
+
+
+# Interpreter objects (dicts, array views) move a tracemalloc peak by under
+# 1 KiB between identical calls; every kernel array here is >= 256 KiB.
+PEAK_SLACK = 4096
+
+
+def _traced_peak(fn):
+    fn()  # warm: first-call caches are not the kernel's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    """The workspace kernel never peaks above the allocating reference."""
+
+    N = 1 << 16
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        rng = np.random.default_rng(5)
+        return ul.from_samples(np.exp(2j * np.pi * rng.random(self.N)))
+
+    def _check(self, fn):
+        new = _traced_peak(fn)
+        ref = reference_kernel(lambda: _traced_peak(fn))
+        unit = 16 * self.N  # one complex array of N points
+        assert new <= ref + PEAK_SLACK, (
+            f"peak {new / unit:.3f} N vs reference {ref / unit:.3f} N")
+
+    def test_box_norm_fast_k2(self, big):
+        p = ul.BoxParams(2, 64, ul.IntervalSpec(0, self.N), ul.cyclic(self.N))
+        self._check(lambda: ul.box_norm(big, p, path="fast"))
+
+    def test_dual_function_k2(self, big):
+        p = ul.BoxParams(2, 64, ul.IntervalSpec(0, self.N), ul.cyclic(self.N))
+        self._check(lambda: duality.dual_function(big, p))
+
+    def test_box_norm_fast_k3_interval(self, big):
+        n, h = 1 << 14, 16
+        p = ul.BoxParams(3, h, ul.IntervalSpec(0, n))
+        self._check(lambda: ul.box_norm(big, p, path="fast"))
