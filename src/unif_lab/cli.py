@@ -25,7 +25,8 @@ from . import duality, ergodic_weights, generators, nilmanifold, uniformity
 from .errors import (GeneratorSpecError, NegativityViolation,
                      SupBoundViolation, UnifLabError)
 from .generators import _floats
-from .seq_core import INTERVAL, DomainMode, IntervalSpec, cyclic
+from .seq_core import (INTERVAL, DomainMode, IntervalSpec,
+                       _require_finite, cyclic)
 from .uniformity import BoxParams, NormReport
 
 USAGE_EXIT = 2
@@ -127,15 +128,13 @@ def _emit(args, chunks: Iterable[str]) -> None:
 
 
 def _emit_json(args, obj) -> None:
-    _emit(args, [json.dumps(obj, allow_nan=False) + "\n"])
-
-
-def _require_finite(*columns: np.ndarray) -> None:
-    """A non-finite output value breaks the numeric contract."""
-    for col in columns:
-        bad = col[~np.isfinite(col)]
-        if bad.size:
-            raise NegativityViolation(f"output value {bad[0]} is not finite")
+    try:
+        text = json.dumps(obj, allow_nan=False)
+    except ValueError:  # a NaN or infinity: name it, exit 3
+        json.loads(json.dumps(obj), parse_constant=lambda tok:
+                   _require_finite("output value", np.array([float(tok)])))
+        raise
+    _emit(args, [text + "\n"])
 
 
 def _emit_csv(args, header: Sequence[str], *columns: np.ndarray) -> None:
@@ -145,7 +144,7 @@ def _emit_csv(args, header: Sequence[str], *columns: np.ndarray) -> None:
     contract violation leaves the output empty.  Rows are then formatted
     and written _CSV_BLOCK at a time.
     """
-    _require_finite(*columns)
+    _require_finite("output value", *columns)
 
     def blocks():
         yield ",".join(header) + "\n"
@@ -196,7 +195,6 @@ def _cmd_gen(args) -> int:
     rng = _parse_range(args.range)
     vals = a.sample(rng.lo, rng.hi)
     if args.json:
-        _require_finite(vals.real, vals.imag)
         obj = {"op": "gen", "params": {"gen": args.gen, "range": args.range},
                "values": np.column_stack((vals.real, vals.imag)).tolist()}
         _emit_json(args, obj)
@@ -218,11 +216,9 @@ def _cmd_dual(args) -> int:
     a = generators.parse_generator(args.gen)
     rep = duality.dft_coefficients(a, args.N)
     if args.csv:
-        coefs = rep.coefficients.coefs
-        # Python's abs(complex), not np.abs: they differ in the last bit
-        mags = np.fromiter(map(abs, coefs.tolist()), np.float64, coefs.size)
-        _emit_csv(args, ("bin", "re", "im", "magnitude"),
-                  np.arange(coefs.size), coefs.real, coefs.imag, mags)
+        c = rep.coefs  # |c| by np.hypot: abs(complex)'s bits, not np.abs's
+        _emit_csv(args, ("bin", "re", "im", "magnitude"), np.arange(c.size),
+                  c.real, c.imag, np.hypot(c.real, c.imag))
     else:
         obj = {"op": "dual", "params": {"gen": args.gen, "N": args.N},
                "hk2": rep.hk2, "dual2": rep.dual2}

@@ -1,6 +1,10 @@
 """Dual-norm calculus: DFT analysis, the explicit k = 2 norms, dual
 functions, and the correlation-bound harness.
 
+One layer computes every correlation c_b = avg_{m<N} a_m conj(b_m), from
+checked samples (N >= 1, all finite): one FFT for the grid b = e(mj/N),
+one pass per atom for any other dictionary.  Printed |c_b| is np.hypot.
+
 For a trigonometric polynomial b_n = sum_m lambda_m e(n t_m):
 
   hk_norm_k2(b)   = (sum_m |lambda_m|^4)^(1/4)      -- the k = 2 box norm
@@ -21,59 +25,132 @@ at the base vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import FrequencyGridMismatch
-from .generators import TrigPoly, quad_phase_seq, trig_poly_seq
+from .generators import TrigPoly, exp_seq, quad_phase_seq, trig_poly_seq
 from .nilmanifold import HeisElem, IDENTITY_POINT, character_ez, nilsequence
-from .seq_core import ComplexSeq, from_samples, sample_mode
+from .seq_core import (ComplexSeq, _require_finite, from_samples,
+                       sample_mode)
 from .uniformity import (BoxParams, SuiteReport, _cube_sum, _cyclic_box,
                          _operand_array, _run_trials, _suite_seq, box_norm)
 
 GRID_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# The correlation layer, spectra and the empirical dictionary search
+# ---------------------------------------------------------------------------
+
+def _samples(a: ComplexSeq, n: int) -> np.ndarray:
+    """a_0 .. a_{N-1}; raises for N < 1 and on a non-finite sample."""
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    vals = a.sample(0, n)
+    _require_finite("sample value", vals)
+    return vals
+
+
+def _fourier(samples: np.ndarray) -> np.ndarray:
+    """c_j = avg_m a_m conj(e(mj/N)) at every grid bin j, by one FFT."""
+    return np.fft.fft(samples) / samples.size
+
+
+def _correlate(samples: np.ndarray, atoms: Iterable[ComplexSeq]) -> np.ndarray:
+    """c_b for each atom b; one atom is sampled at a time, never a matrix."""
+    return np.array([np.mean(samples * np.conj(b.sample(0, samples.size)))
+                     for b in atoms], dtype=np.complex128)
+
+
+def _rank(corrs: np.ndarray, spec: Callable[[int], str],
+          top: int) -> List[Tuple[str, float]]:
+    """sorted((spec(i), |corrs[i]|), key=(-|c|, spec))[:top], formatting
+    and sorting only the entries at or above the top-th largest |c|."""
+    mags = np.hypot(corrs.real, corrs.imag)
+    _require_finite("correlation", mags)
+    cut = np.partition(mags, -top)[-top] if top < mags.size else -np.inf
+    keep = np.flatnonzero(mags >= cut)
+    hits = sorted(zip(map(spec, keep.tolist()), mags[keep].tolist()),
+                  key=lambda item: (-item[1], item[0]))
+    return hits[:top]
+
+
+def _k2_norms(coefs: np.ndarray) -> Tuple[float, float]:
+    """((sum |lambda|^4)^(1/4), (sum |lambda|^(4/3))^(3/4)).  A finite
+    |lambda| above ~1e77 overflows to inf quietly; the callers reject it."""
+    mags = np.abs(coefs)
+    with np.errstate(over="ignore"):
+        return (float(np.sum(mags ** 4) ** 0.25),
+                float(np.sum(mags ** (4.0 / 3.0)) ** 0.75))
+
+
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    coefficients: TrigPoly  # frequencies j/N in bin order
+    coefs: np.ndarray  # lambda_j at frequency j/N, in bin order
     hk2: float
     dual2: float
+
+    @property
+    def coefficients(self) -> TrigPoly:
+        """The spectrum as an N-term TrigPoly, built only when asked."""
+        n = self.coefs.size
+        return TrigPoly(tuple(
+            (j / n, c) for j, c in enumerate(self.coefs.tolist())))
 
 
 def dft_coefficients(a: ComplexSeq, n: int) -> SpectrumReport:
     """lambda_j = (1/N) sum_{m<N} a_m e(-mj/N) for every bin j."""
-    samples = a.sample(0, n)
-    coefs = np.fft.fft(samples) / n
-    poly = TrigPoly(tuple((j / n, complex(coefs[j])) for j in range(n)))
-    return SpectrumReport(poly, hk_norm_k2(poly), dual_norm_k2(poly))
+    coefs = _fourier(_samples(a, n))
+    return SpectrumReport(coefs, *_k2_norms(coefs))
 
 
 def spectrum_probe(a: ComplexSeq, n: int,
                    freqs: Sequence[float]) -> np.ndarray:
     """(1/N) sum_{m<N} a_m e(-m t) at arbitrary frequencies t (off-grid ok)."""
-    samples = a.sample(0, n)
-    ms = np.arange(n, dtype=np.float64)
-    out = np.empty(len(freqs), dtype=np.complex128)
-    for i, t in enumerate(freqs):
-        out[i] = np.mean(samples * np.exp(-2j * np.pi * ((ms * t) % 1.0)))
-    return out
+    return _correlate(_samples(a, n), map(exp_seq, freqs))
 
-
-# a finite |lambda| above ~1e77 overflows the fourth power to inf; the
-# callers' finiteness checks reject it, so numpy stays quiet
 
 def hk_norm_k2(p: TrigPoly) -> float:
     """(sum |lambda|^4)^(1/4)."""
-    with np.errstate(over="ignore"):
-        return float(np.sum(np.abs(p.coefs) ** 4) ** 0.25)
+    return _k2_norms(p.coefs)[0]
 
 
 def dual_norm_k2(p: TrigPoly) -> float:
     """(sum |lambda|^(4/3))^(3/4)."""
-    with np.errstate(over="ignore"):
-        return float(np.sum(np.abs(p.coefs) ** (4.0 / 3.0)) ** 0.75)
+    return _k2_norms(p.coefs)[1]
+
+
+def inverse_search(a: ComplexSeq, n: int, kind: str = "fourier",
+                   grid: Optional[Sequence[float]] = None,
+                   top: int = 10) -> List[Tuple[str, float]]:
+    """Rank dictionary elements b by |avg_{m<N} a_m conj(b_m)|, descending.
+
+    Dictionaries: "fourier" (all N grid exponentials), "quad" (quadratic
+    phases e(alpha m^2) over `grid`), "heis" (nilsequences tau=(alpha,1,0),
+    f = e(z) over `grid`).  Purely empirical: reports the best correlators
+    found in the finite dictionary, nothing more.  Raises ValueError for
+    top < 1 or N < 1.
+    """
+    if top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
+    samples = _samples(a, n)
+    if kind == "fourier":  # bin j <-> e(mj/N)
+        return _rank(_fourier(samples), lambda j: f"exp:{j / n!r}", top)
+    if kind not in ("quad", "heis"):
+        raise ValueError(f"unknown dictionary {kind!r}")
+    if grid is None:
+        raise ValueError(f"{kind} dictionary needs a grid of coefficients")
+    alphas = [float(g) for g in grid]
+    if kind == "quad":
+        atoms, spec = map(quad_phase_seq, alphas), "quad:{!r}"
+    else:
+        atoms = (nilsequence(HeisElem(alpha, 1.0, 0.0), IDENTITY_POINT,
+                             character_ez(1)) for alpha in alphas)
+        spec = "heis:tau=({!r},1,0);f=ez"
+    return _rank(_correlate(samples, atoms),
+                 lambda i: spec.format(alphas[i]), top)
 
 
 # ---------------------------------------------------------------------------
@@ -142,47 +219,6 @@ def direct_bound_check(a: ComplexSeq, b: TrigPoly,
     box = box_norm(from_samples(a_vals), _cyclic_box(2, n, n))
     dual = dual_norm_k2(b)
     return DirectBoundReport(corr, box.value * dual, box.value, dual)
-
-
-# ---------------------------------------------------------------------------
-# Empirical correlation search (no optimality guarantee)
-# ---------------------------------------------------------------------------
-
-def inverse_search(a: ComplexSeq, n: int, kind: str = "fourier",
-                   grid: Optional[Sequence[float]] = None,
-                   top: int = 10) -> List[Tuple[str, float]]:
-    """Rank dictionary elements b by |avg_{m<N} a_m conj(b_m)|, descending.
-
-    Dictionaries: "fourier" (all N grid exponentials), "quad" (quadratic
-    phases e(alpha m^2) over `grid`), "heis" (nilsequences tau=(alpha,1,0),
-    f = e(z) over `grid`).  Purely empirical: reports the best correlators
-    found in the finite dictionary, nothing more.  Raises ValueError for
-    top < 1.
-    """
-    if top < 1:
-        raise ValueError(f"top must be >= 1, got {top}")
-    samples = a.sample(0, n)
-    hits: List[Tuple[str, float]] = []
-    if kind == "fourier":
-        coefs = np.fft.fft(samples) / n  # bin j <-> |avg a_m conj(e(mj/N))|
-        for j in range(n):
-            hits.append((f"exp:{j / n!r}", float(abs(coefs[j]))))
-    elif kind in ("quad", "heis"):
-        if grid is None:
-            raise ValueError(f"{kind} dictionary needs a grid of coefficients")
-        for alpha in map(float, grid):
-            if kind == "quad":
-                spec, b = f"quad:{alpha!r}", quad_phase_seq(alpha)
-            else:
-                spec = f"heis:tau=({alpha!r},1,0);f=ez"
-                b = nilsequence(HeisElem(alpha, 1.0, 0.0), IDENTITY_POINT,
-                                character_ez(1))
-            corr = abs(complex(np.mean(samples * np.conj(b.sample(0, n)))))
-            hits.append((spec, corr))
-    else:
-        raise ValueError(f"unknown dictionary {kind!r}")
-    hits.sort(key=lambda item: (-item[1], item[0]))
-    return hits[:top]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .duality import _samples
 from .errors import GeneratorSpecError
 from .nilmanifold import HeisElem, HeisPoint, named_character, orbit_points
 from .seq_core import TWO_PI_I, ComplexSeq
@@ -118,10 +119,8 @@ def weighted_multiple_average(w: ComplexSeq, sys: DynSystem,
                               fs: Sequence[Observable], x0: SystemPoint,
                               n: int, method: str = "closed") -> complex:
     """(1/N) sum_{m<N} w_m * prod_{i=1..k} f_i(S^{i m} x0)."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    total = _samples(w, n).copy()
     ms = np.arange(n, dtype=np.int64)
-    total = w.sample(0, n).copy()
     for i, f in enumerate(fs, start=1):
         coords = sys.orbit_coords(x0, i * ms, method=method)
         total *= np.asarray(f(*coords), dtype=np.complex128)
@@ -158,7 +157,8 @@ def wiener_wintner_scan(phi_orbit: ComplexSeq,
     correlation of the orbit sequence with the exponential e(m j/N), so a
     pure phi = e(m alpha) with alpha on the grid peaks at the bin of alpha.
     """
-    samples = phi_orbit.sample(0, n)
+    samples = _samples(phi_orbit, n)
+    # |fft|/N, not _fourier's |fft/N|: they differ in some last bits
     mags = np.abs(np.fft.fft(samples)) / n
     freqs = np.arange(n, dtype=np.float64) / n
     return freqs, mags

@@ -161,7 +161,9 @@ def nilsequence(tau: HeisElem, x0: HeisPoint, f: PointFunction,
     """a_n = f(canonical representative of tau^n * lift(x0)).
 
     Uses the closed form for tau^n: the z coordinate is n*tau.z plus
-    C(n,2)*tau.x*tau.y, exact in float64 while n*(n-1)/2 stays below 2^53.
+    C(n,2)*tau.x*tau.y in float64, whose rounding grows like n^2.  Against
+    exact rationals its error measured up to 1.2e-8 at |n| <= 1e4, 1.7e-6
+    at 1e5, 1.6e-4 at 1e6 and 1.2e-2 at 1e7.
     """
     def _eval(ns: np.ndarray) -> np.ndarray:
         return np.asarray(f(*orbit_points(tau, x0, ns)), dtype=np.complex128)

@@ -22,7 +22,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import IncompatibleRangeError, SequenceRangeError
+from .errors import (IncompatibleRangeError, NegativityViolation,
+                     SequenceRangeError)
 
 Range = Optional[Tuple[int, int]]  # half-open [lo, hi); None = unbounded
 
@@ -112,6 +113,14 @@ class ComplexSeq:
         """Values on [lo, hi) after a range check."""
         self.require_range(lo, hi, "sample")
         return self.eval(np.arange(lo, hi, dtype=np.int64))
+
+
+def _require_finite(what: str, *arrays: np.ndarray) -> None:
+    """A non-finite value breaks the numeric contract (exit 3 in the CLI)."""
+    for arr in arrays:
+        bad = arr[~np.isfinite(arr)]
+        if bad.size:
+            raise NegativityViolation(f"{what} {bad[0]} is not finite")
 
 
 def from_samples(values: np.ndarray, lo: int = 0, label: str = "") -> ComplexSeq:

@@ -207,11 +207,11 @@ def _powered_fft_k2(x: np.ndarray, h: int,
 
 def _powered_spectral(x: np.ndarray, k: int) -> complex:
     """Full-group cyclic closed forms: k=1 -> |mean|^2, k=2 -> sum |hat a|^4."""
-    n = x.size
     if k == 1:
         m = x.mean()
         return complex(m * np.conj(m))
-    coef = np.fft.fft(x) / n
+    from .duality import _fourier  # duality imports this module
+    coef = _fourier(x)
     mags2 = coef.real ** 2 + coef.imag ** 2
     return complex(np.sum(mags2 * mags2))
 

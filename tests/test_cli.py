@@ -223,6 +223,16 @@ class TestBadNumbers:
                      id="ww-csv-nan"),
         pytest.param(["dual", "--gen", OVERFLOW_GEN, "--N", "64", "--csv"], 3,
                      id="dual-csv-nan"),
+        # non-finite JSON values: the contract exit, as for CSV
+        pytest.param(["dual", "--trig", "t=0.1,l=1e300"], 3,
+                     id="trig-norm-overflow"),
+        pytest.param(["weighted", "--w", "rad:1", "--system",
+                      "heis:1e300,1e300,1e300", "--obs", "ez", "--N", "64"],
+                     3, id="weighted-nan-average"),
+        pytest.param(["search", "--gen", OVERFLOW_GEN, "--N", "64"], 3,
+                     id="search-json-nan"),
+        pytest.param(["dual", "--gen", OVERFLOW_GEN, "--N", "64"], 3,
+                     id="dual-json-nan"),
         pytest.param(["search", "--gen", "exp:0.25", "--N", "64", "--dict",
                       "quad", "--grid", "nan,0.1"], 2, id="search-grid-nan"),
         pytest.param(["search", "--gen", "exp:0.25", "--N", "64", "--dict",
@@ -247,6 +257,18 @@ class TestBadNumbers:
         assert proc.stdout == ""
         assert proc.stderr == (
             "numeric contract violation: output value nan is not finite\n")
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["dual", "--gen", "rad:3"], id="dual"),
+        pytest.param(["search", "--gen", "rad:3"], id="search"),
+        pytest.param(["ww", "--gen", "rad:3"], id="ww"),
+    ])
+    def test_n_below_one_exits_two(self, argv, n):
+        code, out, err = run_cli(argv + ["--N", n])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: N must be >= 1, got {n}\n"
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["weighted", "--w", "rad:1", "--system", "skew:0.1",
@@ -388,7 +410,7 @@ class TestFuzz:
         # a finite weight whose fourth power overflows: no numpy warning
         # (an error here), no output
         code, out, _ = run_cli(["dual", "--trig", "t=0.1,l=1e300"])
-        assert code in (2, 3)
+        assert code == 3
         assert out == ""
 
 

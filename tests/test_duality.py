@@ -9,7 +9,52 @@ import pytest
 import unif_lab as ul
 from unif_lab.duality import (dual_function, dual_pairing, run_direct_bound_suite,
                               run_pairing_suite, spectrum_probe)
-from unif_lab.errors import FrequencyGridMismatch
+from unif_lab.errors import FrequencyGridMismatch, NegativityViolation
+from unif_lab.nilmanifold import character_ez
+
+# a finite numeral whose phases overflow to NaN samples
+OVERFLOW_GEN = "genpoly:e(1" + "0" * 300 + "*n*n*n*n*n)"
+
+
+def ref_dft_coefficients(a, n):
+    """dft_coefficients as it was before the correlation layer: an N-term
+    TrigPoly built bin by bin, and the k = 2 norms read off its coefs."""
+    coefs = np.fft.fft(a.sample(0, n)) / n
+    poly = ul.TrigPoly(tuple((j / n, complex(coefs[j])) for j in range(n)))
+    mags = np.abs(poly.coefs)
+    return (poly, float(np.sum(mags ** 4) ** 0.25),
+            float(np.sum(mags ** (4.0 / 3.0)) ** 0.75))
+
+
+def ref_inverse_search(a, n, kind="fourier", grid=None, top=10):
+    """inverse_search as it was before the correlation layer: one
+    (spec, corr) tuple per dictionary element, fully sorted, then cut."""
+    samples = a.sample(0, n)
+    hits = []
+    if kind == "fourier":
+        coefs = np.fft.fft(samples) / n
+        for j in range(n):
+            hits.append((f"exp:{j / n!r}", float(abs(coefs[j]))))
+    else:
+        for alpha in map(float, grid):
+            if kind == "quad":
+                spec, b = f"quad:{alpha!r}", ul.quad_phase_seq(alpha)
+            else:
+                spec = f"heis:tau=({alpha!r},1,0);f=ez"
+                b = ul.nilsequence(ul.HeisElem(alpha, 1.0, 0.0),
+                                   ul.IDENTITY_POINT, character_ez(1))
+            corr = abs(complex(np.mean(samples * np.conj(b.sample(0, n)))))
+            hits.append((spec, corr))
+    hits.sort(key=lambda item: (-item[1], item[0]))
+    return hits[:top]
+
+
+def ref_spectrum_probe(a, n, freqs):
+    """spectrum_probe as it was: its own e(-mt) per frequency."""
+    samples = a.sample(0, n)
+    ms = np.arange(n, dtype=np.float64)
+    return np.array([np.mean(samples * np.exp(-2j * np.pi * ((ms * t) % 1.0)))
+                     for t in freqs], dtype=np.complex128)
 
 
 class TestDft:
@@ -260,3 +305,95 @@ class TestInverseSearch:
     def test_requires_grid(self):
         with pytest.raises(ValueError):
             ul.inverse_search(ul.rademacher_seq(0), 64, "quad")
+
+
+LAYER_NS = [1, 64, 1000, 4096]
+# rad: is real, so |a^(j)| = |a^(N-j)|; exp:0.25 leaves most bins at one
+# magnitude.  top = 9 and 11 split a pair of tied bins at the cut.
+LAYER_GENS = ["rad:3", "exp:0.25"]
+
+
+class TestCorrelationLayer:
+    """The one correlation layer against the code it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("gen", LAYER_GENS)
+    @pytest.mark.parametrize("n", LAYER_NS)
+    @pytest.mark.parametrize("top", [1, 9, 10, 11, "N+5"])
+    def test_fourier_search_matches_full_sort(self, gen, n, top):
+        a = ul.parse_generator(gen)
+        top = n + 5 if top == "N+5" else top
+        got = ul.inverse_search(a, n, "fourier", top=top)
+        assert got == ref_inverse_search(a, n, "fourier", top=top)
+        assert len(got) == min(top, n)
+
+    def test_spec_text_breaks_ties_not_bin_order(self):
+        # at N = 2^14 bin 1 prints as exp:6.103515625e-05, which sorts
+        # after every exp:0.* spec, so bin order would keep the wrong zero
+        a, n = ul.exp_seq(0.25), 1 << 14
+        got = ul.inverse_search(a, n, "fourier", top=6)
+        assert got == ref_inverse_search(a, n, "fourier", top=6)
+        assert got[-2:] == [("exp:0.0001220703125", 0.0),
+                            ("exp:0.00018310546875", 0.0)]
+
+    def test_corpus_splits_ties_at_the_cut(self):
+        # cases where more bins share the top-th magnitude than fit under
+        # the cut, so the spec order decides which are kept
+        split = []
+        for gen in LAYER_GENS:
+            a = ul.parse_generator(gen)
+            for n in LAYER_NS:
+                c = np.fft.fft(a.sample(0, n)) / n
+                mags = np.sort(np.hypot(c.real, c.imag))[::-1]
+                for top in (1, 9, 10, 11):
+                    if top < n and mags[top] == mags[top - 1]:
+                        split.append((gen, n, top))
+        assert ("exp:0.25", 4096, 10) in split
+        assert any(gen == "rad:3" for gen, _, _ in split)
+
+    @pytest.mark.parametrize("kind", ["quad", "heis"])
+    @pytest.mark.parametrize("top", [1, 2, 3, 10])
+    def test_sequence_dictionaries_match_full_sort(self, kind, top):
+        # the repeated 0.3 ties exactly with itself
+        grid = [0.1, 0.3, 0.5, 0.3, math.sqrt(2) / 2]
+        for gen in ("rad:3", "quad:0.3"):
+            a = ul.parse_generator(gen)
+            got = ul.inverse_search(a, 1000, kind, grid=grid, top=top)
+            assert got == ref_inverse_search(a, 1000, kind, grid, top)
+
+    def test_empty_grid_gives_no_hits(self):
+        assert ul.inverse_search(ul.rademacher_seq(3), 64, "quad", grid=[]) == []
+
+    @pytest.mark.parametrize("gen", LAYER_GENS)
+    @pytest.mark.parametrize("n", LAYER_NS)
+    def test_dft_coefficients_match_trig_poly_build(self, gen, n):
+        a = ul.parse_generator(gen)
+        poly, hk2, dual2 = ref_dft_coefficients(a, n)
+        rep = ul.dft_coefficients(a, n)
+        assert rep.coefs.tobytes() == poly.coefs.tobytes()
+        assert (rep.hk2, rep.dual2) == (hk2, dual2)
+        assert rep.coefficients == poly
+
+    def test_spectrum_probe_matches_its_loop(self):
+        a = ul.rademacher_seq(5)
+        freqs = [0.0, 0.13, 0.5, 1 - 0.61, math.sqrt(2) - 1, 0.999]
+        got = spectrum_probe(a, 1000, freqs)
+        assert got.tobytes() == ref_spectrum_probe(a, 1000, freqs).tobytes()
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_is_rejected(self, n):
+        a = ul.rademacher_seq(3)
+        for call in (lambda: ul.dft_coefficients(a, n),
+                     lambda: ul.inverse_search(a, n),
+                     lambda: spectrum_probe(a, n, [0.1]),
+                     lambda: ul.wiener_wintner_scan(a, n)):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                call()
+
+    def test_non_finite_samples_are_rejected(self):
+        a = ul.parse_generator(OVERFLOW_GEN)
+        for call in (lambda: ul.dft_coefficients(a, 64),
+                     lambda: ul.inverse_search(a, 64),
+                     lambda: spectrum_probe(a, 64, [0.1]),
+                     lambda: ul.wiener_wintner_scan(a, 64)):
+            with pytest.raises(NegativityViolation, match="not finite"):
+                call()

@@ -1,6 +1,7 @@
 """Heisenberg group arithmetic, reduction, orbits, nilsequences."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,23 @@ from unif_lab.nilmanifold import (CubeIndex, character_ex, character_ez,
                                   parse_heis_spec)
 
 coord = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+
+
+def exact_orbit_point(tau, x0, n):
+    """tau^n * lift(x0) reduced y, then x, then z, in exact rationals of
+    the float inputs: the closed form with no rounding at all."""
+    tx, ty, tz = map(Fraction, (tau.x, tau.y, tau.z))
+    ax, ay, az = map(Fraction, (x0.x, x0.y, x0.z))
+    px, py = n * tx + ax, n * ty + ay
+    pz = n * tz + Fraction(n * (n - 1), 2) * tx * ty + az + n * tx * ay
+    q = -math.floor(py)
+    z = pz + px * q
+    return px - math.floor(px), py + q, z - math.floor(z)
+
+
+def circle_dist(got, want):
+    d = abs(Fraction(float(got)) - want) % 1
+    return float(min(d, 1 - d))
 
 
 def elems_close(g, h, tol=1e-9):
@@ -159,6 +177,21 @@ class TestNilsequence:
         seq = ul.nilsequence(ul.HeisElem(0.7, 1.0, 0.3),
                              ul.HeisPoint(0.1, 0.2, 0.3), character_ez(3))
         assert np.max(np.abs(seq.sample(-2000, 2000))) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_orbit_points_within_1e6_of_exact_up_to_1e4(self, seed):
+        # the module docstring's promise; float64 rounds C(n,2)*x*y, so the
+        # z error grows like n^2 and passes 1e-6 near |n| = 1e5
+        rng = np.random.default_rng(seed)
+        tau = ul.HeisElem(*rng.random(3))
+        x0 = ul.IDENTITY_POINT if seed == 0 else ul.HeisPoint(*rng.random(3))
+        ns = np.concatenate([[-10_000, -1, 0, 1, 10_000],
+                             rng.integers(-10_000, 10_001, 200)])
+        pts = orbit_points(tau, x0, ns)
+        for i, n in enumerate(ns.tolist()):
+            want = exact_orbit_point(tau, x0, n)
+            for got, exact in zip((c[i] for c in pts), want):
+                assert circle_dist(got, exact) <= 1e-6
 
     def test_orbit_equidistribution_smoke(self):
         xs, _, _ = orbit_points(ul.HeisElem(math.sqrt(2) - 1, 1.0, 0.0),
