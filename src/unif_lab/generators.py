@@ -293,11 +293,15 @@ class BlockSpec:
             raise ValueError("block starts must be strictly increasing")
         if self.starts[0] < 1:
             raise ValueError("first block start must be >= 1")
+        if self.starts[-1] >= 1 << 63:  # indices are int64
+            raise ValueError("block starts must be below 2^63")
 
     @staticmethod
     def geometric(ratio: int, block_count: int) -> "BlockSpec":
         if ratio < 2:
             raise ValueError("geometric growth needs ratio >= 2")
+        if block_count > 63:  # ratio^63 >= 2^63: refuse before building it
+            raise ValueError("block starts must be below 2^63")
         return BlockSpec(tuple(ratio ** j for j in range(1, block_count + 1)))
 
     @property
@@ -357,6 +361,11 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*()]))")
 
 
+# The parser and the tree it builds recurse once per nesting level and per
+# chained operator; this cap keeps both far inside Python's recursion limit.
+_MAX_TOKENS = 256
+
+
 def _tokenize_expr(text: str):
     pos = 0
     tokens = []
@@ -365,6 +374,9 @@ def _tokenize_expr(text: str):
         if m is None or m.end() == pos:
             raise GeneratorSpecError(f"bad expression near {text[pos:]!r}")
         tokens.append(m)
+        if len(tokens) > _MAX_TOKENS:
+            raise GeneratorSpecError(
+                f"expression longer than {_MAX_TOKENS} tokens")
         pos = m.end()
     return tokens
 

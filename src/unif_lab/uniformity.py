@@ -23,7 +23,8 @@ Computation paths, all agreeing to better than 1e-9:
             shift.  It also serves csg_check (2^k operands) and the dual
             function (the constant 1 at the base vertex);
   fft       k = 2 cyclic: per-difference circular correlation by FFT,
-            O(H * N log N);
+            O(H * N log N); the rows h1 go _FFT_ROWS at a time through one
+            in-place batched transform, in a block made once per call;
   spectral  k <= 2 cyclic with H = N: the closed forms |mean|^2 and
             sum_j |hat a(j)|^4 in O(N log N).
 
@@ -79,6 +80,7 @@ class NormReport:
     powered: float
     params: BoxParams
     h_tail: float
+    path: str  # the path that ran: "fast", "fft", "spectral" or "direct"
 
 
 # ---------------------------------------------------------------------------
@@ -178,30 +180,55 @@ def _powered_direct(x: np.ndarray, k: int, h: int,
     return total / h ** k, shell / (h ** k - (h - 1) ** k)
 
 
+_FFT_ROWS = 4  # rows h1 per batched transform: past 4, rows add memory, not speed
+
+
 def _powered_fft_k2(x: np.ndarray, h: int,
                     with_tail: bool = False) -> Tuple[complex, complex]:
     """k = 2, cyclic, I = [0, N): per-difference circular FFT correlation.
 
     avg_{h2<H} (1/N) sum_n g(n) conj(g(n+h2)) = sum_j |hat g(j)|^2 kern(j)
     with kern = fft(indicator of [0,H)) / H, applied for each h1 with
-    g = a * conj(shift_{h1} a).  The shell max(h) = H-1 is the row h1 = H-1
+    g = conj(shift_{h1} a) * a.  The shell max(h) = H-1 is the row h1 = H-1
     plus, in every other row, the h2 = H-1 term: |hat g|^2 against
     e(-j(H-1)/N).  Returns (grid average, shell average; 0 unless with_tail).
+
+    The rows run _FFT_ROWS at a time through one in-place batched transform
+    in a block made once per call.  |hat g|^2 goes into one float buffer;
+    the kernel product, and for the shell |hat g|^2 as the complex vector
+    np.dot would cast it to, go back into the row's own storage.  Each row
+    gets the bits of a 1-D transform with fresh arrays.
     """
     n = x.size
-    indicator = np.zeros(n, dtype=np.float64)
-    indicator[:h] = 1.0
-    kern = np.fft.fft(indicator) / h
-    last = np.exp(-2j * np.pi * ((np.arange(n) * (h - 1)) % n) / n)
+    kern = np.fft.fft(np.arange(n) < h) / h
+    last = (np.exp(-2j * np.pi * ((np.arange(n) * (h - 1)) % n) / n)
+            if with_tail else None)
+    block = np.empty((min(_FFT_ROWS, h), n), dtype=np.complex128)
+    mags2 = np.empty(n, dtype=np.float64)
     acc = shell = 0.0 + 0.0j
-    for h1 in range(h):
-        g = x * np.conj(np.roll(x, -h1))
-        ghat = np.fft.fft(g) / n
-        mags2 = ghat.real ** 2 + ghat.imag ** 2
-        row = complex(np.sum(mags2 * kern))
-        acc += row
-        if with_tail:
-            shell += h * row if h1 == h - 1 else complex(np.dot(mags2, last))
+    for top in range(0, h, _FFT_ROWS):
+        rows = block[:min(_FFT_ROWS, h - top)]
+        for h1, row in enumerate(rows, top):
+            row[:n - h1] = x[h1:]
+            row[n - h1:] = x[:h1]
+        np.conj(rows, out=rows)
+        rows *= x
+        np.fft.fft(rows, axis=-1, out=rows)
+        parts = rows.view(np.float64)
+        parts *= 1.0 / n
+        np.square(parts, out=parts)
+        for h1, row in enumerate(rows, top):
+            np.add(row.real, row.imag, out=mags2)
+            np.multiply(mags2, kern, out=row)
+            total = complex(row.sum())
+            acc += total
+            if not with_tail:
+                continue
+            if h1 == h - 1:
+                shell += h * total
+            else:
+                np.copyto(row, mags2)
+                shell += complex(np.dot(row, last))
     return acc / h, shell / (2 * h - 1)
 
 
@@ -265,14 +292,15 @@ def box_correlation(a: ComplexSeq, h: Sequence[int], p: BoxParams) -> complex:
     return complex(term.mean())
 
 
-def _finalize_norm(s_h: complex, p: BoxParams, tail: float) -> NormReport:
+def _finalize_norm(s_h: complex, p: BoxParams, tail: float,
+                   path: str) -> NormReport:
     raw = s_h.real
     if not math.isfinite(raw) or raw < NEGATIVITY_FLOOR:
         raise NegativityViolation(
             f"box average {raw} is not finite or is below the noise floor "
             f"{NEGATIVITY_FLOOR} (k={p.k}, H={p.H}, {p.mode.describe()})")
     powered = max(raw, 0.0)
-    return NormReport(powered ** (1.0 / (1 << p.k)), powered, p, tail)
+    return NormReport(powered ** (1.0 / (1 << p.k)), powered, p, tail, path)
 
 
 def box_norm(a: ComplexSeq, p: BoxParams, path: str = "auto",
@@ -282,11 +310,14 @@ def box_norm(a: ComplexSeq, p: BoxParams, path: str = "auto",
     h_tail is |average of c_h over the shell max(h) = H-1|, accumulated by
     the same kernel pass as S_H: how much the truncation is still moving.
     It is 0 without with_tail, and at H = N in cyclic mode, where the average
-    runs over the whole group and there is no truncation remainder.
+    runs over the whole group and there is no truncation remainder.  The
+    report's path is the one that ran, with "auto" resolved.
     """
     with_tail = with_tail and not (p.mode.is_cyclic and p.H == p.mode.modulus)
+    if path == "auto":
+        path = _auto_path(p)
     s_h, shell = _powered_complex(a, p, path, with_tail)
-    return _finalize_norm(s_h, p, abs(shell) if with_tail else 0.0)
+    return _finalize_norm(s_h, p, abs(shell) if with_tail else 0.0, path)
 
 
 def box_powered_signed(a: ComplexSeq, p: BoxParams, path: str = "auto") -> float:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -389,7 +390,134 @@ class TestCsvBytes:
         assert path.read_bytes() == want.encode()
 
 
+# Spec-grammar fuzzing: genpoly expressions, block specs and heis specs, each
+# built from valid pieces and from hostile ones (huge numerals, non-finite
+# numbers, unbalanced brackets, wrong counts), run through the CLI at N <= 256.
+SPEC_NUMBERS = ["0", "1", "0.5", ".25", "3.", "7", "9" * 400, "1" + "0" * 300,
+                "1e5", "nan", "inf"]
+SPEC_FLOATS = ["0", "0.1", "-0.3", "1e16", "1e300", "-1e300", "1e-320",
+               "nan", "inf", "", "x", "9" * 400]
+
+
+def _genpoly_exprs():
+    atom = st.one_of(
+        st.sampled_from(SPEC_NUMBERS),
+        st.sampled_from(["n", "sqrt2", "sqrt3", "sqrt5", "phi", "pi", "floor",
+                         "x"]),
+        st.integers(0, 10 ** 6).map(str))
+
+    def grow(child):
+        return st.one_of(
+            st.tuples(child, st.sampled_from(["+", "-", "*", " * ", ""]),
+                      child).map("".join),
+            child.map("floor({})".format), child.map("({})".format),
+            child.map("-{}".format), child.map("{})".format),
+            child.map("({}".format))
+
+    return st.recursive(atom, grow, max_leaves=12)
+
+
+def _triples():
+    return st.lists(st.sampled_from(SPEC_FLOATS), min_size=2,
+                    max_size=4).map(lambda v: "(" + ",".join(v) + ")")
+
+
+SPEC_STRATEGY = st.one_of(
+    st.builds("genpoly:{2}{0}({1}){2}".format,
+              st.sampled_from(["frac", "e", "exp", ""]), _genpoly_exprs(),
+              st.sampled_from(["", '"'])),
+    st.builds("block:geo{}x{}".format,
+              st.one_of(st.integers(0, 70), st.just(10 ** 20)),
+              st.one_of(st.integers(0, 70), st.just(20000))),
+    st.lists(st.one_of(st.integers(-5, 300),
+                       st.sampled_from([2 ** 62, 2 ** 63, 10 ** 30])),
+             max_size=5).map(lambda v: "block:" + ",".join(map(str, v))),
+    st.builds(lambda tau, x0, f: "heis:" + ";".join(p for p in (tau, x0, f)
+                                                    if p),
+              _triples().map("tau={}".format),
+              st.one_of(st.just(""), _triples().map("x0={}".format)),
+              st.sampled_from(["", "f=ez", "f=ex", "f=ey", "f=e3z", "f=e0z",
+                               "f=e" + "9" * 20 + "z", "f=q", "f=e-1z"])),
+)
+NON_FINITE_TEXT = re.compile(r"nan|inf", re.IGNORECASE)
+
+
+def _spec_argv(spec, n, h, command):
+    h = str(min(h, n))
+    return {
+        "norm": ["norm", "--gen", spec, "--N", str(n), "--H", h],
+        "norm-interval": ["norm", "--gen", spec, "--mode", "interval",
+                          "--len", str(n), "--H", h],
+        "gen": ["gen", "--gen", spec, "--range", f"{-n}:{n}"],
+        "gen-far": ["gen", "--gen", spec, "--range",
+                    f"{2 ** 62}:{2 ** 62 + 4}"],
+        "dual": ["dual", "--gen", spec, "--N", str(n)],
+        "search": ["search", "--gen", spec, "--N", str(n)],
+        "ww": ["ww", "--gen", spec, "--N", str(n)],
+    }[command]
+
+
 class TestFuzz:
+    @given(spec=SPEC_STRATEGY, n=st.integers(1, 256), h=st.integers(1, 16),
+           command=st.sampled_from(["norm", "norm-interval", "gen", "gen-far",
+                                    "dual", "search", "ww"]))
+    @settings(max_examples=250, deadline=None)
+    def test_spec_grammar(self, spec, n, h, command):
+        # a traceback would escape dispatch as an exception and fail here
+        try:
+            code, out, _ = run_cli(_spec_argv(spec, n, h, command))
+        except SystemExit as exc:
+            code, out = exc.code, ""
+        assert code in (0, 2, 3, 4)
+        assert not NON_FINITE_TEXT.search(out)
+
+    @pytest.mark.parametrize("expr", [
+        pytest.param("+".join(["n"] * 1500), id="sum-chain"),
+        pytest.param("(" * 1200 + "n" + ")" * 1200, id="parentheses"),
+        pytest.param("-" * 1200 + "n", id="unary-minus"),
+        pytest.param("floor(" * 600 + "n" + ")" * 600, id="floor"),
+        pytest.param("-" * 256 + "n", id="one-token-too-many"),
+    ])
+    def test_long_expression_exits_two(self, expr):
+        # all but the last used to recurse past Python's limit in the
+        # parser or the evaluator and escape as a RecursionError
+        code, out, err = run_cli(["gen", "--gen", f"genpoly:e({expr})",
+                                  "--range", "0:3"])
+        assert (code, out) == (2, "")
+        assert err == "error: expression longer than 256 tokens\n"
+
+    def test_longest_expression_still_runs(self):
+        code, out, _ = run_cli(["gen", "--gen",
+                                "genpoly:e(" + "-" * 255 + "n)",
+                                "--range", "0:3"])
+        assert code == 0
+        assert out.splitlines()[2] == "1,1.0,0.0"
+
+    @pytest.mark.parametrize("spec, message", [
+        pytest.param("block:geo2x63", "block starts must be below 2^63",
+                     id="geo-past-int64"),
+        # used to build 2^j for every j up to the count before any check
+        # (for a billion, 3 GB and 100 s); kept small so a regression
+        # fails fast instead
+        pytest.param("block:geo2x20000",
+                     "block starts must be below 2^63", id="geo-large-count"),
+        pytest.param(f"block:3,{2 ** 63}", f"bad block spec: '3,{2 ** 63}'",
+                     id="list-past-int64"),
+        pytest.param(f"block:3,{10 ** 30}", f"bad block spec: '3,{10 ** 30}'",
+                     id="list-far-past-int64"),
+    ])
+    def test_block_starts_past_int64_exit_two(self, spec, message):
+        # each used to raise OverflowError (or run out of memory)
+        code, out, err = run_cli(["norm", "--gen", spec, "--N", "64",
+                                  "--H", "4"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_largest_block_start_still_runs(self):
+        code, _, _ = run_cli(["norm", "--gen", f"block:3,{2 ** 63 - 1}",
+                              "--N", "64", "--H", "4"])
+        assert code == 0
+
     @given(template=st.sampled_from(FUZZ_TEMPLATES),
            value=st.one_of(
                st.lists(st.sampled_from(FUZZ_VALUES), min_size=1,

@@ -76,11 +76,41 @@ def ref_cube_sum(xs, k, h, out_len, acc, shell=None, on_shell=False):
                      on_shell or hh == h - 1)
 
 
+def ref_powered_fft_k2(x, h, with_tail=False):
+    """Reference fft path: one 1-D transform per row h1, with fresh arrays
+    for the shifted product, its transform, |hat g|^2 and the kernel product.
+    The batched kernel must match it bit for bit once the product's
+    temporary reaches NumPy's elision size (N >= 16384, where it runs as
+    conj(...) *= x), and never peak above it in memory."""
+    n = x.size
+    indicator = np.zeros(n, dtype=np.float64)
+    indicator[:h] = 1.0
+    kern = np.fft.fft(indicator) / h
+    last = np.exp(-2j * np.pi * ((np.arange(n) * (h - 1)) % n) / n)
+    acc = shell = 0.0 + 0.0j
+    for h1 in range(h):
+        g = x * np.conj(np.roll(x, -h1))
+        ghat = np.fft.fft(g) / n
+        mags2 = ghat.real ** 2 + ghat.imag ** 2
+        row = complex(np.sum(mags2 * kern))
+        acc += row
+        if with_tail:
+            shell += h * row if h1 == h - 1 else complex(np.dot(mags2, last))
+    return acc / h, shell / (2 * h - 1)
+
+
+def unit_samples(n, seed):
+    """n points of modulus 1 with random phases: a bounded operand."""
+    return np.exp(2j * np.pi * np.random.default_rng(seed).random(n))
+
+
 def reference_kernel(fn):
-    """fn() with every caller of the cube kernel on ref_cube_sum."""
+    """fn() with the cube kernel on ref_cube_sum, in every caller, and the
+    fft path on ref_powered_fft_k2."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(uniformity, "_cube_sum", ref_cube_sum)
         mp.setattr(duality, "_cube_sum", ref_cube_sum)
+        mp.setattr(uniformity, "_powered_fft_k2", ref_powered_fft_k2)
         return fn()
 
 
@@ -450,6 +480,29 @@ class TestReports:
         assert with_tail.powered == without.powered
         assert without.h_tail == 0.0
 
+    @pytest.mark.parametrize("path, k, h, cyc, lo, ran", [
+        ("auto", 2, 16, True, 0, "spectral"),
+        ("auto", 1, 16, True, 0, "spectral"),
+        ("auto", 2, 8, True, 0, "fast"),
+        ("auto", 3, 16, True, 0, "fast"),
+        ("auto", 2, 16, True, 3, "fast"),
+        ("auto", 2, 8, False, 0, "fast"),
+        ("fast", 2, 16, True, 0, "fast"),
+        ("fft", 2, 8, True, 0, "fft"),
+        ("direct", 2, 4, False, 0, "direct"),
+        ("spectral", 2, 16, True, 0, "spectral"),
+    ])
+    def test_report_names_the_path_that_ran(self, path, k, h, cyc, lo, ran):
+        n = 16
+        mode = ul.cyclic(n) if cyc else ul.INTERVAL
+        p = ul.BoxParams(k, h, ul.IntervalSpec(lo, n), mode)
+        assert ul.box_norm(ul.rademacher_seq(6), p, path=path).path == ran
+
+    def test_proxy_report_names_its_path(self):
+        rep = ul.uniformity_norm_proxy(ul.rademacher_seq(3),
+                                       ul.IntervalSpec(0, 256), 64, 64, 2, 8)
+        assert rep.path == "spectral"
+
     def test_margin_contract_enforced(self):
         a = ul.from_samples(np.ones(100))
         with pytest.raises(SequenceRangeError):
@@ -505,6 +558,35 @@ class TestKernelBitIdentity:
                 ref_cube_sum(xs, k, h, out_len, ref_acc, ref_shell)
                 assert acc.tobytes() == ref_acc.tobytes(), case
                 assert shell == ref_shell, case
+
+    @pytest.mark.parametrize("h", [1, 2, 5, 8, 9, 64])
+    @pytest.mark.parametrize("n", [16384, 20000, 1 << 16])
+    def test_fft_path_matches_reference(self, n, h):
+        # 5 and 9 leave a partial last block of rows
+        x = unit_samples(n, seed=n + h)
+        for with_tail in (False, True):
+            assert (uniformity._powered_fft_k2(x, h, with_tail)
+                    == ref_powered_fft_k2(x, h, with_tail)), with_tail
+
+    @pytest.mark.parametrize("n", [7, 256, 1000, 16383])
+    def test_fft_path_near_reference_below_elision_size(self, n):
+        # below 16384 points the reference multiplies x * conj(...), which
+        # NumPy's complex multiply does not round as conj(...) * x
+        x = unit_samples(n, seed=n)
+        for h in (1, 2, 5, 7, 9, 64):
+            if h > n:
+                continue
+            got = uniformity._powered_fft_k2(x, h, True)
+            want = ref_powered_fft_k2(x, h, True)
+            assert abs(got[0] - want[0]) <= 1e-15, h
+            assert abs(got[1] - want[1]) <= 1e-15, h
+            assert uniformity._powered_fft_k2(x, h)[0] == got[0]
+
+    def test_fft_path_leaves_operand_untouched(self):
+        x = cube_operands("single", 2, 9, 1000, True)[0][:1000]
+        before = x.tobytes()
+        uniformity._powered_fft_k2(x, 9, True)
+        assert x.tobytes() == before
 
     def test_sup_window_average_unchanged(self):
         a = ul.rademacher_seq(9)
@@ -604,6 +686,10 @@ class TestKernelMemory:
     def test_dual_function_k2(self, big):
         p = ul.BoxParams(2, 64, ul.IntervalSpec(0, self.N), ul.cyclic(self.N))
         self._check(lambda: duality.dual_function(big, p))
+
+    def test_box_norm_fft_k2(self, big):
+        p = ul.BoxParams(2, 64, ul.IntervalSpec(0, self.N), ul.cyclic(self.N))
+        self._check(lambda: ul.box_norm(big, p, path="fft"))
 
     def test_box_norm_fast_k3_interval(self, big):
         n, h = 1 << 14, 16
