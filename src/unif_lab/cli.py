@@ -25,7 +25,7 @@ from . import duality, ergodic_weights, generators, nilmanifold, uniformity
 from .errors import (GeneratorSpecError, NegativityViolation,
                      SupBoundViolation, UnifLabError)
 from .generators import _floats
-from .seq_core import (INTERVAL, DomainMode, IntervalSpec,
+from .seq_core import (INTERVAL, DomainMode, IntervalSpec, _frac,
                        _require_finite, cyclic)
 from .uniformity import BoxParams, NormReport
 
@@ -326,7 +326,7 @@ def _cmd_heis(args) -> int:
             raise GeneratorSpecError(
                 "--check-closed-form needs tau=(alpha,1,0), identity x0, f=ez")
         alpha = tau.x
-        phases = (-(ns * (ns + 1) // 2).astype(np.float64) * alpha) % 1.0
+        phases = _frac(-(ns * (ns + 1) // 2).astype(np.float64) * alpha)
         ref = np.exp(2j * np.pi * phases)
         dev = float(np.max(np.abs(vals - ref)))
         obj = {"op": "heis-check",

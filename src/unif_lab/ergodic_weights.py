@@ -26,7 +26,7 @@ import numpy as np
 from .duality import _samples
 from .errors import GeneratorSpecError
 from .nilmanifold import HeisElem, HeisPoint, named_character, orbit_points
-from .seq_core import TWO_PI_I, ComplexSeq
+from .seq_core import TWO_PI_I, ComplexSeq, _frac
 
 RotationPoint = float
 SkewPoint = Tuple[float, float]
@@ -55,13 +55,12 @@ class DynSystem:
         ms = np.asarray(ms, dtype=np.int64)
         if method == "closed":
             if self.kind == "rotation":
-                return ((float(x0) + ms.astype(np.float64) * self.alpha)
-                        % 1.0,)
+                return (_frac(float(x0) + ms.astype(np.float64) * self.alpha),)
             if self.kind == "skew":
                 x, y = x0
                 mf = ms.astype(np.float64)
-                xs = (x + mf * self.alpha) % 1.0
-                ys = (y + 2.0 * mf * x + mf * mf * self.alpha) % 1.0
+                xs = _frac(x + mf * self.alpha)
+                ys = _frac(y + 2.0 * mf * x + mf * mf * self.alpha)
                 return xs, ys
             return orbit_points(self.tau, x0, ms)
         if method != "iterated":
@@ -115,16 +114,23 @@ def named_observable(sys: DynSystem, name: str) -> Observable:
     return named_character(name)
 
 
-def weighted_multiple_average(w: ComplexSeq, sys: DynSystem,
-                              fs: Sequence[Observable], x0: SystemPoint,
-                              n: int, method: str = "closed") -> complex:
-    """(1/N) sum_{m<N} w_m * prod_{i=1..k} f_i(S^{i m} x0)."""
+def _weighted_terms(w: ComplexSeq, sys: DynSystem, fs: Sequence[Observable],
+                    x0: SystemPoint, n: int,
+                    method: str = "closed") -> np.ndarray:
+    """w_m * prod_{i=1..k} f_i(S^{i m} x0) for m < N."""
     total = _samples(w, n).copy()
     ms = np.arange(n, dtype=np.int64)
     for i, f in enumerate(fs, start=1):
         coords = sys.orbit_coords(x0, i * ms, method=method)
         total *= np.asarray(f(*coords), dtype=np.complex128)
-    return complex(total.mean())
+    return total
+
+
+def weighted_multiple_average(w: ComplexSeq, sys: DynSystem,
+                              fs: Sequence[Observable], x0: SystemPoint,
+                              n: int, method: str = "closed") -> complex:
+    """(1/N) sum_{m<N} w_m * prod_{i=1..k} f_i(S^{i m} x0)."""
+    return complex(_weighted_terms(w, sys, fs, x0, n, method).mean())
 
 
 @dataclass(frozen=True)
@@ -139,11 +145,19 @@ class CauchyReport:
 def cauchy_scan(w: ComplexSeq, sys: DynSystem, fs: Sequence[Observable],
                 x0: SystemPoint, n_grid: Sequence[int],
                 threshold: float = 0.01) -> CauchyReport:
-    """Partial averages on an increasing N grid with their successive gaps."""
+    """Partial averages on an increasing N grid with their successive gaps.
+
+    The terms are computed once, up to the largest N; each average is the
+    mean of a prefix, which numpy sums exactly as it would a fresh N-point
+    array, so every value has the bits of weighted_multiple_average.
+    """
     ns = tuple(int(n) for n in n_grid)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("N grid must be increasing")
-    values = tuple(weighted_multiple_average(w, sys, fs, x0, n) for n in ns)
+    if ns and ns[0] < 1:
+        raise ValueError(f"N must be >= 1, got {ns[0]}")
+    terms = _weighted_terms(w, sys, fs, x0, ns[-1]) if ns else None
+    values = tuple(complex(terms[:n].mean()) for n in ns)
     deltas = tuple(abs(b - a) for a, b in zip(values, values[1:]))
     converged = bool(deltas and deltas[-1] < threshold)
     return CauchyReport(ns, values, deltas, converged, threshold)

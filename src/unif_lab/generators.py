@@ -14,13 +14,14 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DuplicateFrequencyError, GeneratorSpecError
-from .seq_core import TWO_PI_I, ComplexSeq, IntervalSpec
+from .seq_core import TWO_PI_I, ComplexSeq, IntervalSpec, _frac
 
 
 def _e(phase: np.ndarray) -> np.ndarray:
@@ -38,7 +39,7 @@ def exp_seq(t: float) -> ComplexSeq:
     t = float(t) % 1.0
 
     def _eval(ns: np.ndarray) -> np.ndarray:
-        return _e((ns.astype(np.float64) * t) % 1.0)
+        return _e(_frac(ns.astype(np.float64) * t))
 
     return ComplexSeq(_eval, None, 1.0, label=f"exp:{t!r}")
 
@@ -79,7 +80,7 @@ def trig_poly_seq(p: TrigPoly) -> ComplexSeq:
         nf = ns.astype(np.float64)
         out = np.zeros(ns.shape, dtype=np.complex128)
         for t, c in zip(freqs, coefs):  # term count is small in practice
-            out += c * _e((nf * t) % 1.0)
+            out += c * _e(_frac(nf * t))
         return out
 
     return ComplexSeq(_eval, None, p.sup_bound, label=f"trig[{len(p.terms)}]")
@@ -132,9 +133,7 @@ def poly_phase_seq(coeffs: Sequence[float]) -> ComplexSeq:
         for j, c in enumerate(cs):
             if c != 0.0:
                 acc += _exact_term_frac(c, ns, j)
-        # every term lies in [0, 1), so acc >= 0 and acc - floor(acc) is
-        # exactly acc % 1.0, at a fraction of np.remainder's cost
-        acc -= np.floor(acc)
+        acc = _frac(acc)  # rebinding frees the sum before _e allocates
         return _e(acc)
 
     return ComplexSeq(_eval, None, 1.0, label=f"poly:{cs}")
@@ -208,10 +207,11 @@ def genpoly_seq(ast: GenPolyAst, form: str = "frac") -> ComplexSeq:
         # a finite expression can still overflow to inf and give a NaN frac;
         # the callers' finiteness checks reject it, so numpy stays quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = ast.eval(ns)
-            frac = vals - np.floor(vals)
+            frac = _frac(ast.eval(ns))
             if form == "frac":
-                return frac.astype(np.complex128)
+                # {p(n)} rounds up to exactly 1.0 for a tiny negative p(n);
+                # that is 0 mod 1, and [0, 1) is the documented range
+                return _frac(frac).astype(np.complex128)
             return _e(frac)
 
     return ComplexSeq(_eval, None, 1.0, label=f"genpoly:{form}")
@@ -328,8 +328,7 @@ def block_counterexample_seq(spec: BlockSpec) -> Tuple[ComplexSeq,
         mag = np.abs(ns)
         j = np.searchsorted(starts, mag, side="right")
         j = np.maximum(j, 1)  # [0, N_1) is part of block 1
-        phase = (ns.astype(np.float64) / j.astype(np.float64)) % 1.0
-        return _e(phase)
+        return _e(_frac(ns.astype(np.float64) / j.astype(np.float64)))
 
     seq = ComplexSeq(_eval, (-(last - 1), last), 1.0,
                      label=f"block[{spec.block_count}]")
@@ -459,6 +458,23 @@ def _parse_number(text: str, what: str) -> float:
     return val
 
 
+def _parse_int(text: str, what: str) -> int:
+    """A decimal integer; anything else is a spec error naming `what`.
+
+    Python refuses to convert more than sys.get_int_max_str_digits() digits
+    (4300 by default) and says so in terms of an interpreter setting; here
+    that is reported as a field too long.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(text.strip().lstrip("+-")) > limit:
+        raise GeneratorSpecError(f"{what} has more than {limit} digits")
+    raise GeneratorSpecError(f"bad {what}: {text!r}")
+
+
 def _floats(text: str, count: int, what: str) -> List[float]:
     """Exactly `count` comma-separated finite numbers."""
     try:
@@ -489,19 +505,20 @@ def parse_generator(spec: str) -> ComplexSeq:
     if kind == "tm":
         return thue_morse_seq(arg.strip() or "pm")
     if kind == "rad":
-        try:
-            return rademacher_seq(int(arg))
-        except ValueError:
-            raise GeneratorSpecError(f"bad seed: {arg!r}") from None
+        return rademacher_seq(_parse_int(arg, "seed"))
     if kind == "block":
         m = re.fullmatch(r"geo(\d+)x(\d+)", arg.strip())
         if m:
-            bspec = BlockSpec.geometric(int(m.group(1)), int(m.group(2)))
+            bspec = BlockSpec.geometric(_parse_int(m.group(1), "block ratio"),
+                                        _parse_int(m.group(2), "block count"))
         else:
+            starts = tuple(_parse_int(s, "block start")
+                           for s in arg.split(","))
             try:
-                bspec = BlockSpec(tuple(int(s) for s in arg.split(",")))
+                bspec = BlockSpec(starts)
             except ValueError as exc:
-                raise GeneratorSpecError(f"bad block spec: {arg!r}") from exc
+                raise GeneratorSpecError(
+                    f"bad block spec {arg!r}: {exc}") from None
         return block_counterexample_seq(bspec)[0]
     if kind == "trig":
         return trig_poly_seq(parse_trig_terms(arg))

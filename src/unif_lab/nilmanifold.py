@@ -10,7 +10,9 @@ The integer lattice acts on the right; reduction to the fundamental domain
 (whose lattice element has q = 0) cannot perturb z.  Orbit sequences
 f(tau^n . x0) are evaluated through the closed form for tau^n, never by
 iterated multiplication, to keep rounding at the 1e-6 scale for |n| <= 1e4
-and coordinates O(1).
+and coordinates O(1).  The vectorized reduction takes each coordinate mod 1
+with seq_core._frac, v - floor(v): the bits of np.remainder(v, 1.0) at
+about a tenth of its cost.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import GeneratorSpecError
-from .generators import _floats
-from .seq_core import TWO_PI_I, ComplexSeq, IntervalSpec
+from .generators import _floats, _parse_int
+from .seq_core import TWO_PI_I, ComplexSeq, IntervalSpec, _frac
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,11 @@ def _reduce_arrays(x: np.ndarray, y: np.ndarray, z: np.ndarray):
     """Vectorized heis_reduce, y-then-x-then-z order."""
     q = -np.floor(y)
     z = z + x * q
-    y = (y + q) % 1.0
-    x = (x - np.floor(x)) % 1.0
-    z = (z - np.floor(z)) % 1.0
+    # x - floor(x) can round up to exactly 1.0 (x = -1e-20); the second
+    # _frac folds that back to 0.0, as heis_reduce's final % 1.0 does
+    y = _frac(y + q)
+    x = _frac(_frac(x))
+    z = _frac(_frac(z))
     return x, y, z
 
 
@@ -151,7 +155,8 @@ def named_character(name: str) -> PointFunction:
     if name == "ey":
         return character_ey
     if name.startswith("e") and name.endswith("z") and name[1:-1].isdigit():
-        return character_ez(int(name[1:-1]))
+        return character_ez(_parse_int(name[1:-1],
+                                       "nilmanifold character index"))
     raise GeneratorSpecError(f"unknown nilmanifold character {name!r}")
 
 
@@ -225,8 +230,10 @@ def parse_heis_spec(arg: str) -> ComplexSeq:
             continue
         if "=" not in piece:
             raise GeneratorSpecError(f"bad heis field {piece!r}")
-        key, val = piece.split("=", 1)
-        fields[key.strip()] = val.strip()
+        key, val = (part.strip() for part in piece.split("=", 1))
+        if key in fields:
+            raise GeneratorSpecError(f"heis field {key!r} given twice")
+        fields[key] = val
     if "tau" not in fields:
         raise GeneratorSpecError("heis spec needs tau=(a,b,c)")
     tau = HeisElem(*_parse_triple(fields["tau"], "tau"))

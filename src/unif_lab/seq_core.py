@@ -115,6 +115,19 @@ class ComplexSeq:
         return self.eval(np.arange(lo, hi, dtype=np.int64))
 
 
+def _frac(v: np.ndarray) -> np.ndarray:
+    """v mod 1 for a float64 array, with the bits of np.remainder(v, 1.0).
+
+    v - floor(v) rounds the exact fraction once, as np.remainder does, and
+    gives the same special values: +0.0 for -0.0 and for integers, NaN for
+    NaN and +-inf (with the same invalid-value warning), and exactly 1.0
+    for a tiny negative v.  It costs about a tenth as much.  The result is
+    a new array.
+    """
+    f = np.floor(v)
+    return np.subtract(v, f, out=f)
+
+
 def _require_finite(what: str, *arrays: np.ndarray) -> None:
     """A non-finite value breaks the numeric contract (exit 3 in the CLI)."""
     for arr in arrays:
@@ -203,9 +216,11 @@ def _sliding_sums(x: np.ndarray, width: int, out_len: int,
     (complex, len(x)) when given, so a caller that slides many windows of
     one shape can reuse both; otherwise they are allocated here.
     """
-    mu = x.sum() / len(x)  # the same bits as x.mean()
+    # ufunc methods called directly: the ndarray.sum and np.cumsum wrappers
+    # cost ~2 us a call, a tenth of a k = 1 base call at 10^3 points
+    mu = np.add.reduce(x) / len(x)  # the same bits as x.mean()
     prefix = np.subtract(x, mu, out=scratch)
-    np.cumsum(prefix, out=prefix)
+    np.add.accumulate(prefix, out=prefix)
     if out is None:
         out = np.empty(out_len, dtype=np.complex128)
     # prefix[i] sums the first i + 1 centred terms: W[0] = prefix[width-1],

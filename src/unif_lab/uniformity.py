@@ -49,9 +49,9 @@ import numpy as np
 from .errors import NegativityViolation, SupBoundViolation
 from .generators import rademacher_seq
 from .seq_core import (INTERVAL, ComplexSeq, DomainMode, IntervalSpec,
-                       _sliding_sums, add, conjugate, cyclic, from_samples,
-                       product, require_margin, sample_mode, shift,
-                       wrap_cyclic)
+                       _frac, _sliding_sums, add, conjugate, cyclic,
+                       from_samples, product, require_margin, sample_mode,
+                       shift, wrap_cyclic)
 
 NEGATIVITY_FLOOR = -1e-9
 
@@ -507,10 +507,10 @@ def _suite_seq(seed: int, n: int) -> ComplexSeq:
         vals = np.full(n, 0.6 + 0.0j)
         for w in (0.25, 0.15):
             t = rng.integers(0, n) / n
-            vals += w * np.exp(2j * np.pi * ((ns * t) % 1.0))
+            vals += w * np.exp(2j * np.pi * _frac(ns * t))
     else:
         alpha = rng.random()
-        phases = (alpha * ns.astype(np.float64) ** 2) % 1.0
+        phases = _frac(alpha * ns.astype(np.float64) ** 2)
         vals = np.exp(2j * np.pi * phases)
     return from_samples(vals)
 

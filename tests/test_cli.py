@@ -501,9 +501,12 @@ class TestFuzz:
         # fails fast instead
         pytest.param("block:geo2x20000",
                      "block starts must be below 2^63", id="geo-large-count"),
-        pytest.param(f"block:3,{2 ** 63}", f"bad block spec: '3,{2 ** 63}'",
-                     id="list-past-int64"),
-        pytest.param(f"block:3,{10 ** 30}", f"bad block spec: '3,{10 ** 30}'",
+        pytest.param(f"block:3,{2 ** 63}",
+                     f"bad block spec '3,{2 ** 63}': "
+                     "block starts must be below 2^63", id="list-past-int64"),
+        pytest.param(f"block:3,{10 ** 30}",
+                     f"bad block spec '3,{10 ** 30}': "
+                     "block starts must be below 2^63",
                      id="list-far-past-int64"),
     ])
     def test_block_starts_past_int64_exit_two(self, spec, message):
@@ -512,6 +515,56 @@ class TestFuzz:
                                   "--H", "4"])
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        pytest.param("block:3,2", "bad block spec '3,2': "
+                     "block starts must be strictly increasing",
+                     id="list-decreasing"),
+        pytest.param("block:0,2", "bad block spec '0,2': "
+                     "first block start must be >= 1", id="list-from-zero"),
+        pytest.param("block:5", "bad block spec '5': "
+                     "need at least two block starts", id="list-one-start"),
+        pytest.param("block:3,x", "bad block start: 'x'", id="list-not-int"),
+        pytest.param("block:geo" + "9" * 5000 + "x3",
+                     "block ratio has more than 4300 digits", id="geo-ratio"),
+        pytest.param("block:geo2x" + "9" * 5000,
+                     "block count has more than 4300 digits", id="geo-count"),
+        pytest.param("block:3," + "9" * 5000,
+                     "block start has more than 4300 digits", id="list-start"),
+        pytest.param("rad:" + "9" * 5000, "seed has more than 4300 digits",
+                     id="rad-seed"),
+        pytest.param("heis:tau=(0.1,0.2,0.3);f=e" + "9" * 5000 + "z",
+                     "nilmanifold character index has more than 4300 digits",
+                     id="heis-character"),
+        pytest.param("heis:tau=(0.1,0.2,0.3);;;tau=(1,2,3)",
+                     "heis field 'tau' given twice", id="heis-repeated-tau"),
+        pytest.param("heis:tau=(0.1,0.2,0.3);f=ez;x0=(0,0,0);f=ex",
+                     "heis field 'f' given twice", id="heis-repeated-f"),
+    ])
+    def test_spec_errors_name_their_cause(self, spec, message):
+        # the block lists used to print only "bad block spec: '...'", the
+        # long fields Python's int-conversion limit text, and a repeated
+        # heis key ran with its last value
+        code, out, err = run_cli(["gen", "--gen", spec, "--range", "0:3"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_genpoly_frac_stays_below_one(self):
+        # -1e-20 - floor(-1e-20) rounds to exactly 1.0, outside [0, 1)
+        code, out, _ = run_cli(["gen", "--gen",
+                                "genpoly:frac(-0.00000000000000000001)",
+                                "--range", "0:2"])
+        assert code == 0
+        assert out == "n,re,im\n0,0.0,0.0\n1,0.0,0.0\n"
+
+    def test_genpoly_exp_keeps_its_bits(self):
+        # the e(...) form still exponentiates the unfolded 1.0
+        code, out, _ = run_cli(["gen", "--gen",
+                                "genpoly:e(-0.00000000000000000001)",
+                                "--range", "0:1"])
+        z = complex(np.exp(2j * np.pi * 1.0))
+        assert code == 0
+        assert out == f"n,re,im\n0,{z.real!r},{z.imag!r}\n"
 
     def test_largest_block_start_still_runs(self):
         code, _, _ = run_cli(["norm", "--gen", f"block:3,{2 ** 63 - 1}",

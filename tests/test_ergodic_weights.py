@@ -117,6 +117,38 @@ class TestCauchyScan:
         rep = ul.cauchy_scan(seq, sys_, [ex], 0.0, grid)
         assert rep.deltas[-1] < max(rep.deltas)
 
+    @pytest.mark.parametrize("system, obs, x0", [
+        pytest.param(ul.rotation(math.sqrt(2) - 1), ["ex", "ex"], 0.3,
+                     id="rotation"),
+        pytest.param(ul.skew(math.sqrt(3) - 1), ["ex", "ey"], (0.1, 0.7),
+                     id="skew"),
+        pytest.param(ul.heis_system(ul.HeisElem(0.31, 0.57, 0.83)),
+                     ["ez", "e2z"], ul.HeisPoint(0.2, 0.4, 0.6), id="heis"),
+    ])
+    @pytest.mark.parametrize("weight", [
+        pytest.param(ul.rademacher_seq(11), id="rad"),
+        pytest.param(ul.quad_phase_seq(math.sqrt(5) - 2), id="quad"),
+        pytest.param(ul.block_counterexample_seq(
+            ul.BlockSpec.geometric(4, 10))[0], id="block"),
+    ])
+    def test_values_are_single_average_bits(self, system, obs, x0, weight):
+        # one pass at the largest N; each value a prefix mean
+        fs = [ul.named_observable(system, name) for name in obs]
+        grid = [1, 2, 7, 100, 1000, 1023, 1024, 4097, 20000]
+        rep = ul.cauchy_scan(weight, system, fs, x0, grid)
+        assert rep.values == tuple(
+            ul.weighted_multiple_average(weight, system, fs, x0, n)
+            for n in grid)
+
+    def test_grid_below_one_exits_like_single_average(self):
+        sys_ = ul.rotation(0.1)
+        fs = [ul.named_observable(sys_, "ex")]
+        with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+            ul.weighted_multiple_average(ul.constant_seq(1.0), sys_, fs, 0.0,
+                                         0)
+        with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+            ul.cauchy_scan(ul.constant_seq(1.0), sys_, fs, 0.0, [0, 64])
+
     def test_increasing_grid_required(self):
         sys_ = ul.rotation(0.1)
         with pytest.raises(ValueError):

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unif_lab as ul
-from unif_lab.nilmanifold import (CubeIndex, character_ex, character_ez,
-                                  eps_tuple, named_character, orbit_points,
-                                  parse_heis_spec)
+from unif_lab import nilmanifold
+from unif_lab.nilmanifold import (CubeIndex, _reduce_arrays, character_ex,
+                                  character_ez, eps_tuple, named_character,
+                                  orbit_points, parse_heis_spec)
 
 coord = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -134,6 +135,49 @@ class TestReduce:
             gamma = ul.HeisElem(float(p), float(q), float(r))
             prod = ul.heis_mul(g, gamma)
             assert elems_close(prod, point.lift(), tol=1e-9)
+
+
+def ref_reduce_arrays(x, y, z):
+    """_reduce_arrays as it was written with np.remainder (% 1.0)."""
+    q = -np.floor(y)
+    z = z + x * q
+    y = (y + q) % 1.0
+    x = (x - np.floor(x)) % 1.0
+    z = (z - np.floor(z)) % 1.0
+    return x, y, z
+
+
+class TestReduceArrays:
+    EDGES = [-1e-20, 1e-20, -5e-324, 0.0, -0.0, 1.0, -1.0, 1 - 2.0 ** -53,
+             -(1 - 2.0 ** -53), -2.0 ** 52 + 0.5, 2.0 ** 53, -1e15 - 0.25,
+             0.5, -0.5]
+
+    def check(self, x, y, z):
+        got = _reduce_arrays(x, y, z)
+        want = ref_reduce_arrays(x, y, z)
+        for g, w in zip(got, want):
+            assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
+            assert np.all((0.0 <= g) & (g < 1.0))
+
+    def test_matches_remainder_on_edges(self):
+        grid = np.array(np.meshgrid(self.EDGES, self.EDGES, self.EDGES))
+        self.check(*grid.reshape(3, -1))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e9, 1e15])
+    def test_matches_remainder_on_random_points(self, scale):
+        rng = np.random.default_rng(7)
+        self.check(*(scale * rng.standard_normal((3, 20000))))
+
+    def test_matches_remainder_along_an_orbit(self):
+        tau = ul.HeisElem(0.7071067811865476, -1.4142135623730951, 0.123)
+        x0 = ul.HeisPoint(0.25, 0.5, 0.75)
+        ns = np.arange(-70000, 70000, 7, dtype=np.int64)
+        got = orbit_points(tau, x0, ns)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nilmanifold, "_reduce_arrays", ref_reduce_arrays)
+            want = orbit_points(tau, x0, ns)
+        for g, w in zip(got, want):
+            assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
 
 
 class TestNilsequence:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import unif_lab as ul
 from unif_lab.errors import IncompatibleRangeError, SequenceRangeError
+from unif_lab.seq_core import _frac
 
 
 def brute_average(seq, lo, hi):
@@ -172,3 +173,46 @@ class TestAlgebra:
         first = a.eval(ns)
         second = a.eval(ns)
         assert np.array_equal(first, second)
+
+
+def _remainder_outcome(fn, v):
+    """(bits of fn(v), whether it raised a floating-point error)."""
+    arr = np.array([v], dtype=np.float64)
+    with np.errstate(all="raise"):
+        try:
+            fn(arr)
+            raised = False
+        except FloatingPointError:
+            raised = True
+    with np.errstate(invalid="ignore"):
+        return fn(arr).view(np.uint64)[0], raised
+
+
+class TestFrac:
+    """_frac(v) must be np.remainder(v, 1.0) bit for bit, warning for warning:
+    every array-valued phase reduction mod 1 in the package goes through it."""
+
+    def check(self, v):
+        assert (_remainder_outcome(_frac, v)
+                == _remainder_outcome(lambda a: np.remainder(a, 1.0), v))
+
+    @given(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        # any bit pattern, so NaN payloads and signs too
+        st.integers(0, 2 ** 64 - 1).map(
+            lambda b: np.array([b], dtype=np.uint64).view(np.float64)[0])))
+    @settings(max_examples=1000, deadline=None)
+    def test_bits_of_remainder(self, v):
+        self.check(v)
+
+    @pytest.mark.parametrize("v", [
+        -1e-20, -2.0 ** 52 - 0.5, -2.0 ** 52 + 0.5, 5e-324, -5e-324,
+        1 - 2.0 ** -53, -(1 - 2.0 ** -53), 0.0, -0.0, 1.0, -1.0, 1e308,
+        -1e308, float("inf"), float("-inf"), float("nan")])
+    def test_edge_values(self, v):
+        self.check(v)
+
+    def test_leaves_its_input_alone(self):
+        v = np.array([-1.25, 0.5, 3.75])
+        _frac(v)
+        assert v.tolist() == [-1.25, 0.5, 3.75]
