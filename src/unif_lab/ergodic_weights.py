@@ -114,23 +114,16 @@ def named_observable(sys: DynSystem, name: str) -> Observable:
     return named_character(name)
 
 
-def _weighted_terms(w: ComplexSeq, sys: DynSystem, fs: Sequence[Observable],
-                    x0: SystemPoint, n: int,
-                    method: str = "closed") -> np.ndarray:
-    """w_m * prod_{i=1..k} f_i(S^{i m} x0) for m < N."""
+def weighted_multiple_average(w: ComplexSeq, sys: DynSystem,
+                              fs: Sequence[Observable], x0: SystemPoint,
+                              n: int, method: str = "closed") -> complex:
+    """(1/N) sum_{m<N} w_m * prod_{i=1..k} f_i(S^{i m} x0)."""
     total = _samples(w, n).copy()
     ms = np.arange(n, dtype=np.int64)
     for i, f in enumerate(fs, start=1):
         coords = sys.orbit_coords(x0, i * ms, method=method)
         total *= np.asarray(f(*coords), dtype=np.complex128)
-    return total
-
-
-def weighted_multiple_average(w: ComplexSeq, sys: DynSystem,
-                              fs: Sequence[Observable], x0: SystemPoint,
-                              n: int, method: str = "closed") -> complex:
-    """(1/N) sum_{m<N} w_m * prod_{i=1..k} f_i(S^{i m} x0)."""
-    return complex(_weighted_terms(w, sys, fs, x0, n, method).mean())
+    return complex(total.mean())
 
 
 @dataclass(frozen=True)
@@ -145,19 +138,11 @@ class CauchyReport:
 def cauchy_scan(w: ComplexSeq, sys: DynSystem, fs: Sequence[Observable],
                 x0: SystemPoint, n_grid: Sequence[int],
                 threshold: float = 0.01) -> CauchyReport:
-    """Partial averages on an increasing N grid with their successive gaps.
-
-    The terms are computed once, up to the largest N; each average is the
-    mean of a prefix, which numpy sums exactly as it would a fresh N-point
-    array, so every value has the bits of weighted_multiple_average.
-    """
+    """Partial averages on an increasing N grid with their successive gaps."""
     ns = tuple(int(n) for n in n_grid)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("N grid must be increasing")
-    if ns and ns[0] < 1:
-        raise ValueError(f"N must be >= 1, got {ns[0]}")
-    terms = _weighted_terms(w, sys, fs, x0, ns[-1]) if ns else None
-    values = tuple(complex(terms[:n].mean()) for n in ns)
+    values = tuple(weighted_multiple_average(w, sys, fs, x0, n) for n in ns)
     deltas = tuple(abs(b - a) for a, b in zip(values, values[1:]))
     converged = bool(deltas and deltas[-1] < threshold)
     return CauchyReport(ns, values, deltas, converged, threshold)

@@ -463,14 +463,16 @@ def _parse_int(text: str, what: str) -> int:
 
     Python refuses to convert more than sys.get_int_max_str_digits() digits
     (4300 by default) and says so in terms of an interpreter setting; here
-    that is reported as a field too long.
+    a field of only digits past that limit is reported as too long.
     """
     try:
         return int(text)
     except ValueError:
         pass
+    body = text.strip()
+    digits = (body[1:] if body[:1] in "+-" else body).replace("_", "")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and len(text.strip().lstrip("+-")) > limit:
+    if limit and len(digits) > limit and digits.isdecimal():
         raise GeneratorSpecError(f"{what} has more than {limit} digits")
     raise GeneratorSpecError(f"bad {what}: {text!r}")
 

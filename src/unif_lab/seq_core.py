@@ -122,10 +122,12 @@ def _frac(v: np.ndarray) -> np.ndarray:
     gives the same special values: +0.0 for -0.0 and for integers, NaN for
     NaN and +-inf (with the same invalid-value warning), and exactly 1.0
     for a tiny negative v.  It costs about a tenth as much.  The result is
-    a new array.
+    a new array; a 0-d or scalar v gives a numpy scalar, as % 1.0 does.
     """
     f = np.floor(v)
-    return np.subtract(v, f, out=f)
+    if isinstance(f, np.ndarray):
+        return np.subtract(v, f, out=f)
+    return v - f
 
 
 def _require_finite(what: str, *arrays: np.ndarray) -> None:

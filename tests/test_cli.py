@@ -533,6 +533,11 @@ class TestFuzz:
                      "block start has more than 4300 digits", id="list-start"),
         pytest.param("rad:" + "9" * 5000, "seed has more than 4300 digits",
                      id="rad-seed"),
+        pytest.param("rad:" + "x" * 5000, f"bad seed: {'x' * 5000!r}",
+                     id="rad-long-not-int"),
+        pytest.param("block:3," + "9" * 5000 + "x",
+                     f"bad block start: {'9' * 5000 + 'x'!r}",
+                     id="list-long-not-int"),
         pytest.param("heis:tau=(0.1,0.2,0.3);f=e" + "9" * 5000 + "z",
                      "nilmanifold character index has more than 4300 digits",
                      id="heis-character"),

@@ -69,6 +69,19 @@ class TestWeightedAverage:
         want = (alpha * np.arange(500, dtype=np.float64) ** 2) % 1.0
         assert np.max(np.abs(ys - want)) < 1e-9
 
+    @pytest.mark.parametrize("system, x0", [
+        pytest.param(ul.rotation(math.sqrt(2) - 1), 0.3, id="rotation"),
+        pytest.param(ul.skew(math.sqrt(3) - 1), (0.1, 0.7), id="skew"),
+        pytest.param(ul.heis_system(ul.HeisElem(0.31, 0.57, 0.83)),
+                     ul.HeisPoint(0.2, 0.4, 0.6), id="heis"),
+    ])
+    def test_single_index_orbit(self, system, x0):
+        # a scalar m takes the array path's bits, as it did with % 1.0
+        got = system.orbit_coords(x0, 3)
+        want = system.orbit_coords(x0, np.array([3]))
+        assert [np.asarray(g).view(np.uint64) for g in got] == [
+            w.view(np.uint64)[0] for w in want]
+
     def test_heis_system_matches_nilsequence(self):
         tau = ul.HeisElem(math.sqrt(2) - 1, 1.0, 0.0)
         sys_ = ul.heis_system(tau)
@@ -132,22 +145,13 @@ class TestCauchyScan:
             ul.BlockSpec.geometric(4, 10))[0], id="block"),
     ])
     def test_values_are_single_average_bits(self, system, obs, x0, weight):
-        # one pass at the largest N; each value a prefix mean
+        # every value has the bits of its own single-N average
         fs = [ul.named_observable(system, name) for name in obs]
         grid = [1, 2, 7, 100, 1000, 1023, 1024, 4097, 20000]
         rep = ul.cauchy_scan(weight, system, fs, x0, grid)
         assert rep.values == tuple(
             ul.weighted_multiple_average(weight, system, fs, x0, n)
             for n in grid)
-
-    def test_grid_below_one_exits_like_single_average(self):
-        sys_ = ul.rotation(0.1)
-        fs = [ul.named_observable(sys_, "ex")]
-        with pytest.raises(ValueError, match="N must be >= 1, got 0"):
-            ul.weighted_multiple_average(ul.constant_seq(1.0), sys_, fs, 0.0,
-                                         0)
-        with pytest.raises(ValueError, match="N must be >= 1, got 0"):
-            ul.cauchy_scan(ul.constant_seq(1.0), sys_, fs, 0.0, [0, 64])
 
     def test_increasing_grid_required(self):
         sys_ = ul.rotation(0.1)

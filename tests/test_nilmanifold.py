@@ -179,6 +179,18 @@ class TestReduceArrays:
         for g, w in zip(got, want):
             assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("n", [5, np.int64(-7), np.array(123)])
+    def test_zero_d_index(self, n):
+        # a single index takes the array path's bits, as it did with % 1.0
+        tau = ul.HeisElem(0.31, 0.57, 0.83)
+        x0 = ul.HeisPoint(0.2, 0.4, 0.6)
+        got = orbit_points(tau, x0, n)
+        want = orbit_points(tau, x0, np.array([n]))
+        assert [np.asarray(g).view(np.uint64) for g in got] == [
+            w.view(np.uint64)[0] for w in want]
+        seq = ul.nilsequence(tau, x0, character_ez(1))
+        assert seq.eval(n).tobytes() == seq.eval(np.array([n])).tobytes()
+
 
 class TestNilsequence:
     def test_constant_function(self):

@@ -216,3 +216,12 @@ class TestFrac:
         v = np.array([-1.25, 0.5, 3.75])
         _frac(v)
         assert v.tolist() == [-1.25, 0.5, 3.75]
+
+    @pytest.mark.parametrize("v", [
+        np.float64(-1e-20), np.array(-1e-20), np.array(2.75), -0.0, 5.5])
+    def test_scalar_and_zero_d_input(self, v):
+        # a 0-d or scalar phase gives a numpy scalar with the same bits
+        got, want = _frac(v), np.remainder(v, 1.0)
+        assert type(got) is type(want)
+        assert np.asarray(got).view(np.uint64) == np.asarray(want).view(
+            np.uint64)
