@@ -111,6 +111,7 @@ def _norm_json(op: str, params: Dict, rep: NormReport) -> Dict:
         "powered": rep.powered,
         "diagnostics": {
             "h_tail": rep.h_tail,
+            "path": rep.path,
             "mode": mode.describe(),
             "N": mode.modulus,
             "H": rep.params.H,
@@ -379,7 +380,7 @@ def _cmd_verify(args) -> int:
             raise GeneratorSpecError(
                 "verify draws its own seeded corpus; only rad:SEED is "
                 "accepted as a --gen override")
-        seed = int(args.gen.split(":", 1)[1])
+        seed = generators._parse_int(args.gen.split(":", 1)[1], "seed")
     kwargs = _suite_kwargs(args)
     rep = _SUITES[args.suite](args.trials, seed=seed, **kwargs)
     obj = {"op": "verify", "params": {"suite": args.suite,
@@ -394,7 +395,7 @@ def _cmd_verify(args) -> int:
 # --- bench ----------------------------------------------------------------
 
 def run_bench(n: int, h: int, k: int = 2, seed: int = 0) -> Dict:
-    """Direct vs FFT box-norm timing at k = 2, cyclic.
+    """Direct vs fast box-norm timing at k = 2, cyclic.
 
     Returns values, their difference, and wall times; timings land on stderr
     in the CLI so stdout stays byte-reproducible.
@@ -406,14 +407,14 @@ def run_bench(n: int, h: int, k: int = 2, seed: int = 0) -> Dict:
     t0 = time.perf_counter()
     direct = uniformity.box_norm(a, p, path="direct", with_tail=False)
     t1 = time.perf_counter()
-    fft = uniformity.box_norm(a, p, path="fft", with_tail=False)
+    fast = uniformity.box_norm(a, p, path="fast", with_tail=False)
     t2 = time.perf_counter()
-    diff = abs(direct.value - fft.value)
+    diff = abs(direct.value - fast.value)
     return {
         "N": n, "H": h, "k": k, "seed": seed,
-        "direct_value": direct.value, "fft_value": fft.value,
+        "direct_value": direct.value, "fast_value": fast.value,
         "max_abs_diff": diff, "agree_1e9": diff <= 1e-9,
-        "direct_seconds": t1 - t0, "fft_seconds": t2 - t1,
+        "direct_seconds": t1 - t0, "fast_seconds": t2 - t1,
         "speedup": (t1 - t0) / max(t2 - t1, 1e-12),
     }
 
@@ -421,13 +422,13 @@ def run_bench(n: int, h: int, k: int = 2, seed: int = 0) -> Dict:
 def _cmd_bench(args) -> int:
     res = run_bench(args.N, args.H, args.k, args.seed)
     sys.stderr.write(
-        f"direct: {res['direct_seconds']:.3f}s  fft: {res['fft_seconds']:.3f}s"
+        f"direct: {res['direct_seconds']:.3f}s  fast: {res['fast_seconds']:.3f}s"
         f"  speedup: {res['speedup']:.1f}x\n")
     obj = {"op": "bench",
            "params": {"N": res["N"], "H": res["H"], "k": res["k"],
                       "seed": res["seed"]},
            "direct_value": res["direct_value"],
-           "fft_value": res["fft_value"],
+           "fast_value": res["fast_value"],
            "max_abs_diff": res["max_abs_diff"],
            "agree_1e9": res["agree_1e9"]}
     _emit_json(args, obj)
@@ -466,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("norm", help="box norm of a generated sequence")
     _add_common(sp, "gen", "box")
     sp.add_argument("--path", default="auto",
-                    choices=("auto", "fast", "direct", "fft", "spectral"))
+                    choices=("auto", "fast", "direct", "fft", "spectral"),
+                    help="computation path; fft is another name for fast")
     sp.set_defaults(fn=_cmd_norm)
 
     sp = sub.add_parser("unorm", help="sliding-window uniformity-norm proxy")
@@ -543,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(fn=_cmd_verify)
 
-    sp = sub.add_parser("bench", help="direct vs FFT timing (timings on stderr)")
+    sp = sub.add_parser("bench", help="direct vs fast timing (timings on stderr)")
     _add_common(sp)
     sp.add_argument("--N", type=int, default=1 << 16)
     sp.add_argument("--H", type=int, default=256)

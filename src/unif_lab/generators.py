@@ -25,9 +25,12 @@ from .seq_core import TWO_PI_I, ComplexSeq, IntervalSpec, _frac
 
 
 def _e(phase: np.ndarray) -> np.ndarray:
-    """e(x) = exp(2*pi*i*x), vectorized."""
+    """e(x) = exp(2*pi*i*x), vectorized; a 0-d or scalar phase gives a
+    numpy scalar."""
     z = TWO_PI_I * np.asarray(phase, dtype=np.float64)
-    return np.exp(z, out=z)
+    if isinstance(z, np.ndarray):
+        return np.exp(z, out=z)
+    return np.exp(z)
 
 
 # ---------------------------------------------------------------------------

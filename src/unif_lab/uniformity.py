@@ -21,10 +21,8 @@ Computation paths, all agreeing to better than 1e-9:
             prefix-sum sliding window; O(H^(k-1) * |I|), with its products
             and window in buffers made once per pass and reused for every
             shift.  It also serves csg_check (2^k operands) and the dual
-            function (the constant 1 at the base vertex);
-  fft       k = 2 cyclic: per-difference circular correlation by FFT,
-            O(H * N log N); the rows h1 go _FFT_ROWS at a time through one
-            in-place batched transform, in a block made once per call;
+            function (the constant 1 at the base vertex).  "fft" is
+            another name for it, so `--path fft` command lines still run;
   spectral  k <= 2 cyclic with H = N: the closed forms |mean|^2 and
             sum_j |hat a(j)|^4 in O(N log N).
 
@@ -80,7 +78,7 @@ class NormReport:
     powered: float
     params: BoxParams
     h_tail: float
-    path: str  # the path that ran: "fast", "fft", "spectral" or "direct"
+    path: str  # the path that ran: "fast", "spectral" or "direct"
 
 
 # ---------------------------------------------------------------------------
@@ -180,58 +178,6 @@ def _powered_direct(x: np.ndarray, k: int, h: int,
     return total / h ** k, shell / (h ** k - (h - 1) ** k)
 
 
-_FFT_ROWS = 4  # rows h1 per batched transform: past 4, rows add memory, not speed
-
-
-def _powered_fft_k2(x: np.ndarray, h: int,
-                    with_tail: bool = False) -> Tuple[complex, complex]:
-    """k = 2, cyclic, I = [0, N): per-difference circular FFT correlation.
-
-    avg_{h2<H} (1/N) sum_n g(n) conj(g(n+h2)) = sum_j |hat g(j)|^2 kern(j)
-    with kern = fft(indicator of [0,H)) / H, applied for each h1 with
-    g = conj(shift_{h1} a) * a.  The shell max(h) = H-1 is the row h1 = H-1
-    plus, in every other row, the h2 = H-1 term: |hat g|^2 against
-    e(-j(H-1)/N).  Returns (grid average, shell average; 0 unless with_tail).
-
-    The rows run _FFT_ROWS at a time through one in-place batched transform
-    in a block made once per call.  |hat g|^2 goes into one float buffer;
-    the kernel product, and for the shell |hat g|^2 as the complex vector
-    np.dot would cast it to, go back into the row's own storage.  Each row
-    gets the bits of a 1-D transform with fresh arrays.
-    """
-    n = x.size
-    kern = np.fft.fft(np.arange(n) < h) / h
-    last = (np.exp(-2j * np.pi * ((np.arange(n) * (h - 1)) % n) / n)
-            if with_tail else None)
-    block = np.empty((min(_FFT_ROWS, h), n), dtype=np.complex128)
-    mags2 = np.empty(n, dtype=np.float64)
-    acc = shell = 0.0 + 0.0j
-    for top in range(0, h, _FFT_ROWS):
-        rows = block[:min(_FFT_ROWS, h - top)]
-        for h1, row in enumerate(rows, top):
-            row[:n - h1] = x[h1:]
-            row[n - h1:] = x[:h1]
-        np.conj(rows, out=rows)
-        rows *= x
-        np.fft.fft(rows, axis=-1, out=rows)
-        parts = rows.view(np.float64)
-        parts *= 1.0 / n
-        np.square(parts, out=parts)
-        for h1, row in enumerate(rows, top):
-            np.add(row.real, row.imag, out=mags2)
-            np.multiply(mags2, kern, out=row)
-            total = complex(row.sum())
-            acc += total
-            if not with_tail:
-                continue
-            if h1 == h - 1:
-                shell += h * total
-            else:
-                np.copyto(row, mags2)
-                shell += complex(np.dot(row, last))
-    return acc / h, shell / (2 * h - 1)
-
-
 def _powered_spectral(x: np.ndarray, k: int) -> complex:
     """Full-group cyclic closed forms: k=1 -> |mean|^2, k=2 -> sum |hat a|^4."""
     if k == 1:
@@ -243,8 +189,13 @@ def _powered_spectral(x: np.ndarray, k: int) -> complex:
     return complex(np.sum(mags2 * mags2))
 
 
-def _auto_path(p: BoxParams) -> str:
-    """"spectral" where its closed forms hold, else "fast"."""
+def _resolve_path(path: str, p: BoxParams) -> str:
+    """The path that runs: "auto" is "spectral" where its closed forms hold,
+    else "fast"; "fft" is "fast"; any other name is itself."""
+    if path == "fft":
+        return "fast"
+    if path != "auto":
+        return path
     if (p.mode.is_cyclic and p.k <= 2 and p.H == p.mode.modulus
             and p.interval.lo == 0 and p.interval.length == p.mode.modulus):
         return "spectral"
@@ -256,18 +207,12 @@ def _powered_complex(a: ComplexSeq, p: BoxParams, path: str,
     """(S_H, outermost-shell average; 0 unless with_tail) in one pass."""
     x = _operand_array(a, p)
     out_len = p.interval.length
-    if path == "auto":
-        path = _auto_path(p)
+    path = _resolve_path(path, p)
     if path == "spectral":
-        if _auto_path(p) != "spectral":
+        if _resolve_path("auto", p) != "spectral":
             raise ValueError("spectral path needs cyclic mode, k <= 2, "
                              "H = N, I = [0, N)")
         return _powered_spectral(x[:p.mode.modulus], p.k), 0j
-    if path == "fft":
-        if not (p.mode.is_cyclic and p.k == 2 and p.interval.lo == 0
-                and p.interval.length == p.mode.modulus):
-            raise ValueError("fft path needs cyclic mode, k = 2, I = [0, N)")
-        return _powered_fft_k2(x[:p.mode.modulus], p.H, with_tail)
     if path == "fast":
         return _cube_average([x] * (1 << p.k), p.k, p.H, out_len, with_tail)
     if path == "direct":
@@ -311,11 +256,10 @@ def box_norm(a: ComplexSeq, p: BoxParams, path: str = "auto",
     the same kernel pass as S_H: how much the truncation is still moving.
     It is 0 without with_tail, and at H = N in cyclic mode, where the average
     runs over the whole group and there is no truncation remainder.  The
-    report's path is the one that ran, with "auto" resolved.
+    report's path is the one that ran, with "auto" and "fft" resolved.
     """
     with_tail = with_tail and not (p.mode.is_cyclic and p.H == p.mode.modulus)
-    if path == "auto":
-        path = _auto_path(p)
+    path = _resolve_path(path, p)
     s_h, shell = _powered_complex(a, p, path, with_tail)
     return _finalize_norm(s_h, p, abs(shell) if with_tail else 0.0, path)
 

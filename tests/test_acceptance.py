@@ -239,14 +239,14 @@ def test_criterion_13_thue_morse():
           f"deltas={[float(f'{d:.5f}') for d in deltas]}")
 
 
-def test_criterion_14_fft_vs_direct():
+def test_criterion_14_fast_vs_direct():
     res = cli.run_bench(1 << 16, 256, 2, 0)
     ok = res["max_abs_diff"] <= 1e-9 and res["speedup"] >= 10.0
-    check(14, "FFT path: identical to direct to 1e-9 and >= 10x faster at "
+    check(14, "fast path: identical to direct to 1e-9 and >= 10x faster at "
               "N=2^16, H=256, k=2",
           ok, f"diff={res['max_abs_diff']:.1e}, "
               f"speedup={res['speedup']:.1f}x "
-              f"({res['direct_seconds']:.1f}s vs {res['fft_seconds']:.2f}s)")
+              f"({res['direct_seconds']:.1f}s vs {res['fast_seconds']:.2f}s)")
 
 
 def test_criterion_15_determinism(capsys):

@@ -32,7 +32,26 @@ class TestNorm:
         obj = json.loads(out)
         assert obj["op"] == "norm"
         assert abs(obj["value"] - 1.0) <= 1e-9
-        assert set(obj["diagnostics"]) == {"h_tail", "mode", "N", "H"}
+        assert set(obj["diagnostics"]) == {"h_tail", "path", "mode", "N", "H"}
+
+    @pytest.mark.parametrize("path, h, ran", [
+        ("fft", "64", "fast"), ("auto", "4096", "spectral")])
+    def test_prints_the_path_that_ran(self, path, h, ran):
+        code, out, _ = run_cli(["norm", "--gen", "rad:5", "--N", "4096",
+                                "--H", h, "--path", path])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["params"]["path"] == path
+        assert obj["diagnostics"]["path"] == ran
+
+    def test_fft_is_another_name_for_fast(self):
+        base = ["norm", "--gen", "rad:5", "--N", "1024", "--H", "32",
+                "--path"]
+        fft = json.loads(run_cli(base + ["fft"])[1])
+        fast = json.loads(run_cli(base + ["fast"])[1])
+        for key in ("value", "powered"):
+            assert fft[key] == fast[key]
+        assert fft["diagnostics"]["h_tail"] == fast["diagnostics"]["h_tail"]
 
     def test_interval_mode_needs_len(self):
         code, _, err = run_cli(["norm", "--gen", "exp:0.25", "--mode",
@@ -167,11 +186,23 @@ class TestSubcommands:
         assert out == ""
         assert "--trials must be at most" in err
 
+    @pytest.mark.parametrize("seed, message", [
+        pytest.param("x", "bad seed: 'x'", id="not-int"),
+        pytest.param("9" * 5000, "seed has more than 4300 digits",
+                     id="long")])
+    def test_verify_gen_seed_errors_name_the_field(self, seed, message):
+        code, out, err = run_cli(["verify", "csg", "--trials", "1",
+                                  "--gen", "rad:" + seed])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_bench_small(self):
         code, out, err = run_cli(["bench", "--N", "512", "--H", "16"])
         assert code == 0
         obj = json.loads(out)
         assert obj["agree_1e9"]
+        assert obj["fast_value"] == pytest.approx(obj["direct_value"],
+                                                  abs=1e-9)
         assert "speedup" in err  # timings stay off stdout
 
     def test_usage_error_exit_two(self):

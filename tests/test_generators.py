@@ -234,18 +234,32 @@ class TestBlockCounterexample:
             seq.sample(0, 65)
 
 
+SPEC_FAMILIES = [
+    "exp:0.25", "quad:0.70710678", "poly:0.1,0.2,0.3", "tm:pm", "tm:01",
+    "rad:42", "block:geo4x20", "block:4,16,64",
+    "trig:[t=0.1,l=0.5;t=0.37,l=0.5]",
+    'genpoly:"frac(sqrt2*n*floor(sqrt3*n))"',
+    "genpoly:e(n*n+0.5*n)",
+    "heis:tau=(0.41,1,0);x0=(0,0,0);f=ez",
+]
+
+
 class TestSpecGrammar:
-    @pytest.mark.parametrize("spec", [
-        "exp:0.25", "quad:0.70710678", "poly:0.1,0.2,0.3", "tm:pm", "tm:01",
-        "rad:42", "block:geo4x20", "block:4,16,64",
-        "trig:[t=0.1,l=0.5;t=0.37,l=0.5]",
-        'genpoly:"frac(sqrt2*n*floor(sqrt3*n))"',
-        "genpoly:e(n*n+0.5*n)",
-        "heis:tau=(0.41,1,0);x0=(0,0,0);f=ez",
-    ])
+    @pytest.mark.parametrize("spec", SPEC_FAMILIES)
     def test_parses(self, spec):
         seq = parse_generator(spec)
         assert abs(seq.at(5)) <= seq.sup_bound + 1e-9
+
+    @pytest.mark.parametrize("spec", SPEC_FAMILIES)
+    def test_zero_d_index(self, spec):
+        # a 0-d index takes the array path's bits; e(x) of a 0-d phase
+        # used to raise TypeError
+        seq = parse_generator(spec)
+        want = seq.eval(np.array([5]))
+        for n in (np.int64(5), np.array(5)):
+            got = seq.eval(n)
+            assert got.shape == ()
+            assert got.tobytes() == want.tobytes()
 
     def test_exp_spec_matches_function(self):
         assert parse_generator("exp:0.25").at(3) == ul.exp_seq(0.25).at(3)

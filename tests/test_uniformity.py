@@ -77,11 +77,13 @@ def ref_cube_sum(xs, k, h, out_len, acc, shell=None, on_shell=False):
 
 
 def ref_powered_fft_k2(x, h, with_tail=False):
-    """Reference fft path: one 1-D transform per row h1, with fresh arrays
-    for the shifted product, its transform, |hat g|^2 and the kernel product.
-    The batched kernel must match it bit for bit once the product's
-    temporary reaches NumPy's elision size (N >= 16384, where it runs as
-    conj(...) *= x), and never peak above it in memory."""
+    """Spectral oracle for the k = 2 cyclic box average on I = [0, N).
+
+    avg_{h2<H} (1/N) sum_n g(n) conj(g(n+h2)) = sum_j |hat g(j)|^2 kern(j)
+    with kern = fft(indicator of [0,H)) / H and g = conj(shift_{h1} a) * a,
+    one FFT per row h1.  The shell max(h) = H-1 is the row h1 = H-1 plus,
+    in every other row, the h2 = H-1 term: |hat g|^2 against e(-j(H-1)/N).
+    Returns (grid average, shell average; 0 unless with_tail)."""
     n = x.size
     indicator = np.zeros(n, dtype=np.float64)
     indicator[:h] = 1.0
@@ -99,28 +101,20 @@ def ref_powered_fft_k2(x, h, with_tail=False):
     return acc / h, shell / (2 * h - 1)
 
 
-def unit_samples(n, seed):
-    """n points of modulus 1 with random phases: a bounded operand."""
-    return np.exp(2j * np.pi * np.random.default_rng(seed).random(n))
-
-
 def reference_kernel(fn):
-    """fn() with the cube kernel on ref_cube_sum, in every caller, and the
-    fft path on ref_powered_fft_k2."""
+    """fn() with the cube kernel on ref_cube_sum, in every caller."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(uniformity, "_cube_sum", ref_cube_sum)
         mp.setattr(duality, "_cube_sum", ref_cube_sum)
-        mp.setattr(uniformity, "_powered_fft_k2", ref_powered_fft_k2)
         return fn()
 
 
 TAIL_CASES = [
     pytest.param(path, k, h, cyc, id=f"{path}-k{k}-H{h}-{mode}")
-    for path in ("fast", "fft", "direct")
+    for path in ("fast", "direct")
     for k in (1, 2, 3)
     for cyc, mode in ((True, "cyclic"), (False, "interval"))
     for h in (1, 3)
-    if path != "fft" or (k == 2 and cyc)
 ]
 
 
@@ -212,15 +206,18 @@ class TestPathAgreement:
             assert fast == pytest.approx(direct, abs=1e-12)
             assert fast == pytest.approx(oracle, abs=1e-10)
 
-    def test_fft_path_matches(self):
+    def test_fast_matches_fft_oracle(self):
+        # k = 2 cyclic: the cube recursion against the per-row FFT form,
+        # grid and shell averages both, Im parts included
         cases = [(256, (8, 64, 256)[seed % 3], seed + 50) for seed in range(100)]
         cases.append((8192, 16, 7))
         for n, h, seed in cases:
             a = ul.rademacher_seq(seed)
             p = ul.BoxParams(2, h, ul.IntervalSpec(0, n), ul.cyclic(n))
-            fast = ul.box_norm(a, p, path="fast", with_tail=False).powered
-            fft = ul.box_norm(a, p, path="fft", with_tail=False).powered
-            assert fft == pytest.approx(fast, abs=1e-9)
+            got = uniformity._powered_complex(a, p, "fast", with_tail=True)
+            want = ref_powered_fft_k2(a.sample(0, n), h, with_tail=True)
+            assert abs(got[0] - want[0]) <= 1e-9, (n, h, seed)
+            assert abs(got[1] - want[1]) <= 1e-9, (n, h, seed)
 
     def test_spectral_shortcut_matches(self):
         n = 256
@@ -469,8 +466,8 @@ class TestReports:
         assert rep.h_tail == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("path, h", [
-        ("auto", 5), ("fast", 5), ("fft", 5), ("direct", 5), ("auto", 16),
-        ("spectral", 16), ("fast", 16), ("fft", 16)])
+        ("auto", 5), ("fast", 5), ("direct", 5), ("auto", 16),
+        ("spectral", 16), ("fast", 16)])
     def test_tail_leaves_value_unchanged(self, path, h):
         a = ul.rademacher_seq(4)
         p = ul.BoxParams(2, h, ul.IntervalSpec(0, 16), ul.cyclic(16))
@@ -488,7 +485,8 @@ class TestReports:
         ("auto", 2, 16, True, 3, "fast"),
         ("auto", 2, 8, False, 0, "fast"),
         ("fast", 2, 16, True, 0, "fast"),
-        ("fft", 2, 8, True, 0, "fft"),
+        ("fft", 2, 8, True, 0, "fast"),
+        ("fft", 3, 4, False, 0, "fast"),
         ("direct", 2, 4, False, 0, "direct"),
         ("spectral", 2, 16, True, 0, "spectral"),
     ])
@@ -558,35 +556,6 @@ class TestKernelBitIdentity:
                 ref_cube_sum(xs, k, h, out_len, ref_acc, ref_shell)
                 assert acc.tobytes() == ref_acc.tobytes(), case
                 assert shell == ref_shell, case
-
-    @pytest.mark.parametrize("h", [1, 2, 5, 8, 9, 64])
-    @pytest.mark.parametrize("n", [16384, 20000, 1 << 16])
-    def test_fft_path_matches_reference(self, n, h):
-        # 5 and 9 leave a partial last block of rows
-        x = unit_samples(n, seed=n + h)
-        for with_tail in (False, True):
-            assert (uniformity._powered_fft_k2(x, h, with_tail)
-                    == ref_powered_fft_k2(x, h, with_tail)), with_tail
-
-    @pytest.mark.parametrize("n", [7, 256, 1000, 16383])
-    def test_fft_path_near_reference_below_elision_size(self, n):
-        # below 16384 points the reference multiplies x * conj(...), which
-        # NumPy's complex multiply does not round as conj(...) * x
-        x = unit_samples(n, seed=n)
-        for h in (1, 2, 5, 7, 9, 64):
-            if h > n:
-                continue
-            got = uniformity._powered_fft_k2(x, h, True)
-            want = ref_powered_fft_k2(x, h, True)
-            assert abs(got[0] - want[0]) <= 1e-15, h
-            assert abs(got[1] - want[1]) <= 1e-15, h
-            assert uniformity._powered_fft_k2(x, h)[0] == got[0]
-
-    def test_fft_path_leaves_operand_untouched(self):
-        x = cube_operands("single", 2, 9, 1000, True)[0][:1000]
-        before = x.tobytes()
-        uniformity._powered_fft_k2(x, 9, True)
-        assert x.tobytes() == before
 
     def test_sup_window_average_unchanged(self):
         a = ul.rademacher_seq(9)
@@ -686,10 +655,6 @@ class TestKernelMemory:
     def test_dual_function_k2(self, big):
         p = ul.BoxParams(2, 64, ul.IntervalSpec(0, self.N), ul.cyclic(self.N))
         self._check(lambda: duality.dual_function(big, p))
-
-    def test_box_norm_fft_k2(self, big):
-        p = ul.BoxParams(2, 64, ul.IntervalSpec(0, self.N), ul.cyclic(self.N))
-        self._check(lambda: ul.box_norm(big, p, path="fft"))
 
     def test_box_norm_fast_k3_interval(self, big):
         n, h = 1 << 14, 16
