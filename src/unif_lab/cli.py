@@ -6,13 +6,14 @@ runs single-threaded.  Timing lines (bench) go to stderr so stdout stays
 reproducible.
 
 Exit codes: 0 success, 2 usage error, 3 numeric-contract violation
-(e.g. a box average more negative than truncation noise, or a non-finite
-CSV value), 4 a `verify` suite found a violated inequality.
+(e.g. a box average below -1e-9, which at H < N legitimate input can give,
+or a non-finite CSV value), 4 a `verify` suite found a violated inequality.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 from . import duality, ergodic_weights, generators, nilmanifold, uniformity
 from .errors import (GeneratorSpecError, NegativityViolation,
                      SupBoundViolation, UnifLabError)
-from .generators import _floats
+from .generators import _parse_int, _parse_list, _parse_number
 from .seq_core import (INTERVAL, DomainMode, IntervalSpec, _frac,
                        _require_finite, cyclic)
 from .uniformity import BoxParams, NormReport
@@ -32,8 +33,8 @@ from .uniformity import BoxParams, NormReport
 USAGE_EXIT = 2
 CONTRACT_EXIT = 3
 VERIFY_EXIT = 4
-# a larger verify --trials would run for days (or, at 10^300, forever)
-_MAX_TRIALS = 10 ** 6
+# a larger --trials or --grid step count would run for days (or forever)
+_MAX_COUNT = 10 ** 6
 # CSV rows formatted per write: keeps the text held at once small without
 # paying a write call per row
 _CSV_BLOCK = 4096
@@ -45,11 +46,10 @@ _CSV_BLOCK = 4096
 
 def _parse_range(text: str) -> IntervalSpec:
     """'lo:hi' -> IntervalSpec(lo, hi - lo)."""
-    try:
-        lo_s, hi_s = text.split(":")
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise GeneratorSpecError(f"bad range {text!r}, expected lo:hi") from None
+    ends = text.split(":")
+    if len(ends) != 2:
+        raise GeneratorSpecError(f"bad range {text!r}, expected lo:hi")
+    lo, hi = (_parse_int(end, "range end") for end in ends)
     if hi <= lo:
         raise GeneratorSpecError(f"empty range {text!r}")
     return IntervalSpec(lo, hi - lo)
@@ -57,22 +57,17 @@ def _parse_range(text: str) -> IntervalSpec:
 
 def _parse_grid(text: str) -> List[float]:
     """'lo:hi:steps' -> evenly spaced floats; or 'a,b,c' explicit."""
-    if ":" in text:
-        try:
-            lo_s, hi_s, n_s = text.split(":")
-            lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-        except ValueError:
-            raise GeneratorSpecError(
-                f"bad grid {text!r}, expected lo:hi:steps") from None
-        if n < 1:
-            raise GeneratorSpecError("grid needs at least one step")
-        grid = [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
-    else:
-        try:
-            grid = [float(s) for s in text.split(",") if s]
-        except ValueError:
-            raise GeneratorSpecError(
-                f"bad grid {text!r}, expected a,b,c") from None
+    if ":" not in text:
+        return _parse_list(text, "--grid value")
+    fields = text.split(":")
+    if len(fields) != 3:
+        raise GeneratorSpecError(f"bad grid {text!r}, expected lo:hi:steps")
+    lo, hi = (_parse_number(end, "--grid end") for end in fields[:2])
+    n = _parse_int(fields[2], "--grid steps")
+    if not 1 <= n <= _MAX_COUNT:
+        raise GeneratorSpecError(
+            f"--grid steps must be between 1 and {_MAX_COUNT}, got {n}")
+    grid = [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
     if not all(map(math.isfinite, grid)):
         raise GeneratorSpecError(f"--grid values must be finite, got {text!r}")
     return grid
@@ -252,11 +247,11 @@ def _cmd_search(args) -> int:
 def _parse_system(text: str) -> ergodic_weights.DynSystem:
     kind, _, rest = text.partition(":")
     if kind == "rot":
-        return ergodic_weights.rotation(_floats(rest, 1, "rot:")[0])
+        return ergodic_weights.rotation(_parse_number(rest, "rot angle"))
     if kind == "skew":
-        return ergodic_weights.skew(_floats(rest, 1, "skew:")[0])
+        return ergodic_weights.skew(_parse_number(rest, "skew angle"))
     if kind == "heis":
-        tau = _floats(rest, 3, "heis system tau")
+        tau = _parse_list(rest, "heis system tau", count=3)
         return ergodic_weights.heis_system(nilmanifold.HeisElem(*tau))
     raise GeneratorSpecError(f"unknown system {text!r}")
 
@@ -264,32 +259,30 @@ def _parse_system(text: str) -> ergodic_weights.DynSystem:
 def _heis_x0(text: Optional[str]) -> nilmanifold.HeisPoint:
     if not text:
         return nilmanifold.IDENTITY_POINT
-    return nilmanifold.HeisPoint(*(v % 1.0 for v in _floats(text, 3, "--x0")))
+    return nilmanifold._parse_point(text, "--x0")
 
 
 def _parse_x0(sys_: ergodic_weights.DynSystem, text: Optional[str]):
     if sys_.kind == "rotation":
-        return _floats(text, 1, "--x0")[0] if text else 0.0
+        return _parse_number(text, "--x0") if text else 0.0
     if sys_.kind == "skew":
-        return tuple(_floats(text, 2, "--x0")) if text else (0.0, 0.0)
+        return tuple(_parse_list(text, "--x0", count=2)) if text else (0.0, 0.0)
     return _heis_x0(text)
 
 
 def _cmd_weighted(args) -> int:
-    if not math.isfinite(args.threshold):
-        raise GeneratorSpecError(
-            f"--threshold must be finite, got {args.threshold}")
+    threshold = _parse_number(args.threshold, "--threshold")
     w = generators.parse_generator(args.w)
     sys_ = _parse_system(args.system)
-    fs = [ergodic_weights.named_observable(sys_, name)
-          for name in args.obs.split(",") if name]
+    fs = _parse_list(args.obs, "--obs", lambda name, _:
+                     ergodic_weights.named_observable(sys_, name))
     x0 = _parse_x0(sys_, args.x0)
     params = {"w": args.w, "system": args.system, "obs": args.obs,
               "x0": args.x0 or ""}
     if args.grid:
-        ns = [int(v) for v in args.grid.split(",")]
+        ns = _parse_list(args.grid, "--grid value", _parse_int)
         rep = ergodic_weights.cauchy_scan(w, sys_, fs, x0, ns,
-                                          threshold=args.threshold)
+                                          threshold=threshold)
         obj = {"op": "weighted", "params": {**params, "grid": args.grid},
                "values": [[v.real, v.imag] for v in rep.values],
                "deltas": list(rep.deltas),
@@ -314,7 +307,7 @@ def _cmd_ww(args) -> int:
 
 
 def _cmd_heis(args) -> int:
-    tau = nilmanifold.HeisElem(*_floats(args.tau, 3, "--tau"))
+    tau = nilmanifold.HeisElem(*_parse_list(args.tau, "--tau", count=3))
     x0 = _heis_x0(args.x0)
     f = nilmanifold.named_character(args.f)
     rng = _parse_range(args.range)
@@ -353,26 +346,24 @@ _SUITES: Dict[str, Callable[..., uniformity.SuiteReport]] = {
 
 
 def _suite_kwargs(args) -> Dict:
-    """Map verify flags onto each suite's parameters (defaults per suite)."""
-    name = args.suite
+    """Every suite parameter a verify flag can set: the flag's value, else
+    the suite's own default.  A flag the suite does not take is refused."""
+    params = inspect.signature(_SUITES[args.suite]).parameters
     kw: Dict = {}
-    if name == "vdc":
-        kw["length"] = args.len if args.len is not None else 8192
-        kw["h"] = args.H if args.H is not None else 64
-    elif name in ("csg", "subadd", "mono", "recur", "pairing"):
-        kw["n"] = args.N if args.N is not None else 1024
-        kw["h"] = args.H if args.H is not None else 32
-        if name == "pairing" and args.k is not None:
-            kw["k"] = args.k
-    elif name == "direct":
-        kw["n"] = args.N if args.N is not None else 4096
+    for flag, name in (("len", "length"), ("N", "n"), ("H", "h"), ("k", "k")):
+        value = getattr(args, flag)
+        if name in params:
+            kw[name] = params[name].default if value is None else value
+        elif value is not None:
+            raise GeneratorSpecError(
+                f"verify {args.suite} does not take --{flag}")
     return kw
 
 
 def _cmd_verify(args) -> int:
-    if args.trials > _MAX_TRIALS:
+    if args.trials > _MAX_COUNT:
         raise GeneratorSpecError(
-            f"--trials must be at most {_MAX_TRIALS}, got {args.trials}")
+            f"--trials must be at most {_MAX_COUNT}, got {args.trials}")
     seed = args.seed
     if args.gen:
         # `--gen rad:SEED` re-bases the driving sign sequences on SEED
@@ -380,7 +371,7 @@ def _cmd_verify(args) -> int:
             raise GeneratorSpecError(
                 "verify draws its own seeded corpus; only rad:SEED is "
                 "accepted as a --gen override")
-        seed = generators._parse_int(args.gen.split(":", 1)[1], "seed")
+        seed = _parse_int(args.gen.split(":", 1)[1], "seed")
     kwargs = _suite_kwargs(args)
     rep = _SUITES[args.suite](args.trials, seed=seed, **kwargs)
     obj = {"op": "verify", "params": {"suite": args.suite,
@@ -516,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x0", default=None)
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--grid", default=None, help="comma list of N values")
-    sp.add_argument("--threshold", type=float, default=0.01)
+    sp.add_argument("--threshold", default="0.01")
     sp.set_defaults(fn=_cmd_weighted)
 
     sp = sub.add_parser("ww", help="Wiener-Wintner frequency scan (CSV)")

@@ -28,11 +28,11 @@ class FrequencyGridMismatch(UnifLabError):
 
 
 class NegativityViolation(UnifLabError):
-    """A box-norm average came out non-finite, or more negative than
-    truncation noise allows.
+    """A box-norm average came out non-finite or below -1e-9.
 
-    Averages may dip below zero by at most 1e-9 (that much is clamped);
-    anything worse indicates a bug or a misuse of the estimator.
+    Dips within 1e-9 are clamped.  At H < N the uniform h average is not a
+    positive-definite kernel, so legitimate input can land here; in cyclic
+    mode at H = N the average is a sum of squares and cannot.
     """
 
 

@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -450,8 +450,8 @@ def parse_genpoly_expr(text: str) -> GenPolyAst:
 
 def _parse_number(text: str, what: str) -> float:
     """A finite float or a named constant; anything else is a spec error."""
-    if text in _NAMED_CONSTANTS:
-        return _NAMED_CONSTANTS[text]
+    if text.strip() in _NAMED_CONSTANTS:
+        return _NAMED_CONSTANTS[text.strip()]
     try:
         val = float(text)
     except ValueError:
@@ -480,17 +480,42 @@ def _parse_int(text: str, what: str) -> int:
     raise GeneratorSpecError(f"bad {what}: {text!r}")
 
 
-def _floats(text: str, count: int, what: str) -> List[float]:
-    """Exactly `count` comma-separated finite numbers."""
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        vals = []
-    if len(vals) != count or not all(map(math.isfinite, vals)):
+def _parse_list(text: str, what: str, read=_parse_number,
+                count: Optional[int] = None) -> list:
+    """Comma-separated entries (parentheses optional), each read by
+    `read(entry, what)`: _parse_number, _parse_int or a name reader.  An
+    empty entry, or a count other than a given `count`, is a spec error."""
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
+    entries = [entry.strip() for entry in body.split(",")]
+    if not all(entries):
+        raise GeneratorSpecError(f"empty {what} in {text!r}")
+    if count is not None and len(entries) != count:
         raise GeneratorSpecError(
-            f"{what} needs {count} comma-separated finite numbers, "
-            f"got {text!r}")
-    return vals
+            f"{what} needs {count} comma-separated values, got {text!r}")
+    return [read(entry, what) for entry in entries]
+
+
+def _parse_fields(text: str, sep: str, what: str,
+                  keys: Sequence[str]) -> Dict[str, str]:
+    """'key=value' pieces split on `sep`, empty pieces skipped; a piece
+    without '=', a key not in `keys` or a repeated key is a spec error
+    naming `what`."""
+    fields: Dict[str, str] = {}
+    for piece in text.split(sep):
+        piece = piece.strip()
+        if not piece:
+            continue
+        if "=" not in piece:
+            raise GeneratorSpecError(f"bad {what} field {piece!r}")
+        key, val = (part.strip() for part in piece.split("=", 1))
+        if key not in keys:
+            raise GeneratorSpecError(f"unknown {what} field {key!r}")
+        if key in fields:
+            raise GeneratorSpecError(f"{what} field {key!r} given twice")
+        fields[key] = val
+    return fields
 
 
 def parse_generator(spec: str) -> ComplexSeq:
@@ -505,8 +530,7 @@ def parse_generator(spec: str) -> ComplexSeq:
     if kind == "quad":
         return quad_phase_seq(_parse_number(arg, "quadratic coefficient"))
     if kind == "poly":
-        coeffs = [_parse_number(c, "coefficient") for c in arg.split(",") if c]
-        return poly_phase_seq(coeffs)
+        return poly_phase_seq(_parse_list(arg, "coefficient"))
     if kind == "tm":
         return thue_morse_seq(arg.strip() or "pm")
     if kind == "rad":
@@ -517,10 +541,9 @@ def parse_generator(spec: str) -> ComplexSeq:
             bspec = BlockSpec.geometric(_parse_int(m.group(1), "block ratio"),
                                         _parse_int(m.group(2), "block count"))
         else:
-            starts = tuple(_parse_int(s, "block start")
-                           for s in arg.split(","))
             try:
-                bspec = BlockSpec(starts)
+                bspec = BlockSpec(tuple(_parse_list(arg, "block start",
+                                                    _parse_int)))
             except ValueError as exc:
                 raise GeneratorSpecError(
                     f"bad block spec {arg!r}: {exc}") from None
@@ -551,12 +574,7 @@ def parse_trig_terms(arg: str) -> TrigPoly:
         piece = piece.strip()
         if not piece:
             continue
-        fields = dict()
-        for kv in piece.split(","):
-            if "=" not in kv:
-                raise GeneratorSpecError(f"bad trig term {piece!r}")
-            key, val = kv.split("=", 1)
-            fields[key.strip()] = val.strip()
+        fields = _parse_fields(piece, ",", "trig", ("t", "l"))
         if "t" not in fields or "l" not in fields:
             raise GeneratorSpecError(f"trig term needs t= and l=: {piece!r}")
         try:

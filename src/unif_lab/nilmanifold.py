@@ -18,12 +18,12 @@ about a tenth of its cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import GeneratorSpecError
-from .generators import _floats, _parse_int
+from .generators import _parse_fields, _parse_int, _parse_list
 from .seq_core import TWO_PI_I, ComplexSeq, IntervalSpec, _frac
 
 
@@ -215,32 +215,18 @@ def cube_orbit(x: HeisPoint, tau: HeisElem, h: Tuple[int, ...],
 # CLI spec strings: heis:tau=(a,b,c);x0=(x,y,z);f=ez
 # ---------------------------------------------------------------------------
 
-def _parse_triple(text: str, what: str) -> Tuple[float, float, float]:
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    return tuple(_floats(body, 3, what))  # type: ignore[return-value]
+def _parse_point(text: str, what: str) -> HeisPoint:
+    """x,y,z (parentheses optional), each taken mod 1 twice as _reduce_arrays
+    does: -1e-20 % 1.0 rounds to exactly 1.0, the second % 1.0 gives 0.0."""
+    return HeisPoint(*((v % 1.0) % 1.0
+                       for v in _parse_list(text, what, count=3)))
 
 
 def parse_heis_spec(arg: str) -> ComplexSeq:
-    fields: Dict[str, str] = {}
-    for piece in arg.split(";"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
-            raise GeneratorSpecError(f"bad heis field {piece!r}")
-        key, val = (part.strip() for part in piece.split("=", 1))
-        if key in fields:
-            raise GeneratorSpecError(f"heis field {key!r} given twice")
-        fields[key] = val
+    fields = _parse_fields(arg, ";", "heis", ("tau", "x0", "f"))
     if "tau" not in fields:
         raise GeneratorSpecError("heis spec needs tau=(a,b,c)")
-    tau = HeisElem(*_parse_triple(fields["tau"], "tau"))
-    if "x0" in fields:
-        xv = _parse_triple(fields["x0"], "x0")
-        x0 = HeisPoint(xv[0] % 1.0, xv[1] % 1.0, xv[2] % 1.0)
-    else:
-        x0 = IDENTITY_POINT
+    tau = HeisElem(*_parse_list(fields["tau"], "tau", count=3))
+    x0 = _parse_point(fields["x0"], "x0") if "x0" in fields else IDENTITY_POINT
     f = named_character(fields.get("f", "ez"))
     return nilsequence(tau, x0, f, label=f"heis:{arg}")

@@ -30,9 +30,10 @@ Every path but spectral also returns, from the same pass, the average of
 c_h over the outermost shell max(h) = H-1: box_norm's h_tail diagnostic.
 
 In cyclic mode with H = N the h average runs over the whole group and the
-quantity is a sum of squared magnitudes, hence exactly nonnegative; at
-H < N small negative dips are truncation noise (clamped), and the stated
-inequalities are checked empirically by the seeded suites below.
+quantity is a sum of squared magnitudes, hence exactly nonnegative.  At
+H < N the uniform h average is not a positive-definite kernel, so S_H can
+be genuinely negative (exp:0.1, k = 1, H = 8: -0.140 on [0, 4096)) and
+raise NegativityViolation.  The seeded suites below check the inequalities.
 """
 
 from __future__ import annotations

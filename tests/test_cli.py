@@ -3,9 +3,11 @@
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +172,16 @@ class TestSubcommands:
         assert code == 4
         assert json.loads(out)["violations"] == 1
 
+    def test_verify_params_take_the_suite_defaults(self):
+        # every parameter a flag can set is printed, unset ones at the
+        # suite's own default (k was left out unless --k was given)
+        code, out, _ = run_cli(["verify", "pairing", "--trials", "1",
+                                "--N", "16", "--H", "4"])
+        assert code == 0
+        assert json.loads(out)["params"] == {
+            "suite": "pairing", "trials": 1, "seed": 0, "n": 16, "h": 4,
+            "k": 2}
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_verify_trials_must_be_positive(self, trials):
         code, out, err = run_cli(["verify", "vdc", "--trials", trials,
@@ -302,30 +314,97 @@ class TestBadNumbers:
         assert out == ""
         assert err == f"error: N must be >= 1, got {n}\n"
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv, message", [
         pytest.param(["weighted", "--w", "rad:1", "--system", "skew:0.1",
                       "--x0", "0.1", "--obs", "ex", "--N", "64"],
+                     "--x0 needs 2 comma-separated values, got '0.1'",
                      id="skew-x0-short"),
         pytest.param(["weighted", "--w", "rad:1", "--system", "heis:0.1,1,0",
                       "--x0", "0.1", "--obs", "ez", "--N", "64"],
+                     "--x0 needs 3 comma-separated values, got '0.1'",
                      id="heis-x0-short"),
         pytest.param(["weighted", "--w", "rad:1", "--system", "heis:0.1,1",
-                      "--obs", "ez", "--N", "64"], id="heis-system-short"),
+                      "--obs", "ez", "--N", "64"],
+                     "heis system tau needs 3 comma-separated values, "
+                     "got '0.1,1'", id="heis-system-short"),
         pytest.param(["weighted", "--w", "rad:1", "--system", "rot:nan",
-                      "--obs", "ex", "--N", "64"], id="rot-nan"),
+                      "--obs", "ex", "--N", "64"],
+                     "rot angle must be finite: 'nan'", id="rot-nan"),
         pytest.param(["weighted", "--w", "rad:1", "--system", "rot:0.1",
                       "--x0", "0.1,0.2", "--obs", "ex", "--N", "64"],
-                     id="rot-x0-long"),
+                     "bad --x0: '0.1,0.2'", id="rot-x0-long"),
         pytest.param(["heis", "--tau", "0.1,1", "--range", "0:4"],
+                     "--tau needs 3 comma-separated values, got '0.1,1'",
                      id="heis-tau-short"),
         pytest.param(["heis", "--tau", "0.1,1,0", "--x0", "0.1,x,0",
-                      "--range", "0:4"], id="heis-x0-bad"),
+                      "--range", "0:4"], "bad --x0: 'x'", id="heis-x0-bad"),
+        # the list fields below used to drop an empty entry and run
+        pytest.param(["search", "--gen", "exp:0.25", "--N", "64", "--dict",
+                      "quad", "--grid", "0.1,,0.2"],
+                     "empty --grid value in '0.1,,0.2'",
+                     id="search-grid-empty-entry"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "rot:0.1",
+                      "--obs", "ex,,ex", "--N", "64"],
+                     "empty --obs in 'ex,,ex'", id="obs-empty-entry"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "rot:0.1",
+                      "--obs", ",", "--N", "64"], "empty --obs in ','",
+                     id="obs-only-comma"),
+        # used to print Python's int() message, which names no field
+        pytest.param(["weighted", "--w", "rad:1", "--system", "rot:0.1",
+                      "--obs", "ex", "--grid", "10,x"],
+                     "bad --grid value: 'x'", id="weighted-grid-not-int"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "rot:0.1",
+                      "--obs", "ex", "--grid", "10," + "9" * 5000],
+                     "--grid value has more than 4300 digits",
+                     id="weighted-grid-long"),
+        # a flag the suite has no parameter for used to be dropped
+        pytest.param(["verify", "vdc", "--trials", "1", "--N", "5"],
+                     "verify vdc does not take --N", id="verify-vdc-N"),
+        pytest.param(["verify", "csg", "--trials", "1", "--k", "3"],
+                     "verify csg does not take --k", id="verify-csg-k"),
+        pytest.param(["verify", "direct", "--trials", "1", "--H", "5"],
+                     "verify direct does not take --H", id="verify-direct-H"),
+        # refused before the grid is built; one step more than the bound
+        pytest.param(["search", "--gen", "exp:0.25", "--N", "1", "--dict",
+                      "quad", "--grid", "0:1:1000001"],
+                     "--grid steps must be between 1 and 1000000, "
+                     "got 1000001", id="search-grid-steps-bound"),
     ])
-    def test_malformed_tuples_exit_two(self, argv):
+    def test_malformed_tuples_exit_two(self, argv, message):
         code, out, err = run_cli(argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, odd, plain", [
+        # -1e-20 mod 1 rounds to 1.0, which used to be refused as outside
+        # [0, 1)
+        pytest.param(["heis", "--tau", "0.1,1,0", "--x0", "{}", "--range",
+                      "-3:4"], "-1e-20,0,0", "0,0,0", id="heis-x0"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "heis:0.1,1,0",
+                      "--x0", "{}", "--obs", "ez,ex", "--N", "64"],
+                     "-1e-20,0,0", "0,0,0", id="weighted-heis-x0"),
+        pytest.param(["gen", "--gen", "heis:tau=(0.1,1,0);x0=({})",
+                      "--range", "-3:4"], "-1e-20,0,0", "0,0,0",
+                     id="heis-spec-x0"),
+        # named constants used to be read by exp: and quad: only
+        pytest.param(["heis", "--tau", "{},1,0", "--range", "-3:4"], "sqrt2",
+                     repr(2 ** 0.5), id="heis-tau-sqrt2"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "rot:{}",
+                      "--obs", "ex", "--N", "64"], "sqrt2", repr(2 ** 0.5),
+                     id="rot-sqrt2"),
+        pytest.param(["search", "--gen", "quad:0.25", "--N", "64", "--dict",
+                      "quad", "--grid", "{},0.5"], "sqrt2", repr(2 ** 0.5),
+                     id="search-grid-sqrt2"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "rot:0.1",
+                      "--obs", "ex", "--grid", "64,128", "--threshold", "{}"],
+                     "sqrt2", repr(2 ** 0.5), id="threshold-sqrt2"),
+    ])
+    def test_spellings_of_one_input_print_the_same(self, argv, odd, plain):
+        # stdout is byte-identical, apart from the echoed spelling itself
+        code_odd, out_odd, _ = run_cli([a.replace("{}", odd) for a in argv])
+        code, out, _ = run_cli([a.replace("{}", plain) for a in argv])
+        assert (code_odd, code) == (0, 0)
+        assert out_odd.replace(odd, plain) == out
 
 
 FUZZ_VALUES = ["nan", "inf", "-inf", "1e400", "9" * 400, "1" + "0" * 300,
@@ -427,7 +506,7 @@ class TestCsvBytes:
 SPEC_NUMBERS = ["0", "1", "0.5", ".25", "3.", "7", "9" * 400, "1" + "0" * 300,
                 "1e5", "nan", "inf"]
 SPEC_FLOATS = ["0", "0.1", "-0.3", "1e16", "1e300", "-1e300", "1e-320",
-               "nan", "inf", "", "x", "9" * 400]
+               "-1e-20", "sqrt2", "nan", "inf", "", "x", "9" * 400]
 
 
 def _genpoly_exprs():
@@ -453,7 +532,19 @@ def _triples():
                     max_size=4).map(lambda v: "(" + ",".join(v) + ")")
 
 
+def _trig_terms():
+    field = st.tuples(st.sampled_from(["t", "l", "m", ""]),
+                      st.sampled_from(["=", "", "=="]),
+                      st.sampled_from(SPEC_FLOATS + ["1+2j", "-0.5j"]))
+    term = st.lists(field.map("".join), max_size=4).map(",".join)
+    return st.lists(term, max_size=3).map(";".join)
+
+
 SPEC_STRATEGY = st.one_of(
+    st.builds("trig:{1}{0}{2}".format, _trig_terms(),
+              st.sampled_from(["", "["]), st.sampled_from(["", "]"])),
+    st.lists(st.sampled_from(SPEC_FLOATS), max_size=4).map(
+        lambda v: "poly:" + ",".join(v)),
     st.builds("genpoly:{2}{0}({1}){2}".format,
               st.sampled_from(["frac", "e", "exp", ""]), _genpoly_exprs(),
               st.sampled_from(["", '"'])),
@@ -576,11 +667,22 @@ class TestFuzz:
                      "heis field 'tau' given twice", id="heis-repeated-tau"),
         pytest.param("heis:tau=(0.1,0.2,0.3);f=ez;x0=(0,0,0);f=ex",
                      "heis field 'f' given twice", id="heis-repeated-f"),
+        pytest.param("heis:tau=(0.1,0.2,0.3);xo=(0.5,0,0)",
+                     "unknown heis field 'xo'", id="heis-unknown-key"),
+        pytest.param("trig:[t=0.1,l=1,t=0.2,l=2]", "trig field 't' given twice",
+                     id="trig-repeated-t"),
+        pytest.param("trig:t=0.1,l=1,m=2", "unknown trig field 'm'",
+                     id="trig-unknown-key"),
+        pytest.param("poly:0,,0.25", "empty coefficient in '0,,0.25'",
+                     id="poly-empty-entry"),
+        pytest.param("block:3,,9", "empty block start in '3,,9'",
+                     id="block-empty-entry"),
     ])
     def test_spec_errors_name_their_cause(self, spec, message):
         # the block lists used to print only "bad block spec: '...'", the
-        # long fields Python's int-conversion limit text, and a repeated
-        # heis key ran with its last value
+        # long fields Python's int-conversion limit text, a repeated or
+        # unknown key ran with its last value or without it, and an empty
+        # poly: entry was dropped
         code, out, err = run_cli(["gen", "--gen", spec, "--range", "0:3"])
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
@@ -652,6 +754,19 @@ class TestReproducibility:
         for threads in ("2", "4"):
             _, out, _ = run_cli(base + ["--threads", threads])
             assert out.encode() == out1.encode()
+
+    def test_readme_examples_run(self):
+        # every documented command line parses and exits 0; `bench` is left
+        # to acceptance criterion 14, which runs the same comparison
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```")[1]
+        lines = [shlex.split(line, comments=True)
+                 for line in block.splitlines() if line.startswith("unif-lab ")]
+        assert lines
+        for argv in lines:
+            if argv[1] != "bench":
+                code, _, err = run_cli(argv[1:])
+                assert code == 0, (argv, err)
 
     def test_console_entry_point(self):
         proc = subprocess.run(
