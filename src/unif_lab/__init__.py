@@ -16,13 +16,13 @@ from .seq_core import (INTERVAL, AvgReport, ComplexSeq, DomainMode,
                        IntervalSpec, add, conjugate, constant_seq, cyclic,
                        from_samples, interval_average, product, scale,
                        seq_algebra, shift, sup_window_average, wrap_cyclic)
+from .nilmanifold import (HeisElem, HeisPoint, IDENTITY_POINT, cube_orbit,
+                          heis_inv, heis_mul, heis_pow, heis_reduce,
+                          nilsequence)
 from .generators import (BlockSpec, TrigPoly, block_counterexample_seq,
                          exp_seq, genpoly_seq, parse_generator,
                          poly_phase_seq, quad_phase_seq, rademacher_seq,
                          thue_morse_seq, trig_poly_seq)
-from .nilmanifold import (HeisElem, HeisPoint, IDENTITY_POINT, cube_orbit,
-                          heis_inv, heis_mul, heis_pow, heis_reduce,
-                          nilsequence)
 from .uniformity import (BoxParams, CsgReport, NormReport, SuiteReport,
                          VdcReport, box_correlation, box_norm,
                          box_powered_signed, csg_check, u1_norm,

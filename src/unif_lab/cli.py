@@ -26,7 +26,7 @@ from . import duality, ergodic_weights, generators, nilmanifold, uniformity
 from .errors import (GeneratorSpecError, NegativityViolation,
                      SupBoundViolation, UnifLabError)
 from .generators import _parse_int, _parse_list, _parse_number
-from .seq_core import (INTERVAL, DomainMode, IntervalSpec, _frac,
+from .seq_core import (INTERVAL, DomainMode, IntervalSpec, _e, _frac,
                        _require_finite, cyclic)
 from .uniformity import BoxParams, NormReport
 
@@ -259,7 +259,7 @@ def _parse_system(text: str) -> ergodic_weights.DynSystem:
 def _heis_x0(text: Optional[str]) -> nilmanifold.HeisPoint:
     if not text:
         return nilmanifold.IDENTITY_POINT
-    return nilmanifold._parse_point(text, "--x0")
+    return generators._parse_point(text, "--x0")
 
 
 def _parse_x0(sys_: ergodic_weights.DynSystem, text: Optional[str]):
@@ -309,7 +309,7 @@ def _cmd_ww(args) -> int:
 def _cmd_heis(args) -> int:
     tau = nilmanifold.HeisElem(*_parse_list(args.tau, "--tau", count=3))
     x0 = _heis_x0(args.x0)
-    f = nilmanifold.named_character(args.f)
+    f = generators.named_character(args.f)
     rng = _parse_range(args.range)
     seq = nilmanifold.nilsequence(tau, x0, f, rng)
     ns = np.arange(rng.lo, rng.hi, dtype=np.int64)
@@ -319,9 +319,9 @@ def _cmd_heis(args) -> int:
                 and args.f == "ez"):
             raise GeneratorSpecError(
                 "--check-closed-form needs tau=(alpha,1,0), identity x0, f=ez")
-        alpha = tau.x
-        phases = _frac(-(ns * (ns + 1) // 2).astype(np.float64) * alpha)
-        ref = np.exp(2j * np.pi * phases)
+        # C(n+1,2) rounded once; int64 n*(n+1)//2 wraps past 3.04e9
+        nf = ns.astype(np.float64)
+        ref = _e(_frac(-(nf * (nf + 1.0) * 0.5) * tau.x))
         dev = float(np.max(np.abs(vals - ref)))
         obj = {"op": "heis-check",
                "params": {"tau": args.tau, "f": args.f, "range": args.range},

@@ -2,8 +2,9 @@
 functions, and the correlation-bound harness.
 
 One layer computes every correlation c_b = avg_{m<N} a_m conj(b_m), from
-checked samples (N >= 1, all finite): one FFT for the grid b = e(mj/N),
-one pass per atom for any other dictionary.  Printed |c_b| is np.hypot.
+checked samples (seq_core._samples: N >= 1, all finite): one FFT for the
+grid b = e(mj/N) (seq_core._fourier), one pass per atom for any other
+dictionary.  Printed |c_b| is np.hypot.
 
 For a trigonometric polynomial b_n = sum_m lambda_m e(n t_m):
 
@@ -32,8 +33,8 @@ import numpy as np
 from .errors import FrequencyGridMismatch
 from .generators import TrigPoly, exp_seq, quad_phase_seq, trig_poly_seq
 from .nilmanifold import HeisElem, IDENTITY_POINT, character_ez, nilsequence
-from .seq_core import (ComplexSeq, _require_finite, from_samples,
-                       sample_mode)
+from .seq_core import (ComplexSeq, _fourier, _require_finite, _samples,
+                       from_samples, sample_mode)
 from .uniformity import (BoxParams, SuiteReport, _cube_sum, _cyclic_box,
                          _operand_array, _run_trials, _suite_seq, box_norm)
 
@@ -43,20 +44,6 @@ GRID_TOL = 1e-12
 # ---------------------------------------------------------------------------
 # The correlation layer, spectra and the empirical dictionary search
 # ---------------------------------------------------------------------------
-
-def _samples(a: ComplexSeq, n: int) -> np.ndarray:
-    """a_0 .. a_{N-1}; raises for N < 1 and on a non-finite sample."""
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    vals = a.sample(0, n)
-    _require_finite("sample value", vals)
-    return vals
-
-
-def _fourier(samples: np.ndarray) -> np.ndarray:
-    """c_j = avg_m a_m conj(e(mj/N)) at every grid bin j, by one FFT."""
-    return np.fft.fft(samples) / samples.size
-
 
 def _correlate(samples: np.ndarray, atoms: Iterable[ComplexSeq]) -> np.ndarray:
     """c_b for each atom b; one atom is sampled at a time, never a matrix."""
@@ -227,6 +214,8 @@ def direct_bound_check(a: ComplexSeq, b: TrigPoly,
 
 def run_direct_bound_suite(trials: int, n: int = 4096,
                            seed: int = 0) -> SuiteReport:
+    if n < 5:  # each trial draws 5 distinct bins of the N-point grid
+        raise ValueError(f"direct-bound suite needs N >= 5, got {n}")
     rng_master = np.random.default_rng(seed)
 
     def slack(t: int) -> float:

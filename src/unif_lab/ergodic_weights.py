@@ -23,10 +23,10 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .duality import _samples
 from .errors import GeneratorSpecError
-from .nilmanifold import HeisElem, HeisPoint, named_character, orbit_points
-from .seq_core import TWO_PI_I, ComplexSeq, _frac
+from .generators import named_character
+from .nilmanifold import HeisElem, HeisPoint, orbit_points
+from .seq_core import ComplexSeq, _e, _frac, _samples
 
 RotationPoint = float
 SkewPoint = Tuple[float, float]
@@ -103,13 +103,13 @@ def named_observable(sys: DynSystem, name: str) -> Observable:
     """e(x)/e(y)/e(z) characters appropriate to the system's space."""
     if sys.kind == "rotation":
         if name == "ex":
-            return lambda xs: np.exp(TWO_PI_I * xs)
+            return _e
         raise GeneratorSpecError(f"rotation has no observable {name!r}")
     if sys.kind == "skew":
         if name == "ex":
-            return lambda xs, ys: np.exp(TWO_PI_I * xs)
+            return lambda xs, ys: _e(xs)
         if name == "ey":
-            return lambda xs, ys: np.exp(TWO_PI_I * ys)
+            return lambda xs, ys: _e(ys)
         raise GeneratorSpecError(f"skew has no observable {name!r}")
     return named_character(name)
 

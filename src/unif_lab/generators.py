@@ -4,9 +4,10 @@ Families: complex exponentials e(nt), trigonometric polynomials, polynomial
 phases e(p(n)), generalized (bracket) polynomials built from +, *, and the
 integer part, the Thue-Morse sequence, reproducible random signs, and the
 piecewise-exponential block sequence whose per-block behavior separates the
-local norms from any global correlation bound.
+local norms from any global correlation bound.  The spec-string grammar at
+the end reads all of them, Heisenberg nilsequences (heis:) included.
 
-Throughout, e(t) = exp(2*pi*i*t).
+Throughout, e(t) = exp(2*pi*i*t), computed by seq_core._e.
 """
 
 from __future__ import annotations
@@ -21,16 +22,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DuplicateFrequencyError, GeneratorSpecError
-from .seq_core import TWO_PI_I, ComplexSeq, IntervalSpec, _frac
-
-
-def _e(phase: np.ndarray) -> np.ndarray:
-    """e(x) = exp(2*pi*i*x), vectorized; a 0-d or scalar phase gives a
-    numpy scalar."""
-    z = TWO_PI_I * np.asarray(phase, dtype=np.float64)
-    if isinstance(z, np.ndarray):
-        return np.exp(z, out=z)
-    return np.exp(z)
+from .nilmanifold import (IDENTITY_POINT, HeisElem, HeisPoint, PointFunction,
+                          character_ex, character_ey, character_ez,
+                          nilsequence)
+from .seq_core import ComplexSeq, IntervalSpec, _e, _frac
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +554,6 @@ def parse_generator(spec: str) -> ComplexSeq:
         form = "frac" if m.group(1) == "frac" else "exp"
         return genpoly_seq(parse_genpoly_expr(m.group(2)), form)
     if kind == "heis":
-        from .nilmanifold import parse_heis_spec
         return parse_heis_spec(arg)
     raise GeneratorSpecError(f"unknown generator kind {kind!r}")
 
@@ -588,3 +582,39 @@ def parse_trig_terms(arg: str) -> TrigPoly:
     if not terms:
         raise GeneratorSpecError("empty trig polynomial")
     return TrigPoly(tuple(terms))
+
+
+# ---------------------------------------------------------------------------
+# heis:tau=(a,b,c);x0=(x,y,z);f=NAME
+# ---------------------------------------------------------------------------
+
+def named_character(name: str) -> PointFunction:
+    """Registry used by the CLI: ez, ex, ey, ejz with e.g. 'e3z'."""
+    if name == "ez":
+        return character_ez(1)
+    if name == "ex":
+        return character_ex
+    if name == "ey":
+        return character_ey
+    if name.startswith("e") and name.endswith("z") and name[1:-1].isdigit():
+        return character_ez(_parse_int(name[1:-1],
+                                       "nilmanifold character index"))
+    raise GeneratorSpecError(f"unknown nilmanifold character {name!r}")
+
+
+def _parse_point(text: str, what: str) -> HeisPoint:
+    """x,y,z (parentheses optional), each taken mod 1 twice as
+    nilmanifold._reduce_arrays does: -1e-20 % 1.0 rounds to exactly 1.0,
+    the second % 1.0 gives 0.0."""
+    return HeisPoint(*((v % 1.0) % 1.0
+                       for v in _parse_list(text, what, count=3)))
+
+
+def parse_heis_spec(arg: str) -> ComplexSeq:
+    fields = _parse_fields(arg, ";", "heis", ("tau", "x0", "f"))
+    if "tau" not in fields:
+        raise GeneratorSpecError("heis spec needs tau=(a,b,c)")
+    tau = HeisElem(*_parse_list(fields["tau"], "tau", count=3))
+    x0 = _parse_point(fields["x0"], "x0") if "x0" in fields else IDENTITY_POINT
+    f = named_character(fields.get("f", "ez"))
+    return nilsequence(tau, x0, f, label=f"heis:{arg}")

@@ -13,6 +13,9 @@ iterated multiplication, to keep rounding at the 1e-6 scale for |n| <= 1e4
 and coordinates O(1).  The vectorized reduction takes each coordinate mod 1
 with seq_core._frac, v - floor(v): the bits of np.remainder(v, 1.0) at
 about a tenth of its cost.
+
+This module is the group arithmetic alone, built on seq_core; the heis:
+spec grammar and the character names live in generators.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import GeneratorSpecError
-from .generators import _parse_fields, _parse_int, _parse_list
-from .seq_core import TWO_PI_I, ComplexSeq, IntervalSpec, _frac
+from .seq_core import (TWO_PI_I, ComplexSeq, IntervalSpec, _cube_vertices,
+                       _e, _frac)
 
 
 @dataclass(frozen=True)
@@ -54,29 +56,6 @@ class HeisPoint:
 
 
 IDENTITY_POINT = HeisPoint(0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class CubeIndex:
-    """Vertex (epsilon) and edge-length (h) data for a k-dimensional cube."""
-
-    k: int
-    h: Tuple[int, ...]
-    eps: Tuple[int, ...]
-
-    def offset(self) -> int:
-        """epsilon . h = sum_i eps_i h_i."""
-        return sum(e * hi for e, hi in zip(self.eps, self.h))
-
-    @property
-    def weight(self) -> int:
-        """|epsilon| = number of set bits."""
-        return sum(self.eps)
-
-
-def eps_tuple(index: int, k: int) -> Tuple[int, ...]:
-    """Little-endian bit decomposition: bit i of `index` is eps_{i+1}."""
-    return tuple((index >> i) & 1 for i in range(k))
 
 
 def heis_mul(g: HeisElem, h: HeisElem) -> HeisElem:
@@ -133,31 +112,18 @@ PointFunction = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def character_ez(j: int = 1) -> PointFunction:
+    # not _e(j * z): rounding j * z first changes the last bits from j = 3
     def f(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.exp(TWO_PI_I * j * z)
     return f
 
 
 def character_ex(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.exp(TWO_PI_I * x)
+    return _e(x)
 
 
 def character_ey(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.exp(TWO_PI_I * y)
-
-
-def named_character(name: str) -> PointFunction:
-    """Registry used by the CLI: ez, ex, ey, ejz with e.g. 'e3z'."""
-    if name == "ez":
-        return character_ez(1)
-    if name == "ex":
-        return character_ex
-    if name == "ey":
-        return character_ey
-    if name.startswith("e") and name.endswith("z") and name[1:-1].isdigit():
-        return character_ez(_parse_int(name[1:-1],
-                                       "nilmanifold character index"))
-    raise GeneratorSpecError(f"unknown nilmanifold character {name!r}")
+    return _e(y)
 
 
 def nilsequence(tau: HeisElem, x0: HeisPoint, f: PointFunction,
@@ -181,7 +147,9 @@ def orbit_points(tau: HeisElem, x0: HeisPoint, ns: np.ndarray):
     """Canonical representatives of tau^n * lift(x0) for an index array."""
     ns = np.asarray(ns, dtype=np.int64)
     nf = ns.astype(np.float64)
-    binom = (ns * (ns - 1) // 2).astype(np.float64)
+    # C(n,2) rounded once, with the bits of int64 n*(n-1)//2 up to
+    # n = 3,037,000,500, past which that product wraps negative
+    binom = nf * (nf - 1.0) * 0.5
     # finite but huge coordinates can overflow to inf and give NaN points;
     # the callers' finiteness checks reject them, so numpy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
@@ -195,38 +163,13 @@ def orbit_points(tau: HeisElem, x0: HeisPoint, ns: np.ndarray):
 
 def cube_orbit(x: HeisPoint, tau: HeisElem, h: Tuple[int, ...],
                k: int) -> Tuple[HeisPoint, ...]:
-    """The 2^k points T^{eps . h} x in little-endian vertex order.
-
-    Entry m corresponds to eps with eps_{i+1} = bit i of m, so for k = 2 the
-    order is eps = 00, 10, 01, 11 with offsets 0, h1, h2, h1+h2.
-    """
+    """The 2^k points T^{eps . h} x, entry m at vertex m of
+    seq_core._cube_vertices (eps_{i+1} = bit i of m)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(h) != k:
         raise ValueError(f"h must have {k} entries")
-    offsets = np.array([CubeIndex(k, tuple(h), eps_tuple(m, k)).offset()
-                        for m in range(1 << k)], dtype=np.int64)
+    offsets = np.array([off for off, _ in _cube_vertices(h)], dtype=np.int64)
     xs, ys, zs = orbit_points(tau, x, offsets)
     return tuple(HeisPoint(float(a), float(b), float(c))
                  for a, b, c in zip(xs, ys, zs))
-
-
-# ---------------------------------------------------------------------------
-# CLI spec strings: heis:tau=(a,b,c);x0=(x,y,z);f=ez
-# ---------------------------------------------------------------------------
-
-def _parse_point(text: str, what: str) -> HeisPoint:
-    """x,y,z (parentheses optional), each taken mod 1 twice as _reduce_arrays
-    does: -1e-20 % 1.0 rounds to exactly 1.0, the second % 1.0 gives 0.0."""
-    return HeisPoint(*((v % 1.0) % 1.0
-                       for v in _parse_list(text, what, count=3)))
-
-
-def parse_heis_spec(arg: str) -> ComplexSeq:
-    fields = _parse_fields(arg, ";", "heis", ("tau", "x0", "f"))
-    if "tau" not in fields:
-        raise GeneratorSpecError("heis spec needs tau=(a,b,c)")
-    tau = HeisElem(*_parse_list(fields["tau"], "tau", count=3))
-    x0 = _parse_point(fields["x0"], "x0") if "x0" in fields else IDENTITY_POINT
-    f = named_character(fields.get("f", "ez"))
-    return nilsequence(tau, x0, f, label=f"heis:{arg}")

@@ -13,12 +13,16 @@ bound on |a_n|.  Two averaging modes are supported everywhere downstream:
 Summation is deterministic: numpy's pairwise reduction over a fixed memory
 layout, indices enumerated left to right, h-grids lexicographically.  Results
 are therefore bit-stable from run to run and independent of worker counts.
+
+The primitives every later module shares live here once: the phase e(t) and
+t mod 1, the checked samples a_0 .. a_{N-1} and their Fourier grid, and the
+vertex table of the cube {0,1}^k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,12 +134,46 @@ def _frac(v: np.ndarray) -> np.ndarray:
     return v - f
 
 
+def _e(phase: np.ndarray) -> np.ndarray:
+    """e(x) = exp(2*pi*i*x), vectorized; a 0-d or scalar phase gives a
+    numpy scalar."""
+    z = TWO_PI_I * np.asarray(phase, dtype=np.float64)
+    if isinstance(z, np.ndarray):
+        return np.exp(z, out=z)
+    return np.exp(z)
+
+
 def _require_finite(what: str, *arrays: np.ndarray) -> None:
     """A non-finite value breaks the numeric contract (exit 3 in the CLI)."""
     for arr in arrays:
         bad = arr[~np.isfinite(arr)]
         if bad.size:
             raise NegativityViolation(f"{what} {bad[0]} is not finite")
+
+
+def _samples(a: ComplexSeq, n: int) -> np.ndarray:
+    """a_0 .. a_{N-1}; raises for N < 1 and on a non-finite sample."""
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    vals = a.sample(0, n)
+    _require_finite("sample value", vals)
+    return vals
+
+
+def _fourier(samples: np.ndarray) -> np.ndarray:
+    """c_j = avg_m a_m conj(e(mj/N)) at every grid bin j, by one FFT."""
+    return np.fft.fft(samples) / samples.size
+
+
+def _cube_vertices(h: Sequence[int]) -> List[Tuple[int, bool]]:
+    """(eps . h, whether |eps| is odd) for each vertex m of {0,1}^k, k = len(h).
+
+    Vertex m holds eps with eps_{i+1} = bit i of m, so for k = 2 the order
+    is eps = 00, 10, 01, 11 with offsets 0, h1, h2, h1+h2.  A vertex of odd
+    |eps| is the one a cube product conjugates.
+    """
+    return [(sum(hi for i, hi in enumerate(h) if m >> i & 1),
+             bin(m).count("1") % 2 == 1) for m in range(1 << len(h))]
 
 
 def from_samples(values: np.ndarray, lo: int = 0, label: str = "") -> ComplexSeq:

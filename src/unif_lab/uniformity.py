@@ -48,9 +48,9 @@ import numpy as np
 from .errors import NegativityViolation, SupBoundViolation
 from .generators import rademacher_seq
 from .seq_core import (INTERVAL, ComplexSeq, DomainMode, IntervalSpec,
-                       _frac, _sliding_sums, add, conjugate, cyclic,
-                       from_samples, product, require_margin, sample_mode,
-                       shift, wrap_cyclic)
+                       _cube_vertices, _e, _fourier, _frac, _sliding_sums,
+                       add, conjugate, cyclic, from_samples, product,
+                       require_margin, sample_mode, shift, wrap_cyclic)
 
 NEGATIVITY_FLOOR = -1e-9
 
@@ -162,14 +162,11 @@ def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
 def _powered_direct(x: np.ndarray, k: int, h: int,
                     out_len: int) -> Tuple[complex, complex]:
     """Literal h-grid sum.  Returns (grid average, outermost-shell average)."""
-    patterns = [tuple((m >> i) & 1 for i in range(k)) for m in range(1 << k)]
-    weights = [sum(pat) & 1 for pat in patterns]
     total = 0.0 + 0.0j
     shell = 0.0 + 0.0j
     for hs in iproduct(range(h), repeat=k):
         term = np.ones(out_len, dtype=np.complex128)
-        for pat, odd in zip(patterns, weights):
-            off = sum(e * hi for e, hi in zip(pat, hs))
+        for off, odd in _cube_vertices(hs):
             seg = x[off:off + out_len]
             term = term * (np.conj(seg) if odd else seg)
         c_h = complex(term.mean())
@@ -184,7 +181,6 @@ def _powered_spectral(x: np.ndarray, k: int) -> complex:
     if k == 1:
         m = x.mean()
         return complex(m * np.conj(m))
-    from .duality import _fourier  # duality imports this module
     coef = _fourier(x)
     mags2 = coef.real ** 2 + coef.imag ** 2
     return complex(np.sum(mags2 * mags2))
@@ -192,33 +188,34 @@ def _powered_spectral(x: np.ndarray, k: int) -> complex:
 
 def _resolve_path(path: str, p: BoxParams) -> str:
     """The path that runs: "auto" is "spectral" where its closed forms hold,
-    else "fast"; "fft" is "fast"; any other name is itself."""
+    else "fast"; "fft" is "fast".  An unknown name, or "spectral" where its
+    closed forms do not hold, raises ValueError."""
+    full_group = (p.mode.is_cyclic and p.k <= 2 and p.H == p.mode.modulus
+                  and p.interval.lo == 0
+                  and p.interval.length == p.mode.modulus)
+    if path == "auto":
+        return "spectral" if full_group else "fast"
     if path == "fft":
         return "fast"
-    if path != "auto":
-        return path
-    if (p.mode.is_cyclic and p.k <= 2 and p.H == p.mode.modulus
-            and p.interval.lo == 0 and p.interval.length == p.mode.modulus):
-        return "spectral"
-    return "fast"
+    if path not in ("fast", "direct", "spectral"):
+        raise ValueError(f"unknown computation path {path!r}")
+    if path == "spectral" and not full_group:
+        raise ValueError("spectral path needs cyclic mode, k <= 2, "
+                         "H = N, I = [0, N)")
+    return path
 
 
 def _powered_complex(a: ComplexSeq, p: BoxParams, path: str,
                      with_tail: bool = False) -> Tuple[complex, complex]:
-    """(S_H, outermost-shell average; 0 unless with_tail) in one pass."""
+    """(S_H, outermost-shell average; 0 unless with_tail) in one pass, on
+    a path that _resolve_path returned."""
     x = _operand_array(a, p)
     out_len = p.interval.length
-    path = _resolve_path(path, p)
     if path == "spectral":
-        if _resolve_path("auto", p) != "spectral":
-            raise ValueError("spectral path needs cyclic mode, k <= 2, "
-                             "H = N, I = [0, N)")
         return _powered_spectral(x[:p.mode.modulus], p.k), 0j
     if path == "fast":
         return _cube_average([x] * (1 << p.k), p.k, p.H, out_len, with_tail)
-    if path == "direct":
-        return _powered_direct(x, p.k, p.H, out_len)
-    raise ValueError(f"unknown computation path {path!r}")
+    return _powered_direct(x, p.k, p.H, out_len)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +227,9 @@ def box_correlation(a: ComplexSeq, h: Sequence[int], p: BoxParams) -> complex:
     if len(h) != p.k:
         raise ValueError(f"h must have {p.k} entries")
     term = np.ones(p.interval.length, dtype=np.complex128)
-    for m in range(1 << p.k):
-        pat = [(m >> i) & 1 for i in range(p.k)]
-        off = sum(e * hi for e, hi in zip(pat, h))
+    for off, odd in _cube_vertices(h):
         vals = sample_mode(a, p.interval.lo + off, p.interval.hi + off, p.mode)
-        term = term * (np.conj(vals) if sum(pat) & 1 else vals)
+        term = term * (np.conj(vals) if odd else vals)
     return complex(term.mean())
 
 
@@ -273,7 +268,7 @@ def box_powered_signed(a: ComplexSeq, p: BoxParams, path: str = "auto") -> float
     average well below zero while the k+1 aggregate stays nonnegative, so
     identity checks need the signed quantity that box_norm refuses to expose.
     """
-    return _powered_complex(a, p, path)[0].real
+    return _powered_complex(a, p, _resolve_path(path, p))[0].real
 
 
 def u1_norm(a: ComplexSeq, interval: IntervalSpec, h: int,
@@ -348,6 +343,8 @@ def vdc_bound(a: ComplexSeq, interval: IntervalSpec, h: int) -> VdcReport:
 
       |avg_I a|^2 <= 4H/|I| + | sum_{|h'|<=H} (H-|h'|)/H^2 * avg_I a_{n+h'} conj(a_n) |
     """
+    if h < 1:
+        raise ValueError(f"van der Corput needs H >= 1, got {h}")
     if a.sup_bound > 1.0 + 1e-12:
         raise SupBoundViolation(
             f"van der Corput needs |a_n| <= 1, declared bound {a.sup_bound}")
@@ -447,16 +444,15 @@ def _suite_seq(seed: int, n: int) -> ComplexSeq:
     if kind == 0:
         vals = rademacher_seq(seed).sample(0, n)
     elif kind == 1:
-        vals = np.exp(2j * np.pi * rng.random(n))
+        vals = _e(rng.random(n))
     elif kind == 2:
         vals = np.full(n, 0.6 + 0.0j)
         for w in (0.25, 0.15):
             t = rng.integers(0, n) / n
-            vals += w * np.exp(2j * np.pi * _frac(ns * t))
+            vals += w * _e(_frac(ns * t))
     else:
         alpha = rng.random()
-        phases = _frac(alpha * ns.astype(np.float64) ** 2)
-        vals = np.exp(2j * np.pi * phases)
+        vals = _e(_frac(alpha * ns.astype(np.float64) ** 2))
     return from_samples(vals)
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unif_lab as ul
-from unif_lab import cli, nilmanifold
+from unif_lab import cli, generators, nilmanifold
 
 
 def run_cli(argv):
@@ -157,6 +157,15 @@ class TestSubcommands:
         obj = json.loads(out)
         assert obj["ok"]
         assert obj["max_abs_dev"] <= 1e-6
+
+    def test_heis_check_past_int64_binomials(self):
+        # int64 n*(n+1)//2 wrapped from n = 3,037,000,500 and n*(n-1)//2
+        # from one later, which moved both phases by 2^64 * 2^-70 = 1/64
+        code, out, _ = run_cli(["heis", "--tau", f"{2.0 ** -70!r},1,0",
+                                "--range", "3037000499:3037000503",
+                                "--check-closed-form"])
+        assert code == 0
+        assert json.loads(out)["max_abs_dev"] <= 1e-12
 
     def test_verify_passes(self):
         code, out, _ = run_cli(["verify", "vdc", "--trials", "20"])
@@ -364,6 +373,16 @@ class TestBadNumbers:
                      "verify csg does not take --k", id="verify-csg-k"),
         pytest.param(["verify", "direct", "--trials", "1", "--H", "5"],
                      "verify direct does not take --H", id="verify-direct-H"),
+        # H = 0 ended in a ZeroDivisionError traceback, H = -3 ran (exit 4)
+        pytest.param(["verify", "vdc", "--trials", "1", "--H", "0"],
+                     "van der Corput needs H >= 1, got 0", id="verify-vdc-H0"),
+        pytest.param(["verify", "vdc", "--trials", "1", "--H", "-3"],
+                     "van der Corput needs H >= 1, got -3",
+                     id="verify-vdc-H-negative"),
+        # numpy's "Cannot take a larger sample than population" named no field
+        pytest.param(["verify", "direct", "--trials", "1", "--N", "3"],
+                     "direct-bound suite needs N >= 5, got 3",
+                     id="verify-direct-N-small"),
         # refused before the grid is built; one step more than the bound
         pytest.param(["search", "--gen", "exp:0.25", "--N", "1", "--dict",
                       "quad", "--grid", "0:1:1000001"],
@@ -449,7 +468,7 @@ def _heis_case(rows):
     lo = -rows // 3
     tau = nilmanifold.HeisElem(0.41421356, 1.0, 0.0)
     seq = nilmanifold.nilsequence(tau, nilmanifold.IDENTITY_POINT,
-                                  nilmanifold.named_character("ez"),
+                                  generators.named_character("ez"),
                                   ul.IntervalSpec(lo, rows))
     ns = np.arange(lo, lo + rows, dtype=np.int64)
     return (["heis", "--tau", "0.41421356,1,0", "--range",

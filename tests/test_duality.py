@@ -268,6 +268,13 @@ class TestDirectBound:
     def test_seeded_suite(self):
         assert run_direct_bound_suite(60, n=1024, seed=3).ok
 
+    def test_suite_needs_five_bins(self):
+        # each trial draws 5 distinct bins; numpy's refusal named no field
+        with pytest.raises(ValueError,
+                           match=r"^direct-bound suite needs N >= 5, got 4$"):
+            run_direct_bound_suite(1, n=4)
+        assert run_direct_bound_suite(2, n=5).trials == 2
+
     def test_pairing_suite(self):
         assert run_pairing_suite(20, n=512, h=16, seed=3).ok
 

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import unif_lab as ul
 from unif_lab import nilmanifold
-from unif_lab.nilmanifold import (CubeIndex, _reduce_arrays, character_ex,
-                                  character_ez, eps_tuple, named_character,
-                                  orbit_points, parse_heis_spec)
+from unif_lab.generators import named_character, parse_heis_spec
+from unif_lab.nilmanifold import (_reduce_arrays, character_ex, character_ez,
+                                  orbit_points)
+from unif_lab.seq_core import _cube_vertices
 
 coord = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -249,6 +250,16 @@ class TestNilsequence:
             for got, exact in zip((c[i] for c in pts), want):
                 assert circle_dist(got, exact) <= 1e-6
 
+    def test_binomial_does_not_wrap_past_int64(self):
+        # int64 n*(n-1)//2 wraps negative from n = 3,037,000,501, which put
+        # z near 0.75 here in place of 0.25
+        tau = ul.HeisElem(2.0 ** -32, 2.0 ** -32, 0.0)
+        n = 3_037_000_501
+        _, _, zs = orbit_points(tau, ul.IDENTITY_POINT, np.array([n]))
+        want = exact_orbit_point(tau, ul.IDENTITY_POINT, n)[2]
+        assert abs(float(want) - 0.25) < 1e-3
+        assert circle_dist(zs[0], want) <= 1e-6
+
     def test_orbit_equidistribution_smoke(self):
         xs, _, _ = orbit_points(ul.HeisElem(math.sqrt(2) - 1, 1.0, 0.0),
                                 ul.IDENTITY_POINT, np.arange(100_000))
@@ -263,14 +274,16 @@ class TestCubeOrbit:
         assert all(p == x for p in pts)
 
     def test_little_endian_offsets(self):
-        offs = [CubeIndex(2, (1, 2), eps_tuple(m, 2)).offset() for m in range(4)]
+        offs = [off for off, _ in _cube_vertices((1, 2))]
         assert offs == [0, 1, 2, 3]
-        offs = [CubeIndex(3, (1, 10, 100), eps_tuple(m, 3)).offset()
-                for m in range(8)]
+        offs = [off for off, _ in _cube_vertices((1, 10, 100))]
         assert offs == [0, 1, 10, 11, 100, 101, 110, 111]
 
     def test_weight_counts_ones(self):
-        assert CubeIndex(3, (0, 0, 0), (1, 0, 1)).weight == 2
+        # vertex m is conjugated when bit i of m, i.e. eps_{i+1}, is set an
+        # odd number of times; m = 5 is eps = (1, 0, 1), of weight 2
+        odd = [conj for _, conj in _cube_vertices((0, 0, 0))]
+        assert odd == [False, True, True, False, True, False, False, True]
 
     def test_first_coordinate_abelianizes(self):
         tau = ul.HeisElem(0.31, 1.0, 0.0)

@@ -234,6 +234,24 @@ class TestPathAgreement:
         with pytest.raises(ValueError):
             ul.box_norm(ul.rademacher_seq(0), p, path="spectral")
 
+    @pytest.mark.parametrize("fn", [ul.box_norm, ul.box_powered_signed])
+    def test_path_names_resolved_and_vetted(self, fn):
+        a = ul.rademacher_seq(4)
+        p = ul.BoxParams(2, 8, ul.IntervalSpec(0, 64), ul.cyclic(64))
+        with pytest.raises(ValueError, match=r"^spectral path needs cyclic "
+                           r"mode, k <= 2, H = N, I = \[0, N\)$"):
+            fn(a, p, path="spectral")
+        with pytest.raises(ValueError,
+                           match=r"^unknown computation path 'ffw'$"):
+            fn(a, p, path="ffw")
+
+        def value(rep):
+            return rep if fn is ul.box_powered_signed else rep.powered
+        assert value(fn(a, p, path="fft")) == value(fn(a, p, path="fast"))
+        full = ul.BoxParams(2, 64, ul.IntervalSpec(0, 64), ul.cyclic(64))
+        assert (value(fn(a, full, path="auto"))
+                == value(fn(a, full, path="spectral")))
+
 
 class TestNegativityContract:
     def test_deep_negativity_raises(self):
@@ -304,6 +322,13 @@ class TestVdc:
                                 for n in range(1024)) / 1024) ** 2
             assert rep.lhs == pytest.approx(dirichlet, abs=1e-9)
             assert rep.holds
+
+    @pytest.mark.parametrize("h", [0, -3])
+    def test_h_below_one_raises(self, h):
+        # H = 0 divided by zero in the weights; H = -3 summed an empty range
+        with pytest.raises(ValueError,
+                           match=rf"^van der Corput needs H >= 1, got {h}$"):
+            ul.vdc_bound(ul.constant_seq(1.0), ul.IntervalSpec(0, 100), h)
 
     def test_sup_bound_guard(self):
         big = ul.scale(ul.constant_seq(1.0), 2.0)
