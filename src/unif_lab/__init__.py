@@ -14,8 +14,8 @@ from .errors import (DuplicateFrequencyError, FrequencyGridMismatch,
                      SupBoundViolation, UnifLabError)
 from .seq_core import (INTERVAL, AvgReport, ComplexSeq, DomainMode,
                        IntervalSpec, add, conjugate, constant_seq, cyclic,
-                       from_samples, interval_average, product, scale,
-                       seq_algebra, shift, sup_window_average, wrap_cyclic)
+                       from_samples, interval_average, product, scale, shift,
+                       sup_window_average, wrap_cyclic)
 from .nilmanifold import (HeisElem, HeisPoint, IDENTITY_POINT, cube_orbit,
                           heis_inv, heis_mul, heis_pow, heis_reduce,
                           nilsequence)

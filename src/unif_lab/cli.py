@@ -174,6 +174,10 @@ def _cmd_norm(args) -> int:
 def _cmd_unorm(args) -> int:
     a = generators.parse_generator(args.gen)
     rng = _parse_range(args.range)
+    if args.H is not None and args.per_window == "cyclic":
+        raise GeneratorSpecError(
+            "unorm --H needs --per-window interval; the cyclic proxy uses "
+            "H = --window")
     rep = uniformity.uniformity_norm_proxy(
         a, rng, args.window, args.stride, args.k,
         args.H if args.H is not None else args.window,
@@ -441,7 +445,6 @@ def _add_common(sp, *names) -> None:
                         default="cyclic")
         sp.add_argument("--lo", type=int, default=None)
         sp.add_argument("--len", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=1,
                     help="accepted and ignored")
     sp.add_argument("--out", default=None, help="write output to a file")
@@ -533,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--H", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_verify)
 
@@ -541,6 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=1 << 16)
     sp.add_argument("--H", type=int, default=256)
     sp.add_argument("--k", type=int, default=2)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_bench)
 
     return ap
@@ -574,10 +579,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except (NegativityViolation, SupBoundViolation) as exc:
         sys.stderr.write(f"numeric contract violation: {exc}\n")
         return CONTRACT_EXIT
-    except UnifLabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_EXIT
-    except ValueError as exc:
+    except (UnifLabError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
 

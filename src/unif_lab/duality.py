@@ -157,8 +157,7 @@ def dual_function(a: ComplexSeq, p: BoxParams) -> ComplexSeq:
     d = np.zeros(out_len, dtype=np.complex128)
     _cube_sum([np.ones_like(x)] + [x] * ((1 << p.k) - 1), p.k, p.H, out_len, d)
     d /= p.H ** p.k
-    label = f"dual[k={p.k},H={p.H}]({a.label})"
-    return from_samples(d, lo=p.interval.lo, label=label)
+    return from_samples(d, lo=p.interval.lo)
 
 
 def dual_pairing(a: ComplexSeq, p: BoxParams) -> complex:

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import GeneratorSpecError
-from .generators import named_character
+from .generators import _exact_term_frac, named_character
 from .nilmanifold import HeisElem, HeisPoint, orbit_points
 from .seq_core import ComplexSeq, _e, _frac, _samples
 
@@ -45,43 +45,22 @@ class DynSystem:
         if self.kind == "heis" and self.tau is None:
             raise ValueError("heis system needs tau")
 
-    def orbit_coords(self, x0: SystemPoint, ms: np.ndarray,
-                     method: str = "closed"):
-        """Coordinates of S^m x0 for an array of iterates m.
-
-        method "closed" uses the exact formulas; "iterated" applies the map
-        step by step (rotation and skew only; for cross-checking rounding).
-        """
+    def orbit_coords(self, x0: SystemPoint, ms: np.ndarray):
+        """Coordinates of S^m x0 for an array of iterates m, by the closed
+        formulas.  The skew terms m*alpha, 2mx and m^2*alpha are each
+        reduced mod 1 exactly, as poly: phases are, so the quadratic phase
+        keeps full precision at any m.  2mx is taken mod 1 from x mod 1,
+        which leaves its fraction unchanged and 2x finite."""
         ms = np.asarray(ms, dtype=np.int64)
-        if method == "closed":
-            if self.kind == "rotation":
-                return (_frac(float(x0) + ms.astype(np.float64) * self.alpha),)
-            if self.kind == "skew":
-                x, y = x0
-                mf = ms.astype(np.float64)
-                xs = _frac(x + mf * self.alpha)
-                ys = _frac(y + 2.0 * mf * x + mf * mf * self.alpha)
-                return xs, ys
-            return orbit_points(self.tau, x0, ms)
-        if method != "iterated":
-            raise ValueError("method must be 'closed' or 'iterated'")
-        if self.kind == "heis":
-            raise ValueError("iterated path not provided for heis")
-        top = int(ms.max()) if ms.size else 0
         if self.kind == "rotation":
-            path = np.empty(top + 1, dtype=np.float64)
-            cur = float(x0)
-            for m in range(top + 1):
-                path[m] = cur
-                cur = (cur + self.alpha) % 1.0
-            return (path[ms],)
-        x, y = x0
-        xs = np.empty(top + 1, dtype=np.float64)
-        ys = np.empty(top + 1, dtype=np.float64)
-        for m in range(top + 1):
-            xs[m], ys[m] = x, y
-            x, y = (x + self.alpha) % 1.0, (y + 2.0 * x + self.alpha) % 1.0
-        return xs[ms], ys[ms]
+            return (_frac(float(x0) + ms.astype(np.float64) * self.alpha),)
+        if self.kind == "skew":
+            x, y = x0
+            xs = _frac(x + _exact_term_frac(self.alpha, ms, 1))
+            ys = _frac(y + _exact_term_frac(2.0 * (x % 1.0), ms, 1)
+                       + _exact_term_frac(self.alpha, ms, 2))
+            return xs, ys
+        return orbit_points(self.tau, x0, ms)
 
 
 def rotation(alpha: float) -> DynSystem:
@@ -116,12 +95,12 @@ def named_observable(sys: DynSystem, name: str) -> Observable:
 
 def weighted_multiple_average(w: ComplexSeq, sys: DynSystem,
                               fs: Sequence[Observable], x0: SystemPoint,
-                              n: int, method: str = "closed") -> complex:
+                              n: int) -> complex:
     """(1/N) sum_{m<N} w_m * prod_{i=1..k} f_i(S^{i m} x0)."""
     total = _samples(w, n).copy()
     ms = np.arange(n, dtype=np.int64)
     for i, f in enumerate(fs, start=1):
-        coords = sys.orbit_coords(x0, i * ms, method=method)
+        coords = sys.orbit_coords(x0, i * ms)
         total *= np.asarray(f(*coords), dtype=np.complex128)
     return complex(total.mean())
 

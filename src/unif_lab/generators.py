@@ -39,7 +39,7 @@ def exp_seq(t: float) -> ComplexSeq:
     def _eval(ns: np.ndarray) -> np.ndarray:
         return _e(_frac(ns.astype(np.float64) * t))
 
-    return ComplexSeq(_eval, None, 1.0, label=f"exp:{t!r}")
+    return ComplexSeq(_eval, None, 1.0)
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def trig_poly_seq(p: TrigPoly) -> ComplexSeq:
             out += c * _e(_frac(nf * t))
         return out
 
-    return ComplexSeq(_eval, None, p.sup_bound, label=f"trig[{len(p.terms)}]")
+    return ComplexSeq(_eval, None, p.sup_bound)
 
 
 def _exact_term_frac(c: float, ns: np.ndarray, j: int) -> np.ndarray:
@@ -109,8 +109,9 @@ def _exact_term_frac(c: float, ns: np.ndarray, j: int) -> np.ndarray:
         return np.zeros(ns.shape, dtype=np.float64)  # c * n^j is an integer
     if d > 64:
         mod = 1 << d
-        return np.array([((m2 * (int(n) ** j)) % mod) / mod for n in ns],
-                        dtype=np.float64)
+        return np.array([((m2 * (int(n) ** j)) % mod) / mod
+                         for n in np.ravel(ns)],
+                        dtype=np.float64).reshape(np.shape(ns))
     un = np.asarray(ns, dtype=np.int64).view(np.uint64)
     acc = np.full(un.shape, m2 % (1 << 64), dtype=np.uint64)
     for _ in range(j):
@@ -134,7 +135,7 @@ def poly_phase_seq(coeffs: Sequence[float]) -> ComplexSeq:
         acc = _frac(acc)  # rebinding frees the sum before _e allocates
         return _e(acc)
 
-    return ComplexSeq(_eval, None, 1.0, label=f"poly:{cs}")
+    return ComplexSeq(_eval, None, 1.0)
 
 
 def quad_phase_seq(alpha: float) -> ComplexSeq:
@@ -212,7 +213,7 @@ def genpoly_seq(ast: GenPolyAst, form: str = "frac") -> ComplexSeq:
                 return _frac(frac).astype(np.complex128)
             return _e(frac)
 
-    return ComplexSeq(_eval, None, 1.0, label=f"genpoly:{form}")
+    return ComplexSeq(_eval, None, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def thue_morse_seq(form: str = "pm") -> ComplexSeq:
             return parity.astype(np.complex128)
         return (1.0 - 2.0 * parity).astype(np.complex128)
 
-    return ComplexSeq(_eval, None, 1.0, label=f"tm:{form}")
+    return ComplexSeq(_eval, None, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +255,16 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def rademacher_seq(seed: int, window: int = 1 << 28) -> ComplexSeq:
+_RAD_WINDOW = 1 << 28
+
+
+def rademacher_seq(seed: int) -> ComplexSeq:
     """Random signs, addressable in O(1) at any index.
 
     a_n = +/-1 from the top bit of splitmix64(key(seed) + n * gamma), a
     stateless counter-based construction: no sequential state, so any index
     is valid on its own and distinct seeds give independent-looking streams.
-    The declared valid range is [-window, window).
+    The declared valid range is [-2^28, 2^28).
     """
     key = _splitmix64(np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF)],
                                dtype=np.uint64))[0]
@@ -271,7 +275,7 @@ def rademacher_seq(seed: int, window: int = 1 << 28) -> ComplexSeq:
             bits = _splitmix64(u) >> np.uint64(63)
         return (1.0 - 2.0 * bits.astype(np.float64)).astype(np.complex128)
 
-    return ComplexSeq(_eval, (-window, window), 1.0, label=f"rad:{seed}")
+    return ComplexSeq(_eval, (-_RAD_WINDOW, _RAD_WINDOW), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +306,6 @@ class BlockSpec:
             raise ValueError("block starts must be below 2^63")
         return BlockSpec(tuple(ratio ** j for j in range(1, block_count + 1)))
 
-    @property
-    def block_count(self) -> int:
-        return len(self.starts)
-
     def intervals(self) -> Tuple[IntervalSpec, ...]:
         return tuple(IntervalSpec(a, b - a)
                      for a, b in zip(self.starts, self.starts[1:]))
@@ -328,9 +328,7 @@ def block_counterexample_seq(spec: BlockSpec) -> Tuple[ComplexSeq,
         j = np.maximum(j, 1)  # [0, N_1) is part of block 1
         return _e(_frac(ns.astype(np.float64) / j.astype(np.float64)))
 
-    seq = ComplexSeq(_eval, (-(last - 1), last), 1.0,
-                     label=f"block[{spec.block_count}]")
-    return seq, spec.intervals()
+    return ComplexSeq(_eval, (-(last - 1), last), 1.0), spec.intervals()
 
 
 # ---------------------------------------------------------------------------
@@ -617,4 +615,4 @@ def parse_heis_spec(arg: str) -> ComplexSeq:
     tau = HeisElem(*_parse_list(fields["tau"], "tau", count=3))
     x0 = _parse_point(fields["x0"], "x0") if "x0" in fields else IDENTITY_POINT
     f = named_character(fields.get("f", "ez"))
-    return nilsequence(tau, x0, f, label=f"heis:{arg}")
+    return nilsequence(tau, x0, f)

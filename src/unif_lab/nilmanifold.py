@@ -127,8 +127,8 @@ def character_ey(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def nilsequence(tau: HeisElem, x0: HeisPoint, f: PointFunction,
-                rng: Optional[IntervalSpec] = None, sup_bound: float = 1.0,
-                label: str = "heis") -> ComplexSeq:
+                rng: Optional[IntervalSpec] = None,
+                sup_bound: float = 1.0) -> ComplexSeq:
     """a_n = f(canonical representative of tau^n * lift(x0)).
 
     Uses the closed form for tau^n: the z coordinate is n*tau.z plus
@@ -140,7 +140,7 @@ def nilsequence(tau: HeisElem, x0: HeisPoint, f: PointFunction,
         return np.asarray(f(*orbit_points(tau, x0, ns)), dtype=np.complex128)
 
     valid = None if rng is None else (rng.lo, rng.hi)
-    return ComplexSeq(_eval, valid, sup_bound, label=label)
+    return ComplexSeq(_eval, valid, sup_bound)
 
 
 def orbit_points(tau: HeisElem, x0: HeisPoint, ns: np.ndarray):

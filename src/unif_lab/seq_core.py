@@ -92,7 +92,6 @@ class ComplexSeq:
     eval_fn: Callable[[np.ndarray], np.ndarray]
     valid_range: Range
     sup_bound: float
-    label: str = ""
 
     def eval(self, ns: np.ndarray) -> np.ndarray:
         return np.asarray(self.eval_fn(np.asarray(ns, dtype=np.int64)),
@@ -176,7 +175,7 @@ def _cube_vertices(h: Sequence[int]) -> List[Tuple[int, bool]]:
              bin(m).count("1") % 2 == 1) for m in range(1 << len(h))]
 
 
-def from_samples(values: np.ndarray, lo: int = 0, label: str = "") -> ComplexSeq:
+def from_samples(values: np.ndarray, lo: int = 0) -> ComplexSeq:
     """Wrap a finite array as a sequence valid on [lo, lo + len(values))."""
     arr = np.ascontiguousarray(np.asarray(values, dtype=np.complex128))
     bound = float(np.max(np.abs(arr))) if arr.size else 0.0
@@ -184,7 +183,7 @@ def from_samples(values: np.ndarray, lo: int = 0, label: str = "") -> ComplexSeq
     def _eval(ns: np.ndarray) -> np.ndarray:
         return arr[ns - lo]
 
-    return ComplexSeq(_eval, (lo, lo + arr.size), bound, label=label)
+    return ComplexSeq(_eval, (lo, lo + arr.size), bound)
 
 
 def constant_seq(c: complex) -> ComplexSeq:
@@ -193,7 +192,7 @@ def constant_seq(c: complex) -> ComplexSeq:
     def _eval(ns: np.ndarray) -> np.ndarray:
         return np.full(ns.shape, cval, dtype=np.complex128)
 
-    return ComplexSeq(_eval, None, abs(cval), label=f"const:{cval}")
+    return ComplexSeq(_eval, None, abs(cval))
 
 
 def wrap_cyclic(a: ComplexSeq, n: int) -> ComplexSeq:
@@ -207,7 +206,7 @@ def wrap_cyclic(a: ComplexSeq, n: int) -> ComplexSeq:
     def _eval(ns: np.ndarray) -> np.ndarray:
         return a.eval(ns % n)
 
-    return ComplexSeq(_eval, None, a.sup_bound, label=f"wrap({n},{a.label})")
+    return ComplexSeq(_eval, None, a.sup_bound)
 
 
 def sample_mode(a: ComplexSeq, lo: int, hi: int, mode: DomainMode) -> np.ndarray:
@@ -256,7 +255,7 @@ def _sliding_sums(x: np.ndarray, width: int, out_len: int,
     (complex, len(x)) when given, so a caller that slides many windows of
     one shape can reuse both; otherwise they are allocated here.
     """
-    # ufunc methods called directly: the ndarray.sum and np.cumsum wrappers
+    # ufunc reductions called directly: the ndarray.sum and np.cumsum wrappers
     # cost ~2 us a call, a tenth of a k = 1 base call at 10^3 points
     mu = np.add.reduce(x) / len(x)  # the same bits as x.mean()
     prefix = np.subtract(x, mu, out=scratch)
@@ -305,50 +304,27 @@ def shift(a: ComplexSeq, h: int) -> ComplexSeq:
     """(sigma^h a)(n) = a(n + h)."""
     rng = None if a.valid_range is None else (a.valid_range[0] - h,
                                               a.valid_range[1] - h)
-    return ComplexSeq(lambda ns: a.eval(ns + h), rng, a.sup_bound,
-                      label=f"shift({h},{a.label})")
+    return ComplexSeq(lambda ns: a.eval(ns + h), rng, a.sup_bound)
 
 
 def conjugate(a: ComplexSeq) -> ComplexSeq:
     return ComplexSeq(lambda ns: np.conj(a.eval(ns)), a.valid_range,
-                      a.sup_bound, label=f"conj({a.label})")
+                      a.sup_bound)
 
 
 def product(a: ComplexSeq, b: ComplexSeq) -> ComplexSeq:
     rng = _intersect(a.valid_range, b.valid_range)
     return ComplexSeq(lambda ns: a.eval(ns) * b.eval(ns), rng,
-                      a.sup_bound * b.sup_bound,
-                      label=f"prod({a.label},{b.label})")
+                      a.sup_bound * b.sup_bound)
 
 
 def add(a: ComplexSeq, b: ComplexSeq) -> ComplexSeq:
     rng = _intersect(a.valid_range, b.valid_range)
     return ComplexSeq(lambda ns: a.eval(ns) + b.eval(ns), rng,
-                      a.sup_bound + b.sup_bound,
-                      label=f"sum({a.label},{b.label})")
+                      a.sup_bound + b.sup_bound)
 
 
 def scale(a: ComplexSeq, c: complex) -> ComplexSeq:
     cval = complex(c)
     return ComplexSeq(lambda ns: cval * a.eval(ns), a.valid_range,
-                      abs(cval) * a.sup_bound, label=f"scale({cval},{a.label})")
-
-
-def seq_algebra(op: str, a: ComplexSeq, b: Optional[ComplexSeq] = None,
-                h: int = 0, c: complex = 1.0) -> ComplexSeq:
-    """Dispatcher over {shift(h), conjugate, product, sum, scale(c)}."""
-    if op == "shift":
-        return shift(a, h)
-    if op == "conjugate":
-        return conjugate(a)
-    if op == "product":
-        if b is None:
-            raise ValueError("product needs a second operand")
-        return product(a, b)
-    if op == "sum":
-        if b is None:
-            raise ValueError("sum needs a second operand")
-        return add(a, b)
-    if op == "scale":
-        return scale(a, c)
-    raise ValueError(f"unknown sequence operation {op!r}")
+                      abs(cval) * a.sup_bound)

@@ -93,6 +93,13 @@ class TestSubcommands:
         assert 0.0 < obj["value"] < 0.3
         assert "argmax_lo" in obj["params"]
 
+    def test_unorm_interval_takes_h(self):
+        code, out, _ = run_cli(["unorm", "--gen", "rad:7", "--range", "0:64",
+                                "--window", "16", "--stride", "16",
+                                "--per-window", "interval", "--H", "4"])
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["H"] == 4
+
     def test_dual_trig(self):
         code, out, _ = run_cli(["dual", "--trig", "t=0.1,l=0.5;t=0.37,l=0.5"])
         assert code == 0
@@ -225,6 +232,34 @@ class TestSubcommands:
         assert obj["fast_value"] == pytest.approx(obj["direct_value"],
                                                   abs=1e-9)
         assert "speedup" in err  # timings stay off stdout
+
+    def test_bench_seed(self):
+        code, out, _ = run_cli(["bench", "--N", "64", "--H", "4",
+                                "--seed", "5"])
+        assert code == 0
+        assert json.loads(out)["params"]["seed"] == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--gen", "rad:1", "--N", "64", "--H", "8"],
+        ["unorm", "--gen", "rad:1", "--range", "0:64", "--window", "16",
+         "--stride", "16"],
+        ["gen", "--gen", "rad:1", "--range", "0:4"],
+        ["dual", "--gen", "rad:1", "--N", "16"],
+        ["dualfn", "--gen", "rad:1", "--N", "16", "--H", "4"],
+        ["search", "--gen", "rad:1", "--N", "16"],
+        ["weighted", "--w", "rad:1", "--system", "rot:0.1", "--obs", "ex",
+         "--N", "16"],
+        ["ww", "--gen", "rad:1", "--N", "16"],
+        ["heis", "--tau", "0.1,1,0", "--range", "0:4"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_only_where_read(self, argv):
+        # --seed was accepted here and dropped without a word
+        assert run_cli(argv)[0] == 0
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            cli.dispatch(argv + ["--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in err.getvalue()
 
     def test_usage_error_exit_two(self):
         code, _, _ = run_cli(["gen", "--gen", "bogus:1", "--range", "0:4"])
@@ -383,6 +418,11 @@ class TestBadNumbers:
         pytest.param(["verify", "direct", "--trials", "1", "--N", "3"],
                      "direct-bound suite needs N >= 5, got 3",
                      id="verify-direct-N-small"),
+        # the cyclic proxy uses H = --window and used to drop --H
+        pytest.param(["unorm", "--gen", "rad:1", "--range", "0:64",
+                      "--window", "16", "--stride", "16", "--H", "0"],
+                     "unorm --H needs --per-window interval; the cyclic "
+                     "proxy uses H = --window", id="unorm-H-cyclic"),
         # refused before the grid is built; one step more than the bound
         pytest.param(["search", "--gen", "exp:0.25", "--N", "1", "--dict",
                       "quad", "--grid", "0:1:1000001"],

@@ -1,6 +1,7 @@
 """Weighted ergodic averages on rotation, skew, and Heisenberg systems."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,36 @@ from unif_lab.nilmanifold import character_ez
 
 def dist_to_integers(t: float) -> float:
     return min(t % 1.0, 1.0 - (t % 1.0))
+
+
+def ref_iterated_orbit(sys_, x0, ms):
+    """Oracle for DynSystem.orbit_coords on rotation and skew: applies the
+    map step by step, reducing mod 1 after each step."""
+    ms = np.asarray(ms, dtype=np.int64)
+    top = int(ms.max()) if ms.size else 0
+    if sys_.kind == "rotation":
+        path = np.empty(top + 1, dtype=np.float64)
+        cur = float(x0)
+        for m in range(top + 1):
+            path[m] = cur
+            cur = (cur + sys_.alpha) % 1.0
+        return (path[ms],)
+    x, y = x0
+    xs = np.empty(top + 1, dtype=np.float64)
+    ys = np.empty(top + 1, dtype=np.float64)
+    for m in range(top + 1):
+        xs[m], ys[m] = x, y
+        x, y = (x + sys_.alpha) % 1.0, (y + 2.0 * x + sys_.alpha) % 1.0
+    return xs[ms], ys[ms]
+
+
+def ref_iterated_average(w, sys_, fs, x0, n):
+    """weighted_multiple_average along the iterated orbit."""
+    total = w.sample(0, n)
+    ms = np.arange(n, dtype=np.int64)
+    for i, f in enumerate(fs, start=1):
+        total = total * f(*ref_iterated_orbit(sys_, x0, i * ms))
+    return complex(total.mean())
 
 
 class TestWeightedAverage:
@@ -46,20 +77,16 @@ class TestWeightedAverage:
         sys_ = ul.rotation(alpha)
         ex = ul.named_observable(sys_, "ex")
         w = ul.rademacher_seq(2)
-        a = ul.weighted_multiple_average(w, sys_, [ex], 0.4, 100_000,
-                                         method="closed")
-        b = ul.weighted_multiple_average(w, sys_, [ex], 0.4, 100_000,
-                                         method="iterated")
+        a = ul.weighted_multiple_average(w, sys_, [ex], 0.4, 100_000)
+        b = ref_iterated_average(w, sys_, [ex], 0.4, 100_000)
         assert abs(a - b) < 1e-9
 
     def test_skew_closed_equals_iterated(self):
         sys_ = ul.skew(math.sqrt(5) - 2)
         ey = ul.named_observable(sys_, "ey")
         w = ul.constant_seq(1.0)
-        a = ul.weighted_multiple_average(w, sys_, [ey], (0.1, 0.2), 20_000,
-                                         method="closed")
-        b = ul.weighted_multiple_average(w, sys_, [ey], (0.1, 0.2), 20_000,
-                                         method="iterated")
+        a = ul.weighted_multiple_average(w, sys_, [ey], (0.1, 0.2), 20_000)
+        b = ref_iterated_average(w, sys_, [ey], (0.1, 0.2), 20_000)
         assert abs(a - b) < 1e-9
 
     def test_skew_second_coordinate_is_quadratic_phase(self):
@@ -68,6 +95,21 @@ class TestWeightedAverage:
         xs, ys = sys_.orbit_coords((0.0, 0.0), np.arange(500))
         want = (alpha * np.arange(500, dtype=np.float64) ** 2) % 1.0
         assert np.max(np.abs(ys - want)) < 1e-9
+
+    @pytest.mark.parametrize("x0", [(0.0, 0.0), (0.1, 0.2), (0.37, 0.91)],
+                             ids=lambda x0: f"{x0[0]},{x0[1]}")
+    def test_skew_orbit_exact_at_large_m(self, x0):
+        # the float64 m*m*alpha used to lose 2.5e-6 of y at m = 1e6 and
+        # 2.5e-2 at 1e8
+        alpha = 0.1234567
+        ms = np.array([10 ** 6, 10 ** 7, 10 ** 8], dtype=np.int64)
+        xs, ys = ul.skew(alpha).orbit_coords(x0, ms)
+        a, x, y = Fraction(alpha), Fraction(x0[0]), Fraction(x0[1])
+        for m, xm, ym in zip(ms.tolist(), xs, ys):
+            want_x = (x + m * a) % 1
+            want_y = (y + 2 * m * x + m * m * a) % 1
+            assert abs(Fraction(float(xm)) - want_x) < 1e-15
+            assert abs(Fraction(float(ym)) - want_y) < 1e-15
 
     @pytest.mark.parametrize("system, x0", [
         pytest.param(ul.rotation(math.sqrt(2) - 1), 0.3, id="rotation"),

@@ -235,7 +235,8 @@ class TestBlockCounterexample:
 
 
 SPEC_FAMILIES = [
-    "exp:0.25", "quad:0.70710678", "poly:0.1,0.2,0.3", "tm:pm", "tm:01",
+    "exp:0.25", "quad:0.70710678", "quad:0.0001", "poly:0.1,0.2,0.3",
+    "tm:pm", "tm:01",
     "rad:42", "block:geo4x20", "block:4,16,64",
     "trig:[t=0.1,l=0.5;t=0.37,l=0.5]",
     'genpoly:"frac(sqrt2*n*floor(sqrt3*n))"',

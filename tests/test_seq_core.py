@@ -142,14 +142,12 @@ class TestAlgebra:
     def test_dispatcher(self):
         # numpy's complex multiply may fuse operations, so compare at 1e-15
         a = ul.exp_seq(0.1)
-        assert ul.seq_algebra("shift", a, h=5).at(0) == a.at(5)
-        assert ul.seq_algebra("conjugate", a).at(3) == np.conj(a.at(3))
-        assert abs(ul.seq_algebra("scale", a, c=2j).at(1) - 2j * a.at(1)) < 1e-15
+        assert ul.shift(a, 5).at(0) == a.at(5)
+        assert ul.conjugate(a).at(3) == np.conj(a.at(3))
+        assert abs(ul.scale(a, 2j).at(1) - 2j * a.at(1)) < 1e-15
         b = ul.exp_seq(0.2)
-        assert abs(ul.seq_algebra("product", a, b).at(4) - a.at(4) * b.at(4)) < 1e-15
-        assert abs(ul.seq_algebra("sum", a, b).at(4) - (a.at(4) + b.at(4))) < 1e-15
-        with pytest.raises(ValueError):
-            ul.seq_algebra("xor", a)
+        assert abs(ul.product(a, b).at(4) - a.at(4) * b.at(4)) < 1e-15
+        assert abs(ul.add(a, b).at(4) - (a.at(4) + b.at(4))) < 1e-15
 
     def test_wrap_cyclic_composes_with_shift(self):
         vals = np.arange(8, dtype=complex)
