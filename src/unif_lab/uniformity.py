@@ -18,10 +18,13 @@ Computation paths, all agreeing to better than 1e-9:
   direct    the literal O(|I| * H^k * 2^k) sum over the h grid, lexicographic;
   fast      one cube recursion over 2^k per-vertex arrays (_cube_sum) that
             differences the last coordinate down to a mean-centered
-            prefix-sum sliding window; O(H^(k-1) * |I|), with its products
-            and window in buffers made once per pass and reused for every
-            shift.  It also serves csg_check (2^k operands) and the dual
-            function (the constant 1 at the base vertex).  "fft" is
+            prefix-sum sliding window, with its products and window in
+            buffers made once per pass and reused for every shift.  For
+            symmetric operands (one array per |eps|: box norms, the dual
+            function) c_h is invariant under permuting h, so at k >= 3 it
+            walks only sorted outer shifts: O(C(H+k-2, k-1) * |I|);
+            otherwise (csg_check's 2^k operands) O(H^(k-1) * |I|).  The
+            dual function puts the constant 1 at the base vertex.  "fft" is
             another name for it, so `--path fft` command lines still run;
   spectral  k <= 2 cyclic with H = N: the closed forms |mean|^2 and
             sum_j |hat a(j)|^4 in O(N log N).
@@ -53,6 +56,7 @@ from .seq_core import (INTERVAL, ComplexSeq, DomainMode, IntervalSpec,
                        require_margin, sample_mode, shift, wrap_cyclic)
 
 NEGATIVITY_FLOOR = -1e-9
+_MAX_K = 16  # the cube's vertex table then has 2^16 = 65,536 entries
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,8 @@ class BoxParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.k > _MAX_K:
+            raise ValueError(f"k must be <= {_MAX_K}, got {self.k}")
         if self.H < 1:
             raise ValueError("H must be >= 1")
         if self.mode.is_cyclic and self.H > self.mode.modulus:
@@ -100,7 +106,8 @@ def _operand_array(a: ComplexSeq, p: BoxParams) -> np.ndarray:
 
 def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
               acc: np.ndarray, shell: Optional[list] = None,
-              on_shell: bool = False, ws: Optional[dict] = None) -> None:
+              on_shell: bool = False, ws: Optional[dict] = None,
+              walk: Optional[Tuple[int, int, int, int]] = None) -> None:
     """acc[n] += sum_{h in [0,H)^k} prod_eps C^{|eps|} xs[m][n + eps.h].
 
     Vertex m holds eps with eps_{i+1} = bit i of m.  Recursion on the last
@@ -108,8 +115,17 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
     xs[v] * conj(shift_{h_k} xs[v + 2^(k-1)]), a (k-1)-cube; at k = 1 the
     h sum is a sliding window.  Pairs of the same two arrays (by identity)
     are multiplied once, so a single sequence costs one product per shift
-    and the whole sum O(H^(k-1) * len).  A one-element `shell` list also
+    and the full grid O(H^(k-1) * len).  A one-element `shell` list also
     gains the n-sum over max(h) = H-1 (on_shell: an outer h_i is H-1).
+
+    Symmetric operands (k >= 3, one array per popcount |eps|, as for
+    box_norm and the dual function) give a c_h that a permutation of the
+    h coordinates leaves unchanged.  The top-level call then walks only
+    the sorted outer shifts h_k <= ... <= h_2 and weights each by its
+    number of orderings, (k-1)!/prod r_i! for runs of r_i equal values:
+    C(H+k-2, k-1) windows in place of H^(k-1).  `walk` carries (least
+    next shift, shifts chosen, their multiplicity, length of the last
+    run) down the recursion; it is None for the full grid.
 
     The merged products and the window are written into buffers made on
     the first shift of a top-level call and reused for every later shift
@@ -118,19 +134,28 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
     order, as with a fresh array per shift.
     """
     if ws is None:
-        ws = {}
+        ws, walk = {}, None
+        by_weight: dict = {}  # popcount -> the first array seen with it
+        if k >= 3 and all(by_weight.setdefault(m.bit_count(), x) is x
+                          for m, x in enumerate(xs)):
+            walk = (0, 0, 1, 0)
     if k == 1:
         if 1 not in ws:  # [prefix scratch, window]
             ws[1] = [np.empty(len(xs[1]), dtype=np.complex128),
                      np.empty(out_len, dtype=np.complex128)]
         scratch, w = ws[1]
+        mult = 1 if walk is None else walk[2]
         _sliding_sums(xs[1], h, out_len, out=w, scratch=scratch)
         np.conj(w, out=w)
         w *= xs[0][:out_len]
+        if mult != 1:
+            w *= mult
         acc += w
-        if shell is not None:
-            shell[0] += (w.sum() if on_shell else
-                         np.vdot(xs[1][h - 1:h - 1 + out_len], xs[0][:out_len]))
+        if shell is not None and on_shell:
+            shell[0] += w.sum()
+        elif shell is not None:
+            edge = np.vdot(xs[1][h - 1:h - 1 + out_len], xs[0][:out_len])
+            shell[0] += edge if mult == 1 else mult * edge
         return
     half = 1 << (k - 1)
     m = out_len + (k - 1) * (h - 1)
@@ -141,12 +166,19 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
         ws[k] = {v: np.empty(m, dtype=np.complex128) for v in pairs.values()}
     merged = ws[k]
     below = [merged[r] for r in rep]
-    for hh in range(h):
+    if walk is None:
+        lo, inner = 0, None
+    else:
+        lo, chosen, mult, run = walk
+    for hh in range(lo, h):
+        if walk is not None:  # hh joins the sorted outer tuple
+            r = run + 1 if hh == lo else 1
+            inner = (hh, chosen + 1, mult * (chosen + 1) // r, r)
         for v, buf in merged.items():
             np.conj(xs[v + half][hh:hh + m], out=buf)
             buf *= xs[v][:m]
         _cube_sum(below, k - 1, h, out_len, acc, shell,
-                  on_shell or hh == h - 1, ws)
+                  on_shell or hh == h - 1, ws, inner)
 
 
 def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
@@ -316,8 +348,8 @@ def uniformity_norm_proxy(a: ComplexSeq, search_range: IntervalSpec,
         if per_window == "interval":
             return box_norm(a, BoxParams(k, h, IntervalSpec(m, window_len),
                                          INTERVAL), with_tail=with_tail)
-        win = from_samples(a.sample(m, m + window_len))
-        rep = box_norm(win, _cyclic_box(k, window_len, window_len),
+        p = _cyclic_box(k, window_len, window_len)  # vets k before sampling
+        rep = box_norm(from_samples(a.sample(m, m + window_len)), p,
                        with_tail=with_tail)
         here = replace(rep.params, interval=IntervalSpec(m, window_len))
         return replace(rep, params=here)

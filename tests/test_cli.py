@@ -434,6 +434,31 @@ class TestBadNumbers:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    K_COMMANDS = [
+        "norm --gen rad:1 --k {} --mode cyclic --N 64 --H 1",
+        "dualfn --gen rad:1 --k {} --mode cyclic --N 64 --H 1",
+        "unorm --gen rad:1 --range 0:64 --window 16 --stride 16 --k {} "
+        "--per-window interval --H 1",
+        "verify pairing --trials 1 --N 64 --H 1 --k {}",
+    ]
+
+    @pytest.mark.parametrize("command", K_COMMANDS,
+                             ids=["norm", "dualfn", "unorm", "verify-pairing"])
+    @pytest.mark.parametrize("k", [17, 40, 64])
+    def test_k_above_bound_exits_two(self, k, command):
+        # k = 64 overflowed the 2^k vertex list, k = 40 ran out of memory;
+        # BoxParams refuses both before anything is sampled
+        code, out, err = run_cli(command.format(k).split())
+        assert (code, out) == (2, "")
+        assert err == f"error: k must be <= 16, got {k}\n"
+
+    @pytest.mark.parametrize("command", K_COMMANDS,
+                             ids=["norm", "dualfn", "unorm", "verify-pairing"])
+    def test_k_at_bound_runs(self, command):
+        code, out, err = run_cli(command.format(16).split())
+        assert (code, err) == (0, "")
+        assert out
+
     @pytest.mark.parametrize("argv, odd, plain", [
         # -1e-20 mod 1 rounds to 1.0, which used to be refused as outside
         # [0, 1)

@@ -5,12 +5,13 @@ import cmath
 import gc
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import unif_lab as ul
-from unif_lab import duality, uniformity
+from unif_lab import duality, seq_core, uniformity
 from unif_lab.errors import NegativityViolation, SequenceRangeError, SupBoundViolation
 from unif_lab.uniformity import (box_powered_signed, run_csg_suite,
                                  run_monotonicity_suite, run_recursion_suite,
@@ -49,10 +50,62 @@ def ref_sliding_sums(x, width, out_len):
     return (prefix[width:width + out_len] - prefix[:out_len]) + width * mu
 
 
-def ref_cube_sum(xs, k, h, out_len, acc, shell=None, on_shell=False):
-    """Reference cube kernel: the recursion of uniformity._cube_sum with a
-    fresh array for every merged product and every window.  The workspace
-    kernel must match it bit for bit and never peak above it in memory."""
+def ref_cube_sum(xs, k, h, out_len, acc, shell=None):
+    """Reference cube kernel: the walk of uniformity._cube_sum with a fresh
+    array for every merged product and every window.  Symmetric operands
+    (k >= 3, one array per popcount of the vertex index) visit only the
+    sorted outer shifts h_k <= ... <= h_2, each window weighted by the
+    number of orderings of its tuple; other operands walk the full grid.
+    The workspace kernel must match it bit for bit and never peak above it
+    in memory."""
+    first = {}
+    symmetric = k >= 3 and all(first.setdefault(bin(m).count("1"), x) is x
+                               for m, x in enumerate(xs))
+    _ref_walk(xs, k, h, out_len, acc, shell, False, () if symmetric else None)
+
+
+def _ref_walk(xs, k, h, out_len, acc, shell, on_shell, outer):
+    """ref_cube_sum below the top; outer is the sorted tuple of shifts
+    chosen so far, or None on the full grid."""
+    if k == 1:
+        mult = 1
+        if outer is not None:
+            mult = math.factorial(len(outer))
+            for run in Counter(outer).values():
+                mult //= math.factorial(run)
+        w = np.conj(ref_sliding_sums(xs[1], h, out_len))
+        w *= xs[0][:out_len]
+        if mult != 1:
+            w *= mult
+        acc += w
+        if shell is not None and on_shell:
+            shell[0] += w.sum()
+        elif shell is not None:
+            edge = np.vdot(xs[1][h - 1:h - 1 + out_len], xs[0][:out_len])
+            shell[0] += edge if mult == 1 else mult * edge
+        return
+    half = 1 << (k - 1)
+    m = out_len + (k - 1) * (h - 1)
+    pairs = {}
+    rep = [pairs.setdefault((id(xs[v]), id(xs[v + half])), v)
+           for v in range(half)]
+    lo = outer[-1] if outer else 0
+    for hh in range(lo, h):
+        merged = {}
+        for v in pairs.values():
+            prod = np.conj(xs[v + half][hh:hh + m])
+            prod *= xs[v][:m]
+            merged[v] = prod
+        _ref_walk([merged[r] for r in rep], k - 1, h, out_len, acc, shell,
+                  on_shell or hh == h - 1,
+                  None if outer is None else outer + (hh,))
+
+
+def ref_full_cube_sum(xs, k, h, out_len, acc, shell=None, on_shell=False):
+    """Full-grid reference kernel: every outer shift tuple in [0,H)^(k-1),
+    a fresh array for every merged product and every window.  Operands
+    that are not symmetric (csg_check's mixed pairing) and every k <= 2
+    case take this walk in uniformity._cube_sum, bit for bit."""
     if k == 1:
         w = np.conj(ref_sliding_sums(xs[1], h, out_len))
         w *= xs[0][:out_len]
@@ -72,8 +125,8 @@ def ref_cube_sum(xs, k, h, out_len, acc, shell=None, on_shell=False):
             prod = np.conj(xs[v + half][hh:hh + m])
             prod *= xs[v][:m]
             merged[v] = prod
-        ref_cube_sum([merged[r] for r in rep], k - 1, h, out_len, acc, shell,
-                     on_shell or hh == h - 1)
+        ref_full_cube_sum([merged[r] for r in rep], k - 1, h, out_len, acc,
+                          shell, on_shell or hh == h - 1)
 
 
 def ref_powered_fft_k2(x, h, with_tail=False):
@@ -112,7 +165,7 @@ def reference_kernel(fn):
 TAIL_CASES = [
     pytest.param(path, k, h, cyc, id=f"{path}-k{k}-H{h}-{mode}")
     for path in ("fast", "direct")
-    for k in (1, 2, 3)
+    for k in (1, 2, 3, 4)
     for cyc, mode in ((True, "cyclic"), (False, "interval"))
     for h in (1, 3)
 ]
@@ -189,7 +242,8 @@ class TestBoxNormExactCases:
 
 
 class TestPathAgreement:
-    @pytest.mark.parametrize("k,h,n", [(1, 8, 128), (2, 8, 128), (3, 5, 96)])
+    @pytest.mark.parametrize("k,h,n", [(1, 8, 128), (2, 8, 128), (3, 5, 96),
+                                       (4, 3, 24)])
     def test_fast_equals_direct_and_brute(self, k, h, n):
         for cyc in (False, True):
             seed = 100 * k + h + (1000 if cyc else 0)
@@ -564,7 +618,7 @@ class TestKernelBitIdentity:
     @pytest.mark.parametrize("cyclic", [True, False],
                              ids=["cyclic", "interval"])
     @pytest.mark.parametrize("h", [1, 2, 5, 16])
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_reference(self, k, h, cyclic):
         for out_len in (1, 7, 4099):
             for pattern in OPERAND_PATTERNS:
@@ -589,6 +643,58 @@ class TestKernelBitIdentity:
             vals = a.sample(3, 503 + n - 1)
             want = float(np.max(np.abs(ref_sliding_sums(vals, n, 500))) / n)
             assert got == want
+
+
+class TestSortedWalk:
+    """Symmetric operands walk the sorted outer shifts; the rest, and every
+    k <= 2 case, keep the full grid and its bits."""
+
+    @pytest.mark.parametrize("pattern", OPERAND_PATTERNS)
+    @pytest.mark.parametrize("h", [1, 3, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_base_calls_counted(self, k, h, pattern):
+        out_len = 9
+        xs = cube_operands(pattern, k, h, out_len, False, seed=k + h)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return seq_core._sliding_sums(*args, **kwargs)
+
+        acc, shell = np.zeros(out_len, dtype=complex), [0j]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(uniformity, "_sliding_sums", counted)
+            uniformity._cube_sum(xs, k, h, out_len, acc, shell)
+        if pattern == "distinct":
+            assert len(calls) == h ** (k - 1)
+        else:
+            assert len(calls) == math.comb(h + k - 2, k - 1)
+        if pattern == "distinct" or k <= 2:
+            full_acc, full_shell = np.zeros(out_len, dtype=complex), [0j]
+            ref_full_cube_sum(xs, k, h, out_len, full_acc, full_shell)
+            assert acc.tobytes() == full_acc.tobytes()
+            assert shell == full_shell
+
+    @pytest.mark.parametrize("pattern", ["single", "dual"])
+    @pytest.mark.parametrize("cyclic", [True, False],
+                             ids=["cyclic", "interval"])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_symmetric_agrees_with_full_grid(self, k, cyclic, pattern):
+        for h in (2, 5, 8):
+            for out_len in (1, 7, 300):
+                xs = cube_operands(pattern, k, h, out_len, cyclic,
+                                   seed=10 * h + out_len)
+                case = f"H={h} out_len={out_len}"
+                acc, shell = np.zeros(out_len, dtype=complex), [0j]
+                uniformity._cube_sum(xs, k, h, out_len, acc, shell)
+                full_acc, full_shell = np.zeros(out_len, dtype=complex), [0j]
+                ref_full_cube_sum(xs, k, h, out_len, full_acc, full_shell)
+                scale = np.max(np.abs(full_acc))
+                assert np.max(np.abs(acc - full_acc)) <= 1e-12 * scale, case
+                assert (abs(acc.mean() - full_acc.mean())
+                        <= 1e-12 * abs(full_acc.mean())), case
+                assert (abs(shell[0] - full_shell[0])
+                        <= 1e-12 * abs(full_shell[0])), case
 
 
 class TestKernelWorkspace:
