@@ -3,9 +3,12 @@ cube kernel against its allocating reference."""
 
 import cmath
 import gc
+import itertools
 import math
+import os
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,10 +158,10 @@ def ref_powered_fft_k2(x, h, with_tail=False):
 
 
 def reference_kernel(fn):
-    """fn() with the cube kernel on ref_cube_sum, in every caller."""
+    """fn() with the cube kernel on ref_cube_sum.  Every caller reaches the
+    kernel through uniformity._blocked_cube_sum, which looks it up there."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(uniformity, "_cube_sum", ref_cube_sum)
-        mp.setattr(duality, "_cube_sum", ref_cube_sum)
         return fn()
 
 
@@ -791,3 +794,217 @@ class TestKernelMemory:
         n, h = 1 << 14, 16
         p = ul.BoxParams(3, h, ul.IntervalSpec(0, n))
         self._check(lambda: ul.box_norm(big, p, path="fast"))
+
+
+BLOCK_TEST = 64  # uniformity._BLOCK in TestKernelBlocks, so chunks stay cheap
+BLOCK_LENS = (BLOCK_TEST - 1, BLOCK_TEST, BLOCK_TEST + 1, 3 * BLOCK_TEST + 17)
+
+
+class TestKernelBlocks:
+    """_blocked_cube_sum, with the block shrunk to 64 points, against one
+    unblocked _cube_sum call over the whole n-range."""
+
+    @pytest.fixture(autouse=True)
+    def small_block(self, monkeypatch):
+        monkeypatch.setattr(uniformity, "_BLOCK", BLOCK_TEST)
+
+    @pytest.mark.parametrize("pattern", OPERAND_PATTERNS)
+    @pytest.mark.parametrize("cyclic", [True, False],
+                             ids=["cyclic", "interval"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_agrees_with_unblocked(self, k, cyclic, pattern):
+        for h in (1, 5):
+            for out_len in BLOCK_LENS:
+                xs = cube_operands(pattern, k, h, out_len, cyclic,
+                                   seed=out_len + 10 * k + h)
+                case = f"H={h} out_len={out_len}"
+                acc, shell = np.zeros(out_len, dtype=complex), [0j]
+                uniformity._blocked_cube_sum(xs, k, h, out_len, acc, shell)
+                one_acc, one_shell = np.zeros(out_len, dtype=complex), [0j]
+                uniformity._cube_sum(xs, k, h, out_len, one_acc, one_shell)
+                if out_len <= BLOCK_TEST:
+                    assert acc.tobytes() == one_acc.tobytes(), case
+                    assert shell == one_shell, case
+                    continue
+                scale = np.max(np.abs(one_acc))
+                assert np.max(np.abs(acc - one_acc)) <= 1e-12 * scale, case
+                assert (abs(acc.mean() - one_acc.mean())
+                        <= 1e-12 * abs(one_acc.mean())), case
+                assert (abs(shell[0] - one_shell[0])
+                        <= 1e-12 * abs(one_shell[0])), case
+
+    @pytest.mark.parametrize("pattern", OPERAND_PATTERNS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_base_calls_per_chunk(self, k, pattern):
+        """Every chunk keeps the operands' identities, so a symmetric list
+        still walks C(H+k-2, k-1) windows per chunk, not H^(k-1); chunks
+        differ in length by at most one point."""
+        h = 4
+        if pattern == "distinct" or k <= 2:
+            per_chunk = h ** (k - 1)
+        else:
+            per_chunk = math.comb(h + k - 2, k - 1)
+        for out_len in BLOCK_LENS:
+            xs = cube_operands(pattern, k, h, out_len, False, seed=k)
+            lens = []
+
+            def counted(x, width, n, **kwargs):
+                lens.append(n)
+                return seq_core._sliding_sums(x, width, n, **kwargs)
+
+            acc, shell = np.zeros(out_len, dtype=complex), [0j]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(uniformity, "_sliding_sums", counted)
+                uniformity._blocked_cube_sum(xs, k, h, out_len, acc, shell)
+            chunks = -(-out_len // BLOCK_TEST)
+            assert len(lens) == chunks * per_chunk, out_len
+            assert sum(lens) == per_chunk * out_len, out_len
+            assert max(lens) <= BLOCK_TEST and max(lens) - min(lens) <= 1
+
+    def test_public_paths_cross_blocks(self):
+        """box_norm and dual_function past the block agree with the direct
+        path and with the dual pairing identity."""
+        a = ul.rademacher_seq(21)
+        n, h = 3 * BLOCK_TEST + 17, 4
+        for k in (1, 2, 3):
+            p = ul.BoxParams(k, h, ul.IntervalSpec(5, n))
+            fast = ul.box_norm(a, p, path="fast")
+            direct = ul.box_norm(a, p, path="direct")
+            assert abs(fast.powered - direct.powered) <= 1e-12, k
+            assert abs(fast.h_tail - direct.h_tail) <= 1e-12, k
+            pairing = duality.dual_pairing(a, p).real
+            assert abs(pairing - fast.powered) <= 1e-12, k
+
+
+class TestBlockedWorkspace:
+    """Past _BLOCK output points the kernel's workspace is a few
+    (_BLOCK + k(H-1))-point arrays, not a few N-point ones."""
+
+    N, H, K = 1 << 16, 64, 2
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        rng = np.random.default_rng(5)
+        return ul.from_samples(np.exp(2j * np.pi * rng.random(self.N)))
+
+    def _check(self, fn, operands):
+        span = self.N + self.K * (self.H - 1)
+        # the operand arrays and the N-point output are not workspace
+        extra = _traced_peak(fn) - 16 * (operands * span + self.N)
+        unit = 16 * (uniformity._BLOCK + self.K * (self.H - 1))
+        assert extra <= 5 * unit, f"workspace {extra / unit:.2f} blocks"
+
+    def test_box_norm(self, big):
+        p = ul.BoxParams(self.K, self.H, ul.IntervalSpec(0, self.N),
+                         ul.cyclic(self.N))
+        self._check(lambda: ul.box_norm(big, p, path="fast"), 1)
+
+    def test_dual_function(self, big):
+        # two operands: the samples and the constant 1 at the base vertex
+        p = ul.BoxParams(self.K, self.H, ul.IntervalSpec(0, self.N),
+                         ul.cyclic(self.N))
+        self._check(lambda: duality.dual_function(big, p), 2)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms for polynomial phases at scale
+# ---------------------------------------------------------------------------
+
+FULL = os.environ.get("UNIF_LAB_FULL", "") == "1"
+CLOSED_FORM_TOL = 1e-14
+# alpha for interval mode: a fraction near sqrt(2)/2 over the prime 2^31 - 1
+INTERVAL_ALPHA = Fraction(1518500250, 2147483647)
+
+
+def poly_phase_samples(alpha, d, count):
+    """e(alpha * n^d) for n < count, with alpha * n^d reduced mod 1 exactly
+    (alpha's denominator must be below 2^31)."""
+    num, den = alpha.numerator, alpha.denominator
+    n = np.arange(count, dtype=np.int64) % den
+    r = n.copy()
+    for _ in range(d - 1):
+        r = r * n % den
+    r = r * (num % den) % den
+    return seq_core._e(r / den)
+
+
+def geometric_e(theta, h):
+    """sum_{t<h} e(t * theta) = e((h-1) theta / 2) sin(pi h theta) /
+    sin(pi theta), every phase reduced exactly in fractions first."""
+    theta -= round(theta)
+    if theta == 0:
+        return complex(h)
+    y = h * theta
+    m = round(y)
+    ratio = ((-1) ** m * math.sin(math.pi * float(y - m))
+             / math.sin(math.pi * float(theta)))
+    half = (h - 1) * theta / 2
+    return ratio * cmath.exp(2j * math.pi * float(half - math.floor(half)))
+
+
+def poly_phase_powered(alpha, d, k, h):
+    """S_H of a(n) = e(alpha n^d) at k >= d, independent of I and N.
+
+    The cube product at shift h is the same at every n: at k = d it is
+    e((-1)^d d! alpha h_1...h_d), and at k > d it is 1.  The h_1 sum is a
+    geometric series; the others are grouped by the product h_2...h_d.
+    """
+    if k > d:
+        return 1.0 + 0.0j
+    theta = (-1) ** d * math.factorial(d) * alpha
+    counts = Counter(math.prod(t)
+                     for t in itertools.product(range(h), repeat=d - 1))
+    terms = [c * geometric_e(theta * q, h) for q, c in counts.items()]
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms)) / h ** d
+
+
+# (degree d, k, H, N); N > uniformity._BLOCK, so every case crosses chunk
+# boundaries, and some N are not multiples of it
+CLOSED_FORM_CASES = [
+    (2, 2, 256, 20000), (2, 2, 37, 3 * 8192 + 17), (3, 3, 32, 16385),
+    (4, 4, 12, 9000), (5, 5, 6, 8200), (2, 3, 32, 16384), (3, 4, 8, 8193),
+]
+if FULL:
+    CLOSED_FORM_CASES += [(2, 2, 256, 1 << 20), (3, 3, 32, 1 << 20),
+                          (4, 4, 8, 1 << 20), (5, 5, 4, 1 << 20),
+                          (2, 3, 16, 1 << 20)]
+
+
+class TestPolynomialPhaseClosedForm:
+    """The fast path against the closed form of e(alpha n^d): k = d (sorted
+    walk weights 3 and 6 at k = 4; 4, 6, 12 and 24 at k = 5) and k = d + 1
+    (exactly 1), in interval mode and in cyclic(N) at alpha = j/N."""
+
+    @pytest.mark.parametrize("d,k,h,n", CLOSED_FORM_CASES,
+                             ids=[f"d{c[0]}-k{c[1]}-H{c[2]}-N{c[3]}"
+                                  for c in CLOSED_FORM_CASES])
+    @pytest.mark.parametrize("cyclic", [True, False],
+                             ids=["cyclic", "interval"])
+    def test_powered(self, d, k, h, n, cyclic):
+        assert n > uniformity._BLOCK
+        if cyclic:
+            alpha = Fraction(n // 3 + 1, n)
+            vals = poly_phase_samples(alpha, d, n)
+            p = ul.BoxParams(k, h, ul.IntervalSpec(0, n), ul.cyclic(n))
+        else:
+            alpha = INTERVAL_ALPHA
+            vals = poly_phase_samples(alpha, d, n + k * (h - 1))
+            p = ul.BoxParams(k, h, ul.IntervalSpec(0, n))
+        got = uniformity._powered_complex(ul.from_samples(vals), p, "fast")[0]
+        want = poly_phase_powered(alpha, d, k, h)
+        assert abs(got - want) <= CLOSED_FORM_TOL, (got, want)
+
+    @pytest.mark.parametrize("cyclic", [True, False],
+                             ids=["cyclic", "interval"])
+    def test_dual_function(self, cyclic):
+        """At k = d the cube product without the base vertex is
+        c_h conj(a_n), so D_k a = S_H conj(a) at every n."""
+        d, h, n = 2, 128, 3 * 8192 + 17
+        alpha = Fraction(5, n) if cyclic else INTERVAL_ALPHA
+        vals = poly_phase_samples(alpha, d, n if cyclic else n + d * (h - 1))
+        mode = ul.cyclic(n) if cyclic else ul.INTERVAL
+        p = ul.BoxParams(d, h, ul.IntervalSpec(0, n), mode)
+        got = duality.dual_function(ul.from_samples(vals), p).sample(0, n)
+        want = poly_phase_powered(alpha, d, d, h) * np.conj(vals[:n])
+        assert np.max(np.abs(got - want)) <= CLOSED_FORM_TOL
