@@ -5,9 +5,11 @@ byte-identical output.  --threads is accepted and ignored; every command
 runs single-threaded.  Timing lines (bench) go to stderr so stdout stays
 reproducible.
 
-Exit codes: 0 success, 2 usage error, 3 numeric-contract violation
-(e.g. a box average below -1e-9, which at H < N legitimate input can give,
-or a non-finite CSV value), 4 a `verify` suite found a violated inequality.
+Exit codes: 0 success, 2 usage error (also a box average or dual function
+estimated past uniformity._MAX_COST element operations), 3 numeric-contract
+violation (e.g. a box average below -1e-9, which at H < N legitimate input
+can give, or a non-finite CSV value), 4 a `verify` suite found a violated
+inequality; its worst trial's one-trial replay then goes to stderr.
 """
 
 from __future__ import annotations
@@ -349,6 +351,30 @@ _SUITES: Dict[str, Callable[..., uniformity.SuiteReport]] = {
 }
 
 
+# Seed step between a suite's trials: trial t draws from seed + step * t
+# alone, so `run_*_suite(1, seed=seed + step * t, ks=(k,))` replays it.
+# direct is absent: every trial draws from one master RNG.
+_REPLAY_STEP = {"vdc": 1, "csg": 1000, "subadd": 2, "mono": 1, "recur": 1,
+                "pairing": 1}
+
+
+def _replay_line(suite: str, seed: int, kwargs: Dict,
+                 rep: uniformity.SuiteReport) -> str:
+    """The stderr line that replays rep's worst trial as a one-trial run."""
+    t = rep.worst_trial
+    if suite not in _REPLAY_STEP:
+        return (f"verify {suite}: worst trial {t}; no one-trial replay, every "
+                f"trial draws from one master RNG\n")
+    fn = _SUITES[suite]
+    call = ["1", f"seed={seed + _REPLAY_STEP[suite] * t}"]
+    ks = inspect.signature(fn).parameters.get("ks")
+    if ks is not None:
+        call.append(f"ks=({ks.default[t % len(ks.default)]},)")
+    call += [f"{name}={value!r}" for name, value in kwargs.items()]
+    return (f"verify {suite}: worst trial {t}; replay: "
+            f"{fn.__module__}.{fn.__name__}({', '.join(call)})\n")
+
+
 def _suite_kwargs(args) -> Dict:
     """Every suite parameter a verify flag can set: the flag's value, else
     the suite's own default.  A flag the suite does not take is refused."""
@@ -384,7 +410,10 @@ def _cmd_verify(args) -> int:
            "violations": rep.violations, "worst_slack": rep.worst_slack,
            "ok": rep.ok}
     _emit_json(args, obj)
-    return 0 if rep.ok else VERIFY_EXIT
+    if rep.ok:
+        return 0
+    sys.stderr.write(_replay_line(args.suite, seed, kwargs, rep))
+    return VERIFY_EXIT
 
 
 # --- bench ----------------------------------------------------------------

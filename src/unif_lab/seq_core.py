@@ -244,22 +244,33 @@ def interval_average(a: ComplexSeq, interval: IntervalSpec,
     return AvgReport(complex(vals.mean()), interval.length, mode)
 
 
-def _sliding_sums(x: np.ndarray, width: int, out_len: int,
-                  out: Optional[np.ndarray] = None,
-                  scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """W[n] = sum_{h<width} x[n+h] for n < out_len, via centered prefix sums.
+def _centred_prefix(x: np.ndarray, scratch: Optional[np.ndarray] = None
+                    ) -> Tuple[np.ndarray, complex]:
+    """(p, mu): mu = mean(x) and p[i] = sum_{t<=i} (x[t] - mu).
 
     Centering by the mean keeps the prefix bounded, so rounding does not
-    grow with the array even for constant input (where the result is exact).
-    W is written into `out` (complex, out_len) and the prefix into `scratch`
-    (complex, len(x)) when given, so a caller that slides many windows of
-    one shape can reuse both; otherwise they are allocated here.
+    grow with the array even for constant input.  p is written into
+    `scratch` (complex, len(x)) when given, else allocated here.
     """
     # ufunc reductions called directly: the ndarray.sum and np.cumsum wrappers
     # cost ~2 us a call, a tenth of a k = 1 base call at 10^3 points
     mu = np.add.reduce(x) / len(x)  # the same bits as x.mean()
     prefix = np.subtract(x, mu, out=scratch)
     np.add.accumulate(prefix, out=prefix)
+    return prefix, mu
+
+
+def _sliding_sums(x: np.ndarray, width: int, out_len: int,
+                  out: Optional[np.ndarray] = None,
+                  scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """W[n] = sum_{h<width} x[n+h] for n < out_len, from _centred_prefix
+    (exact for constant input).
+
+    W is written into `out` (complex, out_len) and the prefix into `scratch`
+    (complex, len(x)) when given, so a caller that slides many windows of
+    one shape can reuse both; otherwise they are allocated here.
+    """
+    prefix, mu = _centred_prefix(x, scratch)
     if out is None:
         out = np.empty(out_len, dtype=np.complex128)
     # prefix[i] sums the first i + 1 centred terms: W[0] = prefix[width-1],

@@ -18,25 +18,30 @@ Computation paths, all agreeing to better than 1e-9:
   direct    the literal O(|I| * H^k * 2^k) sum over the h grid, lexicographic;
   fast      one cube recursion over 2^k per-vertex arrays (_cube_sum) that
             differences the last coordinate down to a mean-centered
-            prefix-sum sliding window, with its products and window in
-            buffers made once per pass and reused for every shift.  For
-            symmetric operands (one array per |eps|: box norms, the dual
-            function) c_h is invariant under permuting h, so at k >= 3 it
-            walks only sorted outer shifts: O(C(H+k-2, k-1) * |I|);
-            otherwise (csg_check's 2^k operands) O(H^(k-1) * |I|).  The
-            n-range runs in near-equal chunks of at most _BLOCK = 2^13
-            points, each on views of its operands plus the k*(H-1) margin,
-            so the workspace is O(2^13) per level and stays in cache.  Past
-            2^13 points each chunk's windows centre on the chunk's own mean,
-            which moves results in their last bits (within 1e-12 relative
-            of one unblocked pass).  The dual function puts the constant 1
-            at the base vertex.  "fft" is another name for it, so `--path
-            fft` command lines still run;
+            prefix-sum sliding window, with its products and prefix in
+            buffers made once per pass and reused for every shift.  Box
+            averages need only the n-sum, which the base takes from two dot
+            products on the centred prefix, with no window or per-n array;
+            the dual function keeps the per-n window and puts the constant
+            1 at the base vertex.  For symmetric operands (one array per
+            |eps|: box norms, the dual function) c_h is invariant under
+            permuting h, so at k >= 3 it walks only sorted outer shifts:
+            O(C(H+k-2, k-1) * |I|); otherwise (csg_check's 2^k operands)
+            O(H^(k-1) * |I|).  The n-range runs in near-equal chunks of at
+            most _BLOCK = 2^13 points, each on views of its operands plus
+            the k*(H-1) margin, so the workspace is O(2^13) per level and
+            stays in cache.  Past 2^13 points each chunk's windows centre on
+            the chunk's own mean, which moves results in their last bits
+            (within 1e-12 relative of one unblocked pass).  "fft" is another
+            name for it, so `--path fft` command lines still run;
   spectral  k <= 2 cyclic with H = N: the closed forms |mean|^2 and
             sum_j |hat a(j)|^4 in O(N log N).
 
 Every path but spectral also returns, from the same pass, the average of
 c_h over the outermost shell max(h) = H-1: box_norm's h_tail diagnostic.
+A box average or dual function whose cost estimate (_cube_cost, from the
+parameters alone) passes _MAX_COST = 1e12 element operations raises
+ValueError before anything is sampled.
 
 In cyclic mode with H = N the h average runs over the whole group and the
 quantity is a sum of squared magnitudes, hence exactly nonnegative.  At
@@ -50,16 +55,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import NegativityViolation, SupBoundViolation
 from .generators import rademacher_seq
 from .seq_core import (INTERVAL, ComplexSeq, DomainMode, IntervalSpec,
-                       _cube_vertices, _e, _fourier, _frac, _sliding_sums,
-                       add, conjugate, cyclic, from_samples, product,
-                       require_margin, sample_mode, shift, wrap_cyclic)
+                       _centred_prefix, _cube_vertices, _e, _fourier, _frac,
+                       _sliding_sums, add, conjugate, cyclic, from_samples,
+                       product, require_margin, sample_mode, shift,
+                       wrap_cyclic)
 
 NEGATIVITY_FLOOR = -1e-9
 _MAX_K = 16  # the cube's vertex table then has 2^16 = 65,536 entries
@@ -68,6 +74,10 @@ _MAX_K = 16  # the cube's vertex table then has 2^16 = 65,536 entries
 # within 2% of it, at k = 2, H = 256, N = 2^16 and k = 3, H = 16, N = 2^18
 # (Xeon, 2 MiB L2 per core).
 _BLOCK = 1 << 13
+# Element operations past which a box average or dual function is refused
+# before sampling (_require_affordable): hours of kernel time at the
+# measured 10-30 ns per base-call element.
+_MAX_COST = 10 ** 12
 
 
 @dataclass(frozen=True)
@@ -111,12 +121,44 @@ def _operand_array(a: ComplexSeq, p: BoxParams) -> np.ndarray:
                        p.mode)
 
 
+def _cube_cost(p: BoxParams, path: str, symmetric: bool = True) -> int:
+    """Element operations of one box average on `path`, from p alone.
+
+    direct: 2^k H^k |I|.  fast: the windows the kernel walks, C(H+k-2, k-1)
+    for symmetric operands at k >= 3 (see _cube_sum) and H^(k-1) otherwise,
+    times the |I| + k(H-1) operand points each reads, so that a huge H
+    counts even at k = 1.  spectral: the operand points.
+    """
+    n, k, h = p.interval.length, p.k, p.H
+    span = n + k * (h - 1)
+    if path == "direct":
+        return (2 * h) ** k * n
+    if path == "spectral":
+        return span
+    if symmetric and k >= 3:
+        return math.comb(h + k - 2, k - 1) * span
+    return h ** (k - 1) * span
+
+
+def _require_affordable(p: BoxParams, path: str,
+                        symmetric: bool = True) -> None:
+    """ValueError, naming the estimate, when _cube_cost exceeds _MAX_COST."""
+    cost = _cube_cost(p, path, symmetric)
+    if cost > _MAX_COST:
+        est = (f"{float(cost):.2e}" if cost.bit_length() <= 1000
+               else f"2^{cost.bit_length() - 1}")
+        raise ValueError(
+            f"the {path} path would take ~{est} element operations (k={p.k}, "
+            f"H={p.H}, |I|={p.interval.length}), above the limit of "
+            f"{_MAX_COST:.0e}")
+
+
 # ---------------------------------------------------------------------------
 # Powered-value computation paths (complex averages, before Re/clamp)
 # ---------------------------------------------------------------------------
 
 def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
-              acc: np.ndarray, shell: Optional[list] = None,
+              acc: Union[np.ndarray, list], shell: Optional[list] = None,
               on_shell: bool = False, ws: Optional[dict] = None,
               walk: Optional[Tuple[int, int, int, int]] = None) -> None:
     """acc[n] += sum_{h in [0,H)^k} prod_eps C^{|eps|} xs[m][n + eps.h].
@@ -129,6 +171,15 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
     and the full grid O(H^(k-1) * len).  A one-element `shell` list also
     gains the n-sum over max(h) = H-1 (on_shell: an outer h_i is H-1).
 
+    `acc` is either an out_len-point array, which gains every acc[n] (the
+    dual function), or a one-element list, which gains only their n-sum
+    (box averages).  The n-summed base never forms the window
+    W[n] = sum_{t<H} x1[n+t]: from the centred prefix p of x1 (mean mu,
+    _centred_prefix) it takes
+      sum_n conj(W[n]) x0[n] = vdot(p[H-1:H-1+L], x0) - vdot(p[:L-1], x0[1:L])
+                               + conj(H mu) * sum_{n<L} x0[n],
+    with L = out_len, and the last sum is p[L-1] + L mu when x0 is x1.
+
     Symmetric operands (k >= 3, one array per popcount |eps|, as for
     box_norm and the dual function) give a c_h that a permutation of the
     h coordinates leaves unchanged.  The top-level call then walks only
@@ -138,13 +189,13 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
     next shift, shifts chosen, their multiplicity, length of the last
     run) down the recursion; it is None for the full grid.
 
-    The merged products and the window are written into buffers made on
-    the first shift of a top-level call and reused for every later shift
-    (`ws`, keyed by level, is threaded through the recursion); none of
-    them outlives the call.  The arithmetic is the same, in the same
-    order, as with a fresh array per shift.  Callers go through
-    _blocked_cube_sum, which makes one top-level call per chunk of at most
-    _BLOCK output points, so these buffers are O(_BLOCK) long.
+    The merged products, the prefix and (per-n) the window are written into
+    buffers made on the first shift of a top-level call and reused for
+    every later shift (`ws`, keyed by level, is threaded through the
+    recursion); none of them outlives the call.  The arithmetic is the
+    same, in the same order, as with a fresh array per shift.  Callers go
+    through _blocked_cube_sum, which makes one top-level call per chunk of
+    at most _BLOCK output points, so these buffers are O(_BLOCK) long.
     """
     if ws is None:
         ws, walk = {}, None
@@ -153,21 +204,36 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
                           for m, x in enumerate(xs)):
             walk = (0, 0, 1, 0)
     if k == 1:
-        if 1 not in ws:  # [prefix scratch, window]
-            ws[1] = [np.empty(len(xs[1]), dtype=np.complex128),
-                     np.empty(out_len, dtype=np.complex128)]
-        scratch, w = ws[1]
         mult = 1 if walk is None else walk[2]
-        _sliding_sums(xs[1], h, out_len, out=w, scratch=scratch)
-        np.conj(w, out=w)
-        w *= xs[0][:out_len]
-        if mult != 1:
-            w *= mult
-        acc += w
+        x0, x1 = xs[0][:out_len], xs[1]
+        if isinstance(acc, list):  # n-summed: two dot products, no window
+            if 1 not in ws:  # [prefix scratch]
+                ws[1] = [np.empty(len(x1), dtype=np.complex128)]
+            p, mu = _centred_prefix(x1, ws[1][0])
+            s0 = (p[out_len - 1] + out_len * mu if xs[0] is x1
+                  else np.add.reduce(x0))
+            total = (np.vdot(p[h - 1:h - 1 + out_len], x0)
+                     - np.vdot(p[:out_len - 1], x0[1:])
+                     + np.conj(h * mu) * s0)
+            if mult != 1:
+                total = mult * total
+            acc[0] += total
+        else:
+            if 1 not in ws:  # [prefix scratch, window]
+                ws[1] = [np.empty(len(x1), dtype=np.complex128),
+                         np.empty(out_len, dtype=np.complex128)]
+            scratch, w = ws[1]
+            _sliding_sums(x1, h, out_len, out=w, scratch=scratch)
+            np.conj(w, out=w)
+            w *= x0
+            if mult != 1:
+                w *= mult
+            acc += w
+            total = w.sum() if shell is not None and on_shell else 0j
         if shell is not None and on_shell:
-            shell[0] += w.sum()
+            shell[0] += total
         elif shell is not None:
-            edge = np.vdot(xs[1][h - 1:h - 1 + out_len], xs[0][:out_len])
+            edge = np.vdot(x1[h - 1:h - 1 + out_len], x0)
             shell[0] += edge if mult == 1 else mult * edge
         return
     half = 1 << (k - 1)
@@ -195,18 +261,21 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
 
 
 def _blocked_cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
-                     acc: np.ndarray, shell: Optional[list] = None) -> None:
+                     acc: Union[np.ndarray, list],
+                     shell: Optional[list] = None) -> None:
     """_cube_sum over the n-range in near-equal chunks of at most _BLOCK
     points, so that each pass's workspace stays in cache.
 
     acc[n] reads only xs[m][n : n + k*(H-1) + 1], so a chunk runs the
     unchanged recursion on views covering itself plus that margin, adding
-    into its slice of acc and into the shared shell.  Each distinct operand
-    gets one view per chunk: pair merging and the symmetric walk test
-    operands by identity.  The workspace is O(_BLOCK) per level in place of
-    O(out_len).  At out_len <= _BLOCK this is one _cube_sum call on the
-    original arrays; past it, each chunk's windows centre on the chunk's
-    own mean and acc is summed chunk by chunk, which moves the last bits.
+    into its slice of acc (or into the n-summed acc list itself) and into
+    the shared shell.  Each distinct operand gets one view per chunk: pair
+    merging and the symmetric walk test operands by identity.  The
+    workspace is O(_BLOCK) per level in place of O(out_len).  At out_len <=
+    _BLOCK this is one _cube_sum call on the original arrays; past it, each
+    chunk's windows centre on the chunk's own mean and the sum runs chunk
+    by chunk, which moves the last bits.  An n-summed acc gains the exact
+    sum (math.fsum) of the chunks' own sums.
     """
     if out_len <= _BLOCK:
         _cube_sum(xs, k, h, out_len, acc, shell)
@@ -215,21 +284,32 @@ def _blocked_cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
     margin = k * (h - 1)
     distinct = {id(x): x for x in xs}
     ends = [out_len * c // chunks for c in range(chunks + 1)]
+    per_n = isinstance(acc, np.ndarray)
+    sums = []  # n-summed: each chunk's own sum
     for lo, hi in zip(ends, ends[1:]):
         views = {i: x[lo:hi + margin] for i, x in distinct.items()}
-        _cube_sum([views[id(x)] for x in xs], k, h, hi - lo, acc[lo:hi],
-                  shell)
+        part = acc[lo:hi] if per_n else [0j]
+        _cube_sum([views[id(x)] for x in xs], k, h, hi - lo, part, shell)
+        if not per_n:
+            sums.append(part[0])
+    if sums:
+        # the chunk sums are near-equal: one running total over every
+        # window of every chunk was 3.5e-14 off e(alpha n^3)'s closed form
+        # at 2^20 points, this 1.3e-15
+        acc[0] += complex(math.fsum(z.real for z in sums),
+                          math.fsum(z.imag for z in sums))
 
 
 def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
                   with_tail: bool = False) -> Tuple[complex, complex]:
     """(1/H^k) sum_h c_h with vertex m reading xs[m], and the average of c_h
-    over the shell max(h) = H-1 (0 unless with_tail).  The n-range runs in
-    chunks of at most _BLOCK points (_blocked_cube_sum)."""
-    acc, shell = np.zeros(out_len, dtype=np.complex128), [0j]
+    over the shell max(h) = H-1 (0 unless with_tail).  The kernel sums n
+    itself (an n-summed acc list), in chunks of at most _BLOCK points
+    (_blocked_cube_sum)."""
+    acc, shell = [0j], [0j]
     _blocked_cube_sum(xs, k, h, out_len, acc, shell if with_tail else None)
     tail = complex(shell[0]) / (out_len * (h ** k - (h - 1) ** k))
-    return complex(acc.mean()) / h ** k, tail
+    return complex(acc[0]) / out_len / h ** k, tail
 
 
 def _powered_direct(x: np.ndarray, k: int, h: int,
@@ -282,6 +362,7 @@ def _powered_complex(a: ComplexSeq, p: BoxParams, path: str,
                      with_tail: bool = False) -> Tuple[complex, complex]:
     """(S_H, outermost-shell average; 0 unless with_tail) in one pass, on
     a path that _resolve_path returned."""
+    _require_affordable(p, path)
     x = _operand_array(a, p)
     out_len = p.interval.length
     if path == "spectral":
@@ -326,6 +407,8 @@ def box_norm(a: ComplexSeq, p: BoxParams, path: str = "auto",
     It is 0 without with_tail, and at H = N in cyclic mode, where the average
     runs over the whole group and there is no truncation remainder.  The
     report's path is the one that ran, with "auto" and "fft" resolved.
+    Past _MAX_COST element operations (_cube_cost) it raises ValueError
+    before sampling.
     """
     with_tail = with_tail and not (p.mode.is_cyclic and p.H == p.mode.modulus)
     path = _resolve_path(path, p)
@@ -390,6 +473,7 @@ def uniformity_norm_proxy(a: ComplexSeq, search_range: IntervalSpec,
             return box_norm(a, BoxParams(k, h, IntervalSpec(m, window_len),
                                          INTERVAL), with_tail=with_tail)
         p = _cyclic_box(k, window_len, window_len)  # vets k before sampling
+        _require_affordable(p, _resolve_path("auto", p))
         rep = box_norm(from_samples(a.sample(m, m + window_len)), p,
                        with_tail=with_tail)
         here = replace(rep.params, interval=IntervalSpec(m, window_len))
@@ -456,6 +540,7 @@ def csg_check(seqs: Sequence[ComplexSeq], p: BoxParams) -> CsgReport:
     """
     if len(seqs) != (1 << p.k):
         raise ValueError(f"need {1 << p.k} sequences for k={p.k}")
+    _require_affordable(p, "fast", symmetric=False)
     xs = [_operand_array(s, p) for s in seqs]
     s_mixed = _cube_average(xs, p.k, p.H, p.interval.length)[0]
     norms = tuple(box_norm(s, p, with_tail=False).value for s in seqs)
@@ -477,6 +562,7 @@ class SuiteReport:
     trials: int
     violations: int
     worst_slack: float  # most positive (lhs - allowed rhs); negative is good
+    worst_trial: int = 0  # the first trial t that gave worst_slack
 
     @property
     def ok(self) -> bool:
@@ -487,14 +573,16 @@ def _run_trials(name: str, trials: int,
                 slack: Callable[[int], float]) -> SuiteReport:
     """Score slack(t) for t = 0, 1, ..., trials-1, in that order.
 
-    A positive slack is a violation; the report keeps the worst one.  Suites
-    that draw from one master RNG rely on the order.
+    A positive slack is a violation; the report keeps the worst one and
+    the first trial that gave it.  Suites that draw from one master RNG
+    rely on the order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     slacks = [slack(t) for t in range(trials)]
+    worst = max(range(trials), key=slacks.__getitem__)
     return SuiteReport(name, trials, sum(1 for s in slacks if s > 0),
-                       float(max(slacks)))
+                       float(slacks[worst]), worst)
 
 
 def _cyclic_box(k: int, h: int, n: int) -> BoxParams:

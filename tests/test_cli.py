@@ -188,6 +188,40 @@ class TestSubcommands:
         assert code == 4
         assert json.loads(out)["violations"] == 1
 
+    def test_verify_replays_the_worst_trial(self):
+        # the uniform-kernel monotonicity failure: stdout is the report
+        # alone, and the one stderr line reruns the worst trial by itself
+        code, out, err = run_cli(["verify", "mono", "--trials", "12",
+                                  "--seed", "553174"])
+        assert code == 4
+        worst = json.loads(out)["worst_slack"]
+        line, = err.splitlines()
+        call = line.split("; replay: ", 1)[1]
+        assert call.startswith(
+            "unif_lab.uniformity.run_monotonicity_suite(1, seed=")
+        assert eval(call, {"unif_lab": ul}).worst_slack == worst
+
+    @pytest.mark.parametrize("suite, kwargs, seed", [
+        ("vdc", {"length": 512, "h": 8}, 3),
+        ("csg", {"n": 64, "h": 8}, 0),
+        ("subadd", {"n": 64, "h": 8}, 1),
+        ("mono", {"n": 64, "h": 8}, 0),
+        ("recur", {"n": 64, "h": 8}, 2),
+        ("pairing", {"n": 64, "h": 8, "k": 2}, 0)])
+    def test_replay_line_reruns_the_worst_trial(self, suite, kwargs, seed):
+        # seeds whose worst trial is not the first, so the seed step counts
+        rep = cli._SUITES[suite](5, seed=seed, **kwargs)
+        assert rep.worst_trial > 0
+        line = cli._replay_line(suite, seed, kwargs, rep)
+        call = line.rstrip("\n").split("; replay: ", 1)[1]
+        assert eval(call, {"unif_lab": ul}).worst_slack == rep.worst_slack
+
+    def test_direct_has_no_replay(self):
+        rep = ul.SuiteReport("direct-bound", 3, 1, 0.5, 2)
+        line = cli._replay_line("direct", 0, {"n": 256}, rep)
+        assert line == ("verify direct: worst trial 2; no one-trial replay, "
+                        "every trial draws from one master RNG\n")
+
     def test_verify_params_take_the_suite_defaults(self):
         # every parameter a flag can set is printed, unset ones at the
         # suite's own default (k was left out unless --k was given)
@@ -458,6 +492,33 @@ class TestBadNumbers:
         code, out, err = run_cli(command.format(16).split())
         assert (code, err) == (0, "")
         assert out
+
+    HUGE_COMMANDS = [
+        "norm --gen rad:1 --k 16 --mode cyclic --N 64 --H 64",
+        "norm --gen rad:1 --k 2 --mode cyclic --N 1048576 --path fast",
+        "norm --gen rad:1 --k 4 --mode cyclic --N 4096 --H 512 --path direct",
+        "norm --gen rad:1 --k 1 --mode interval --len 8 --H 10000000000000",
+        "dualfn --gen rad:1 --k 16 --mode cyclic --N 64 --H 64",
+        "unorm --gen rad:1 --range 0:64 --window 64 --stride 64 --k 16",
+        "verify pairing --trials 1 --N 64 --H 64 --k 16",
+    ]
+
+    @pytest.mark.parametrize("command", HUGE_COMMANDS, ids=[
+        "norm-k16", "norm-fast-H=N", "norm-direct", "norm-huge-H", "dualfn",
+        "unorm", "verify-pairing"])
+    def test_size_preflight_refuses_before_sampling(self, command,
+                                                     monkeypatch):
+        def sampled(self, ns):
+            raise AssertionError("sampled before the size preflight")
+
+        if not command.startswith("verify"):  # a suite draws its corpus
+            monkeypatch.setattr(ul.ComplexSeq, "eval", sampled)
+        code, out, err = run_cli(command.split())
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: the (fast|direct) path would take "
+                            r"~\S+ element operations \(k=\d+, H=\d+, "
+                            r"\|I\|=\d+\), above the limit of 1e\+12\n",
+                            err), err
 
     @pytest.mark.parametrize("argv, odd, plain", [
         # -1e-20 mod 1 rounds to 1.0, which used to be refused as outside

@@ -53,14 +53,40 @@ def ref_sliding_sums(x, width, out_len):
     return (prefix[width:width + out_len] - prefix[:out_len]) + width * mu
 
 
+def ref_window_dot(x0, x1, width, out_len):
+    """sum_{n<out_len} conj(W[n]) x0[n] for the window W of x1, from the
+    mean-centred prefix in fresh arrays: two dot products and the mean's
+    term, with sum x0[:out_len] read off the prefix when x0 is x1."""
+    mu = x1.mean()
+    prefix = np.cumsum(x1 - mu)
+    head = x0[:out_len]
+    s0 = (prefix[out_len - 1] + out_len * mu if x0 is x1 else head.sum())
+    return (np.vdot(prefix[width - 1:width - 1 + out_len], head)
+            - np.vdot(prefix[:out_len - 1], head[1:])
+            + np.conj(width * mu) * s0)
+
+
+def require_acc(acc):
+    """True for an n-summed accumulator (a one-element list), False for a
+    per-n array; anything else raises rather than being silently extended
+    or broadcast into."""
+    if isinstance(acc, np.ndarray):
+        return False
+    if type(acc) is list and len(acc) == 1:
+        return True
+    raise TypeError(f"unhandled accumulator {type(acc).__name__}")
+
+
 def ref_cube_sum(xs, k, h, out_len, acc, shell=None):
     """Reference cube kernel: the walk of uniformity._cube_sum with a fresh
     array for every merged product and every window.  Symmetric operands
     (k >= 3, one array per popcount of the vertex index) visit only the
     sorted outer shifts h_k <= ... <= h_2, each window weighted by the
     number of orderings of its tuple; other operands walk the full grid.
-    The workspace kernel must match it bit for bit and never peak above it
-    in memory."""
+    An n-summed acc (one-element list) takes ref_window_dot at the base,
+    a per-n acc the window itself.  The workspace kernel must match it bit
+    for bit and never peak above it in memory."""
+    require_acc(acc)
     first = {}
     symmetric = k >= 3 and all(first.setdefault(bin(m).count("1"), x) is x
                                for m, x in enumerate(xs))
@@ -76,13 +102,20 @@ def _ref_walk(xs, k, h, out_len, acc, shell, on_shell, outer):
             mult = math.factorial(len(outer))
             for run in Counter(outer).values():
                 mult //= math.factorial(run)
-        w = np.conj(ref_sliding_sums(xs[1], h, out_len))
-        w *= xs[0][:out_len]
-        if mult != 1:
-            w *= mult
-        acc += w
+        if require_acc(acc):
+            total = ref_window_dot(xs[0], xs[1], h, out_len)
+            if mult != 1:
+                total = mult * total
+            acc[0] += total
+        else:
+            w = np.conj(ref_sliding_sums(xs[1], h, out_len))
+            w *= xs[0][:out_len]
+            if mult != 1:
+                w *= mult
+            acc += w
+            total = w.sum()
         if shell is not None and on_shell:
-            shell[0] += w.sum()
+            shell[0] += total
         elif shell is not None:
             edge = np.vdot(xs[1][h - 1:h - 1 + out_len], xs[0][:out_len])
             shell[0] += edge if mult == 1 else mult * edge
@@ -108,7 +141,10 @@ def ref_full_cube_sum(xs, k, h, out_len, acc, shell=None, on_shell=False):
     """Full-grid reference kernel: every outer shift tuple in [0,H)^(k-1),
     a fresh array for every merged product and every window.  Operands
     that are not symmetric (csg_check's mixed pairing) and every k <= 2
-    case take this walk in uniformity._cube_sum, bit for bit."""
+    case take this walk in uniformity._cube_sum, bit for bit.  Per-n
+    accumulator only."""
+    if require_acc(acc):
+        raise TypeError("ref_full_cube_sum takes a per-n accumulator")
     if k == 1:
         w = np.conj(ref_sliding_sums(xs[1], h, out_len))
         w *= xs[0][:out_len]
@@ -615,6 +651,46 @@ def cube_operands(pattern, k, h, out_len, cyclic, seed=0):
     return [x] * (1 << k)
 
 
+class TestCostEstimate:
+    """uniformity._cube_cost from BoxParams alone; nothing is sampled."""
+
+    def test_formulas(self):
+        cyc = ul.BoxParams(3, 8, ul.IntervalSpec(0, 100), ul.cyclic(100))
+        span = 100 + 3 * 7
+        cost = uniformity._cube_cost
+        assert cost(cyc, "fast") == math.comb(8 + 1, 2) * span
+        assert cost(cyc, "fast", symmetric=False) == 8 ** 2 * span
+        assert cost(cyc, "direct") == 2 ** 3 * 8 ** 3 * 100
+        k2 = ul.BoxParams(2, 8, ul.IntervalSpec(0, 100))
+        assert cost(k2, "fast") == 8 * (100 + 2 * 7)
+
+    def test_limit(self):
+        limit = uniformity._MAX_COST
+        # the acceptance run of the literal direct sum (criterion 14)
+        direct = ul.BoxParams(2, 256, ul.IntervalSpec(0, 1 << 16),
+                              ul.cyclic(1 << 16))
+        assert uniformity._cube_cost(direct, "direct") == 4 * 256 ** 2 << 16
+        assert uniformity._cube_cost(direct, "direct") <= limit
+        big = ul.BoxParams(16, 64, ul.IntervalSpec(0, 64), ul.cyclic(64))
+        assert uniformity._cube_cost(big, "fast") > limit
+        # k = 1 costs nothing per window but still reads every margin point
+        wide = ul.BoxParams(1, 10 ** 13, ul.IntervalSpec(0, 8))
+        assert uniformity._cube_cost(wide, "fast") > limit
+        # past float range the message gives a power of two
+        vast = ul.BoxParams(2, 10 ** 400, ul.IntervalSpec(0, 8))
+        with pytest.raises(ValueError, match=r"~2\^\d+ element operations"):
+            uniformity._require_affordable(vast, "fast")
+
+    def test_csg_refused_before_sampling(self, monkeypatch):
+        def sampled(self, ns):
+            raise AssertionError("sampled before the size preflight")
+
+        p = ul.BoxParams(5, 512, ul.IntervalSpec(0, 4096), ul.cyclic(4096))
+        monkeypatch.setattr(ul.ComplexSeq, "eval", sampled)
+        with pytest.raises(ValueError, match="element operations"):
+            ul.csg_check([ul.constant_seq(1.0)] * 32, p)
+
+
 class TestKernelBitIdentity:
     """The workspace kernel gives the reference kernel's bits exactly."""
 
@@ -874,6 +950,66 @@ class TestKernelBlocks:
             assert abs(fast.h_tail - direct.h_tail) <= 1e-12, k
             pairing = duality.dual_pairing(a, p).real
             assert abs(pairing - fast.powered) <= 1e-12, k
+
+
+SUMMED_LENS = (1, 2, 7, BLOCK_TEST - 1, BLOCK_TEST + 1, 3 * BLOCK_TEST + 17)
+
+
+class TestSummedKernel:
+    """The n-summed base (a one-element acc list: _cube_average, hence
+    every box average) against the per-n kernel, with the block shrunk to
+    64 points."""
+
+    @pytest.fixture(autouse=True)
+    def small_block(self, monkeypatch):
+        monkeypatch.setattr(uniformity, "_BLOCK", BLOCK_TEST)
+
+    @pytest.mark.parametrize("pattern", OPERAND_PATTERNS)
+    @pytest.mark.parametrize("cyclic", [True, False],
+                             ids=["cyclic", "interval"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_agrees_with_per_n(self, k, cyclic, pattern):
+        for h in (1, 5):
+            for out_len in SUMMED_LENS:
+                xs = cube_operands(pattern, k, h, out_len, cyclic,
+                                   seed=out_len + 10 * k + h)
+                case = f"H={h} out_len={out_len}"
+                acc, shell = np.zeros(out_len, dtype=complex), [0j]
+                uniformity._blocked_cube_sum(xs, k, h, out_len, acc, shell)
+                want = (acc.mean() / h ** k,
+                        shell[0] / (out_len * (h ** k - (h - 1) ** k)))
+                got = uniformity._cube_average(xs, k, h, out_len, True)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-12 * abs(w), case
+
+    @pytest.mark.parametrize("pattern", OPERAND_PATTERNS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_prefix_calls_per_chunk(self, k, pattern):
+        """One centred prefix per window and no window array; a symmetric
+        list still walks C(H+k-2, k-1) windows per chunk."""
+        h = 4
+        if pattern == "distinct" or k <= 2:
+            per_chunk = h ** (k - 1)
+        else:
+            per_chunk = math.comb(h + k - 2, k - 1)
+        for out_len in SUMMED_LENS:
+            xs = cube_operands(pattern, k, h, out_len, False, seed=k)
+            lens = []
+
+            def counted(x, scratch=None):
+                lens.append(len(x))
+                return seq_core._centred_prefix(x, scratch)
+
+            def no_window(*args, **kwargs):
+                raise AssertionError("the n-summed base formed a window")
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(uniformity, "_centred_prefix", counted)
+                mp.setattr(uniformity, "_sliding_sums", no_window)
+                uniformity._cube_average(xs, k, h, out_len, True)
+            chunks = -(-out_len // BLOCK_TEST)
+            assert len(lens) == chunks * per_chunk, out_len
+            assert sum(lens) == per_chunk * (out_len + chunks * (h - 1))
 
 
 class TestBlockedWorkspace:
