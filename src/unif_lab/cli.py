@@ -611,6 +611,9 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except (UnifLabError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
+    except MemoryError as exc:  # numpy's message names the array's size
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
+        return USAGE_EXIT
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -162,8 +162,8 @@ def dual_function(a: ComplexSeq, p: BoxParams) -> ComplexSeq:
     x = _operand_array(a, p)
     out_len = p.interval.length
     d = np.zeros(out_len, dtype=np.complex128)
-    _blocked_cube_sum([np.ones_like(x)] + [x] * ((1 << p.k) - 1), p.k, p.H,
-                      out_len, d)
+    one = np.broadcast_to(np.complex128(1), x.shape)  # no N-point array
+    _blocked_cube_sum([one] + [x] * ((1 << p.k) - 1), p.k, p.H, out_len, d)
     d /= p.H ** p.k
     return from_samples(d, lo=p.interval.lo)
 

@@ -25,8 +25,9 @@ Computation paths, all agreeing to better than 1e-9:
             the dual function keeps the per-n window and puts the constant
             1 at the base vertex.  For symmetric operands (one array per
             |eps|: box norms, the dual function) c_h is invariant under
-            permuting h, so at k >= 3 it walks only sorted outer shifts:
-            O(C(H+k-2, k-1) * |I|); otherwise (csg_check's 2^k operands)
+            permuting h, so at every k it walks only sorted outer shifts,
+            O(C(H+k-2, k-1) * |I|), and reads the shell below off that walk;
+            only csg_check's 2^k mixed operands walk the full grid,
             O(H^(k-1) * |I|).  The n-range runs in near-equal chunks of at
             most _BLOCK = 2^13 points, each on views of its operands plus
             the k*(H-1) margin, so the workspace is O(2^13) per level and
@@ -125,9 +126,9 @@ def _cube_cost(p: BoxParams, path: str, symmetric: bool = True) -> int:
     """Element operations of one box average on `path`, from p alone.
 
     direct: 2^k H^k |I|.  fast: the windows the kernel walks, C(H+k-2, k-1)
-    for symmetric operands at k >= 3 (see _cube_sum) and H^(k-1) otherwise,
-    times the |I| + k(H-1) operand points each reads, so that a huge H
-    counts even at k = 1.  spectral: the operand points.
+    for symmetric operands (see _cube_sum; H^(k-1) at k <= 2) and H^(k-1)
+    for mixed ones, times the |I| + k(H-1) operand points each reads, so
+    that a huge H counts even at k = 1.  spectral: the operand points.
     """
     n, k, h = p.interval.length, p.k, p.H
     span = n + k * (h - 1)
@@ -135,7 +136,7 @@ def _cube_cost(p: BoxParams, path: str, symmetric: bool = True) -> int:
         return (2 * h) ** k * n
     if path == "spectral":
         return span
-    if symmetric and k >= 3:
+    if symmetric:
         return math.comb(h + k - 2, k - 1) * span
     return h ** (k - 1) * span
 
@@ -159,7 +160,7 @@ def _require_affordable(p: BoxParams, path: str,
 
 def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
               acc: Union[np.ndarray, list], shell: Optional[list] = None,
-              on_shell: bool = False, ws: Optional[dict] = None,
+              ws: Optional[dict] = None,
               walk: Optional[Tuple[int, int, int, int]] = None) -> None:
     """acc[n] += sum_{h in [0,H)^k} prod_eps C^{|eps|} xs[m][n + eps.h].
 
@@ -167,9 +168,7 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
     cube coordinate: at shift h_k, vertex v and v + 2^(k-1) merge into
     xs[v] * conj(shift_{h_k} xs[v + 2^(k-1)]), a (k-1)-cube; at k = 1 the
     h sum is a sliding window.  Pairs of the same two arrays (by identity)
-    are multiplied once, so a single sequence costs one product per shift
-    and the full grid O(H^(k-1) * len).  A one-element `shell` list also
-    gains the n-sum over max(h) = H-1 (on_shell: an outer h_i is H-1).
+    are multiplied once, so a single sequence costs one product per shift.
 
     `acc` is either an out_len-point array, which gains every acc[n] (the
     dual function), or a one-element list, which gains only their n-sum
@@ -180,14 +179,21 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
                                + conj(H mu) * sum_{n<L} x0[n],
     with L = out_len, and the last sum is p[L-1] + L mu when x0 is x1.
 
-    Symmetric operands (k >= 3, one array per popcount |eps|, as for
-    box_norm and the dual function) give a c_h that a permutation of the
-    h coordinates leaves unchanged.  The top-level call then walks only
-    the sorted outer shifts h_k <= ... <= h_2 and weights each by its
-    number of orderings, (k-1)!/prod r_i! for runs of r_i equal values:
-    C(H+k-2, k-1) windows in place of H^(k-1).  `walk` carries (least
-    next shift, shifts chosen, their multiplicity, length of the last
-    run) down the recursion; it is None for the full grid.
+    Symmetric operands (one array per popcount |eps|: box averages and the
+    dual function) give a c_h that a permutation of the h coordinates
+    leaves unchanged.  The top-level call then walks only the sorted outer
+    shifts h_k <= ... <= h_2 and weights each by its number of orderings,
+    (k-1)!/prod r_i! for runs of r_i equal values: C(H+k-2, k-1) windows in
+    place of H^(k-1), which at k <= 2 is the same loop with every weight 1.
+    `walk` carries (least next shift, shifts chosen, their multiplicity,
+    length of the last run) down the recursion; it is None only for mixed
+    operands (csg_check), which walk the full grid.
+
+    A one-element `shell` list also gains the n-sum of c_h over the shell
+    max(h) = H-1, read off the walk: the base's whole sum when the largest
+    chosen outer shift, walk[0], is H-1, else its edge term h_1 = H-1.
+    Only the n-summed base keeps a shell, and only on a symmetric operand
+    list (_cube_average of a box average).
 
     The merged products, the prefix and (per-n) the window are written into
     buffers made on the first shift of a top-level call and reused for
@@ -200,25 +206,13 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
     if ws is None:
         ws, walk = {}, None
         by_weight: dict = {}  # popcount -> the first array seen with it
-        if k >= 3 and all(by_weight.setdefault(m.bit_count(), x) is x
-                          for m, x in enumerate(xs)):
+        if all(by_weight.setdefault(m.bit_count(), x) is x
+               for m, x in enumerate(xs)):
             walk = (0, 0, 1, 0)
     if k == 1:
         mult = 1 if walk is None else walk[2]
         x0, x1 = xs[0][:out_len], xs[1]
-        if isinstance(acc, list):  # n-summed: two dot products, no window
-            if 1 not in ws:  # [prefix scratch]
-                ws[1] = [np.empty(len(x1), dtype=np.complex128)]
-            p, mu = _centred_prefix(x1, ws[1][0])
-            s0 = (p[out_len - 1] + out_len * mu if xs[0] is x1
-                  else np.add.reduce(x0))
-            total = (np.vdot(p[h - 1:h - 1 + out_len], x0)
-                     - np.vdot(p[:out_len - 1], x0[1:])
-                     + np.conj(h * mu) * s0)
-            if mult != 1:
-                total = mult * total
-            acc[0] += total
-        else:
+        if isinstance(acc, np.ndarray):  # per-n: the window itself
             if 1 not in ws:  # [prefix scratch, window]
                 ws[1] = [np.empty(len(x1), dtype=np.complex128),
                          np.empty(out_len, dtype=np.complex128)]
@@ -229,8 +223,19 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
             if mult != 1:
                 w *= mult
             acc += w
-            total = w.sum() if shell is not None and on_shell else 0j
-        if shell is not None and on_shell:
+            return
+        if 1 not in ws:  # [prefix scratch]
+            ws[1] = [np.empty(len(x1), dtype=np.complex128)]
+        p, mu = _centred_prefix(x1, ws[1][0])
+        s0 = (p[out_len - 1] + out_len * mu if xs[0] is x1
+              else np.add.reduce(x0))
+        total = (np.vdot(p[h - 1:h - 1 + out_len], x0)
+                 - np.vdot(p[:out_len - 1], x0[1:])
+                 + np.conj(h * mu) * s0)
+        if mult != 1:
+            total = mult * total
+        acc[0] += total
+        if shell is not None and walk[1] and walk[0] == h - 1:
             shell[0] += total
         elif shell is not None:
             edge = np.vdot(x1[h - 1:h - 1 + out_len], x0)
@@ -256,30 +261,27 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
         for v, buf in merged.items():
             np.conj(xs[v + half][hh:hh + m], out=buf)
             buf *= xs[v][:m]
-        _cube_sum(below, k - 1, h, out_len, acc, shell,
-                  on_shell or hh == h - 1, ws, inner)
+        _cube_sum(below, k - 1, h, out_len, acc, shell, ws, inner)
 
 
 def _blocked_cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
-                     acc: Union[np.ndarray, list],
-                     shell: Optional[list] = None) -> None:
+                      acc: Union[np.ndarray, list],
+                      shell: Optional[list] = None) -> None:
     """_cube_sum over the n-range in near-equal chunks of at most _BLOCK
     points, so that each pass's workspace stays in cache.
 
     acc[n] reads only xs[m][n : n + k*(H-1) + 1], so a chunk runs the
     unchanged recursion on views covering itself plus that margin, adding
-    into its slice of acc (or into the n-summed acc list itself) and into
+    into its slice of acc (or, n-summed, into a sum of its own) and into
     the shared shell.  Each distinct operand gets one view per chunk: pair
     merging and the symmetric walk test operands by identity.  The
-    workspace is O(_BLOCK) per level in place of O(out_len).  At out_len <=
-    _BLOCK this is one _cube_sum call on the original arrays; past it, each
-    chunk's windows centre on the chunk's own mean and the sum runs chunk
-    by chunk, which moves the last bits.  An n-summed acc gains the exact
-    sum (math.fsum) of the chunks' own sums.
+    workspace is O(_BLOCK) per level in place of O(out_len).  Operands
+    hold exactly out_len + k*(H-1) points, so at out_len <= _BLOCK the one
+    chunk's views are the whole arrays; past it, each chunk's windows
+    centre on the chunk's own mean and the sum runs chunk by chunk, which
+    moves the last bits.  An n-summed acc gains the exact sum (math.fsum)
+    of the chunks' own sums.
     """
-    if out_len <= _BLOCK:
-        _cube_sum(xs, k, h, out_len, acc, shell)
-        return
     chunks = -(-out_len // _BLOCK)
     margin = k * (h - 1)
     distinct = {id(x): x for x in xs}
@@ -305,7 +307,8 @@ def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
     """(1/H^k) sum_h c_h with vertex m reading xs[m], and the average of c_h
     over the shell max(h) = H-1 (0 unless with_tail).  The kernel sums n
     itself (an n-summed acc list), in chunks of at most _BLOCK points
-    (_blocked_cube_sum)."""
+    (_blocked_cube_sum).  with_tail needs symmetric operands (one array per
+    popcount, see _cube_sum): the shell is read off their sorted walk."""
     acc, shell = [0j], [0j]
     _blocked_cube_sum(xs, k, h, out_len, acc, shell if with_tail else None)
     tail = complex(shell[0]) / (out_len * (h ** k - (h - 1) ** k))

@@ -520,6 +520,30 @@ class TestBadNumbers:
                             r"\|I\|=\d+\), above the limit of 1e\+12\n",
                             err), err
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 7.28 TiB for an array with shape "
+         "(1000000000000,) and data type complex128",
+         "error: Unable to allocate 7.28 TiB for an array with shape "
+         "(1000000000000,) and data type complex128\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("command", [
+        "gen --gen rad:1 --range 0:16",
+        "norm --gen rad:1 --k 1 --mode interval --len 16 --H 1",
+        "dualfn --gen rad:1 --k 2 --mode cyclic --N 16 --H 4",
+        "ww --gen rad:1 --N 16",
+    ], ids=["gen", "norm", "dualfn", "ww"])
+    def test_allocation_failure_exits_two(self, command, message, line,
+                                          monkeypatch):
+        # numpy raises MemoryError for a size the machine cannot hold; it
+        # is raised here, since a real request that large does not fail at
+        # once on every machine
+        def refused(self, ns):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(ul.ComplexSeq, "eval", refused)
+        assert run_cli(command.split()) == (2, "", line)
+
     @pytest.mark.parametrize("argv, odd, plain", [
         # -1e-20 mod 1 rounds to 1.0, which used to be refused as outside
         # [0, 1)

@@ -80,20 +80,22 @@ def require_acc(acc):
 def ref_cube_sum(xs, k, h, out_len, acc, shell=None):
     """Reference cube kernel: the walk of uniformity._cube_sum with a fresh
     array for every merged product and every window.  Symmetric operands
-    (k >= 3, one array per popcount of the vertex index) visit only the
-    sorted outer shifts h_k <= ... <= h_2, each window weighted by the
-    number of orderings of its tuple; other operands walk the full grid.
-    An n-summed acc (one-element list) takes ref_window_dot at the base,
-    a per-n acc the window itself.  The workspace kernel must match it bit
-    for bit and never peak above it in memory."""
+    (one array per popcount of the vertex index) visit only the sorted
+    outer shifts h_k <= ... <= h_2, each window weighted by the number of
+    orderings of its tuple; mixed operands walk the full grid.  An n-summed
+    acc (one-element list) takes ref_window_dot at the base, and a shell
+    list gains that sum when the largest outer shift is H-1, else the edge
+    term h_1 = H-1; a per-n acc takes the window itself and has no shell.
+    The workspace kernel must match it bit for bit and never peak above it
+    in memory."""
     require_acc(acc)
     first = {}
-    symmetric = k >= 3 and all(first.setdefault(bin(m).count("1"), x) is x
-                               for m, x in enumerate(xs))
-    _ref_walk(xs, k, h, out_len, acc, shell, False, () if symmetric else None)
+    symmetric = all(first.setdefault(bin(m).count("1"), x) is x
+                    for m, x in enumerate(xs))
+    _ref_walk(xs, k, h, out_len, acc, shell, () if symmetric else None)
 
 
-def _ref_walk(xs, k, h, out_len, acc, shell, on_shell, outer):
+def _ref_walk(xs, k, h, out_len, acc, shell, outer):
     """ref_cube_sum below the top; outer is the sorted tuple of shifts
     chosen so far, or None on the full grid."""
     if k == 1:
@@ -102,21 +104,26 @@ def _ref_walk(xs, k, h, out_len, acc, shell, on_shell, outer):
             mult = math.factorial(len(outer))
             for run in Counter(outer).values():
                 mult //= math.factorial(run)
-        if require_acc(acc):
-            total = ref_window_dot(xs[0], xs[1], h, out_len)
-            if mult != 1:
-                total = mult * total
-            acc[0] += total
-        else:
+        if not require_acc(acc):
+            if shell is not None:
+                raise TypeError("a per-n accumulator has no shell")
             w = np.conj(ref_sliding_sums(xs[1], h, out_len))
             w *= xs[0][:out_len]
             if mult != 1:
                 w *= mult
             acc += w
-            total = w.sum()
-        if shell is not None and on_shell:
+            return
+        total = ref_window_dot(xs[0], xs[1], h, out_len)
+        if mult != 1:
+            total = mult * total
+        acc[0] += total
+        if shell is None:
+            return
+        if outer is None:
+            raise TypeError("the shell needs symmetric operands")
+        if outer and outer[-1] == h - 1:
             shell[0] += total
-        elif shell is not None:
+        else:
             edge = np.vdot(xs[1][h - 1:h - 1 + out_len], xs[0][:out_len])
             shell[0] += edge if mult == 1 else mult * edge
         return
@@ -133,16 +140,18 @@ def _ref_walk(xs, k, h, out_len, acc, shell, on_shell, outer):
             prod *= xs[v][:m]
             merged[v] = prod
         _ref_walk([merged[r] for r in rep], k - 1, h, out_len, acc, shell,
-                  on_shell or hh == h - 1,
                   None if outer is None else outer + (hh,))
 
 
 def ref_full_cube_sum(xs, k, h, out_len, acc, shell=None, on_shell=False):
     """Full-grid reference kernel: every outer shift tuple in [0,H)^(k-1),
-    a fresh array for every merged product and every window.  Operands
-    that are not symmetric (csg_check's mixed pairing) and every k <= 2
-    case take this walk in uniformity._cube_sum, bit for bit.  Per-n
-    accumulator only."""
+    a fresh array for every merged product and every window, and the
+    shell max(h) = H-1 tracked by an on_shell flag.  uniformity._cube_sum
+    walks this grid, bit for bit, for operands that are not symmetric
+    (csg_check's mixed pairing), and for symmetric ones at k <= 2, where
+    the sorted walk is the same loop with every weight 1.  Per-n
+    accumulator only; its shell is the independent oracle for the
+    kernel's n-summed one."""
     if require_acc(acc):
         raise TypeError("ref_full_cube_sum takes a per-n accumulator")
     if k == 1:
@@ -166,6 +175,17 @@ def ref_full_cube_sum(xs, k, h, out_len, acc, shell=None, on_shell=False):
             merged[v] = prod
         ref_full_cube_sum([merged[r] for r in rep], k - 1, h, out_len, acc,
                           shell, on_shell or hh == h - 1)
+
+
+def full_grid(xs, k, h, out_len):
+    """(per-n acc, shell sum) of ref_full_cube_sum."""
+    acc, shell = np.zeros(out_len, dtype=complex), [0j]
+    ref_full_cube_sum(xs, k, h, out_len, acc, shell)
+    return acc, shell[0]
+
+
+def assert_close(got, want, case):
+    assert abs(got - want) <= 1e-12 * abs(want), case
 
 
 def ref_powered_fft_k2(x, h, with_tail=False):
@@ -664,6 +684,17 @@ class TestCostEstimate:
         k2 = ul.BoxParams(2, 8, ul.IntervalSpec(0, 100))
         assert cost(k2, "fast") == 8 * (100 + 2 * 7)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_symmetric_low_k(self, k):
+        # the sorted walk's C(H+k-2, k-1) windows are H^(k-1) at k <= 2
+        for h in (1, 2, 8, 1000):
+            p = ul.BoxParams(k, h, ul.IntervalSpec(0, 100))
+            span = 100 + k * (h - 1)
+            sym = uniformity._cube_cost(p, "fast")
+            assert sym == math.comb(h + k - 2, k - 1) * span
+            assert sym == h ** (k - 1) * span
+            assert sym == uniformity._cube_cost(p, "fast", symmetric=False)
+
     def test_limit(self):
         limit = uniformity._MAX_COST
         # the acceptance run of the literal direct sum (criterion 14)
@@ -704,16 +735,16 @@ class TestKernelBitIdentity:
                 xs = cube_operands(pattern, k, h, out_len, cyclic,
                                    seed=out_len + k)
                 case = f"out_len={out_len} {pattern}"
-                got = uniformity._cube_average(xs, k, h, out_len, True)
+                tail = pattern != "distinct"  # a shell needs symmetric xs
+                got = uniformity._cube_average(xs, k, h, out_len, tail)
                 want = reference_kernel(
-                    lambda: uniformity._cube_average(xs, k, h, out_len, True))
+                    lambda: uniformity._cube_average(xs, k, h, out_len, tail))
                 assert got == want, case
-                acc, shell = np.zeros(out_len, dtype=complex), [0j]
-                uniformity._cube_sum(xs, k, h, out_len, acc, shell)
-                ref_acc, ref_shell = np.zeros(out_len, dtype=complex), [0j]
-                ref_cube_sum(xs, k, h, out_len, ref_acc, ref_shell)
+                acc = np.zeros(out_len, dtype=complex)
+                uniformity._cube_sum(xs, k, h, out_len, acc)
+                ref_acc = np.zeros(out_len, dtype=complex)
+                ref_cube_sum(xs, k, h, out_len, ref_acc)
                 assert acc.tobytes() == ref_acc.tobytes(), case
-                assert shell == ref_shell, case
 
     def test_sup_window_average_unchanged(self):
         a = ul.rademacher_seq(9)
@@ -725,8 +756,8 @@ class TestKernelBitIdentity:
 
 
 class TestSortedWalk:
-    """Symmetric operands walk the sorted outer shifts; the rest, and every
-    k <= 2 case, keep the full grid and its bits."""
+    """Symmetric operands walk the sorted outer shifts at every k, which at
+    k <= 2 gives the full grid's bits; mixed operands keep the full grid."""
 
     @pytest.mark.parametrize("pattern", OPERAND_PATTERNS)
     @pytest.mark.parametrize("h", [1, 3, 6])
@@ -740,19 +771,21 @@ class TestSortedWalk:
             calls.append(1)
             return seq_core._sliding_sums(*args, **kwargs)
 
-        acc, shell = np.zeros(out_len, dtype=complex), [0j]
+        acc = np.zeros(out_len, dtype=complex)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uniformity, "_sliding_sums", counted)
-            uniformity._cube_sum(xs, k, h, out_len, acc, shell)
+            uniformity._cube_sum(xs, k, h, out_len, acc)
         if pattern == "distinct":
             assert len(calls) == h ** (k - 1)
         else:
             assert len(calls) == math.comb(h + k - 2, k - 1)
+        full_acc, full_shell = full_grid(xs, k, h, out_len)
         if pattern == "distinct" or k <= 2:
-            full_acc, full_shell = np.zeros(out_len, dtype=complex), [0j]
-            ref_full_cube_sum(xs, k, h, out_len, full_acc, full_shell)
             assert acc.tobytes() == full_acc.tobytes()
-            assert shell == full_shell
+        if pattern != "distinct":
+            summed, shell = [0j], [0j]
+            uniformity._cube_sum(xs, k, h, out_len, summed, shell)
+            assert_close(shell[0], full_shell, "shell")
 
     @pytest.mark.parametrize("pattern", ["single", "dual"])
     @pytest.mark.parametrize("cyclic", [True, False],
@@ -764,16 +797,15 @@ class TestSortedWalk:
                 xs = cube_operands(pattern, k, h, out_len, cyclic,
                                    seed=10 * h + out_len)
                 case = f"H={h} out_len={out_len}"
-                acc, shell = np.zeros(out_len, dtype=complex), [0j]
-                uniformity._cube_sum(xs, k, h, out_len, acc, shell)
-                full_acc, full_shell = np.zeros(out_len, dtype=complex), [0j]
-                ref_full_cube_sum(xs, k, h, out_len, full_acc, full_shell)
+                acc = np.zeros(out_len, dtype=complex)
+                uniformity._cube_sum(xs, k, h, out_len, acc)
+                full_acc, full_shell = full_grid(xs, k, h, out_len)
                 scale = np.max(np.abs(full_acc))
                 assert np.max(np.abs(acc - full_acc)) <= 1e-12 * scale, case
-                assert (abs(acc.mean() - full_acc.mean())
-                        <= 1e-12 * abs(full_acc.mean())), case
-                assert (abs(shell[0] - full_shell[0])
-                        <= 1e-12 * abs(full_shell[0])), case
+                assert_close(acc.mean(), full_acc.mean(), case)
+                summed, shell = [0j], [0j]
+                uniformity._cube_sum(xs, k, h, out_len, summed, shell)
+                assert_close(shell[0], full_shell, case)
 
 
 class TestKernelWorkspace:
@@ -784,7 +816,7 @@ class TestKernelWorkspace:
             for pattern in OPERAND_PATTERNS:
                 xs = cube_operands(pattern, k, 5, 64, False)
                 before = [x.tobytes() for x in xs]
-                uniformity._cube_average(xs, k, 5, 64, True)
+                uniformity._cube_average(xs, k, 5, 64, pattern != "distinct")
                 assert [x.tobytes() for x in xs] == before, (k, pattern)
 
     def test_csg_operands_untouched(self):
@@ -894,20 +926,27 @@ class TestKernelBlocks:
                 xs = cube_operands(pattern, k, h, out_len, cyclic,
                                    seed=out_len + 10 * k + h)
                 case = f"H={h} out_len={out_len}"
-                acc, shell = np.zeros(out_len, dtype=complex), [0j]
-                uniformity._blocked_cube_sum(xs, k, h, out_len, acc, shell)
-                one_acc, one_shell = np.zeros(out_len, dtype=complex), [0j]
-                uniformity._cube_sum(xs, k, h, out_len, one_acc, one_shell)
+                acc = np.zeros(out_len, dtype=complex)
+                uniformity._blocked_cube_sum(xs, k, h, out_len, acc)
+                one_acc = np.zeros(out_len, dtype=complex)
+                uniformity._cube_sum(xs, k, h, out_len, one_acc)
+                # the shell, n-summed, of symmetric operands only
+                shell = one_shell = [0j]
+                if pattern != "distinct":
+                    shell, one_shell = [0j], [0j]
+                    uniformity._blocked_cube_sum(xs, k, h, out_len, [0j],
+                                                 shell)
+                    uniformity._cube_sum(xs, k, h, out_len, [0j], one_shell)
+                    assert_close(shell[0], full_grid(xs, k, h, out_len)[1],
+                                 case)
                 if out_len <= BLOCK_TEST:
                     assert acc.tobytes() == one_acc.tobytes(), case
                     assert shell == one_shell, case
                     continue
                 scale = np.max(np.abs(one_acc))
                 assert np.max(np.abs(acc - one_acc)) <= 1e-12 * scale, case
-                assert (abs(acc.mean() - one_acc.mean())
-                        <= 1e-12 * abs(one_acc.mean())), case
-                assert (abs(shell[0] - one_shell[0])
-                        <= 1e-12 * abs(one_shell[0])), case
+                assert_close(acc.mean(), one_acc.mean(), case)
+                assert_close(shell[0], one_shell[0], case)
 
     @pytest.mark.parametrize("pattern", OPERAND_PATTERNS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -916,7 +955,7 @@ class TestKernelBlocks:
         still walks C(H+k-2, k-1) windows per chunk, not H^(k-1); chunks
         differ in length by at most one point."""
         h = 4
-        if pattern == "distinct" or k <= 2:
+        if pattern == "distinct":
             per_chunk = h ** (k - 1)
         else:
             per_chunk = math.comb(h + k - 2, k - 1)
@@ -928,10 +967,10 @@ class TestKernelBlocks:
                 lens.append(n)
                 return seq_core._sliding_sums(x, width, n, **kwargs)
 
-            acc, shell = np.zeros(out_len, dtype=complex), [0j]
+            acc = np.zeros(out_len, dtype=complex)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(uniformity, "_sliding_sums", counted)
-                uniformity._blocked_cube_sum(xs, k, h, out_len, acc, shell)
+                uniformity._blocked_cube_sum(xs, k, h, out_len, acc)
             chunks = -(-out_len // BLOCK_TEST)
             assert len(lens) == chunks * per_chunk, out_len
             assert sum(lens) == per_chunk * out_len, out_len
@@ -974,13 +1013,15 @@ class TestSummedKernel:
                 xs = cube_operands(pattern, k, h, out_len, cyclic,
                                    seed=out_len + 10 * k + h)
                 case = f"H={h} out_len={out_len}"
-                acc, shell = np.zeros(out_len, dtype=complex), [0j]
-                uniformity._blocked_cube_sum(xs, k, h, out_len, acc, shell)
-                want = (acc.mean() / h ** k,
-                        shell[0] / (out_len * (h ** k - (h - 1) ** k)))
-                got = uniformity._cube_average(xs, k, h, out_len, True)
-                for g, w in zip(got, want):
-                    assert abs(g - w) <= 1e-12 * abs(w), case
+                acc = np.zeros(out_len, dtype=complex)
+                uniformity._blocked_cube_sum(xs, k, h, out_len, acc)
+                tail = pattern != "distinct"  # a shell needs symmetric xs
+                got = uniformity._cube_average(xs, k, h, out_len, tail)
+                assert_close(got[0], acc.mean() / h ** k, case)
+                if tail:
+                    shell = full_grid(xs, k, h, out_len)[1]
+                    assert_close(got[1], shell / (out_len * (
+                        h ** k - (h - 1) ** k)), case)
 
     @pytest.mark.parametrize("pattern", OPERAND_PATTERNS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -988,7 +1029,7 @@ class TestSummedKernel:
         """One centred prefix per window and no window array; a symmetric
         list still walks C(H+k-2, k-1) windows per chunk."""
         h = 4
-        if pattern == "distinct" or k <= 2:
+        if pattern == "distinct":
             per_chunk = h ** (k - 1)
         else:
             per_chunk = math.comb(h + k - 2, k - 1)
@@ -1006,7 +1047,8 @@ class TestSummedKernel:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(uniformity, "_centred_prefix", counted)
                 mp.setattr(uniformity, "_sliding_sums", no_window)
-                uniformity._cube_average(xs, k, h, out_len, True)
+                uniformity._cube_average(xs, k, h, out_len,
+                                         pattern != "distinct")
             chunks = -(-out_len // BLOCK_TEST)
             assert len(lens) == chunks * per_chunk, out_len
             assert sum(lens) == per_chunk * (out_len + chunks * (h - 1))
@@ -1023,23 +1065,29 @@ class TestBlockedWorkspace:
         rng = np.random.default_rng(5)
         return ul.from_samples(np.exp(2j * np.pi * rng.random(self.N)))
 
-    def _check(self, fn, operands):
+    def _check(self, fn, operands=0, outputs=0):
+        """fn's traced peak, less its operand arrays and N-point outputs,
+        which are not workspace."""
         span = self.N + self.K * (self.H - 1)
-        # the operand arrays and the N-point output are not workspace
-        extra = _traced_peak(fn) - 16 * (operands * span + self.N)
+        extra = _traced_peak(fn) - 16 * (operands * span + outputs * self.N)
         unit = 16 * (uniformity._BLOCK + self.K * (self.H - 1))
         assert extra <= 5 * unit, f"workspace {extra / unit:.2f} blocks"
 
     def test_box_norm(self, big):
+        # the kernel of a box average on an operand sampled before tracing:
+        # box_norm's own peak is its sampling, and it has no N-point output
         p = ul.BoxParams(self.K, self.H, ul.IntervalSpec(0, self.N),
                          ul.cyclic(self.N))
-        self._check(lambda: ul.box_norm(big, p, path="fast"), 1)
+        x = uniformity._operand_array(big, p)
+        self._check(lambda: uniformity._cube_average(
+            [x] * (1 << self.K), self.K, self.H, self.N, True))
 
     def test_dual_function(self, big):
-        # two operands: the samples and the constant 1 at the base vertex
+        # one operand, the samples (the constant 1 at the base vertex is a
+        # broadcast scalar), and the N-point output
         p = ul.BoxParams(self.K, self.H, ul.IntervalSpec(0, self.N),
                          ul.cyclic(self.N))
-        self._check(lambda: duality.dual_function(big, p), 2)
+        self._check(lambda: duality.dual_function(big, p), 1, 1)
 
 
 # ---------------------------------------------------------------------------
