@@ -95,6 +95,8 @@ def _box_params(args) -> BoxParams:
         raise GeneratorSpecError("interval mode needs --len")
     if args.H is None:
         raise GeneratorSpecError("interval mode needs --H")
+    if args.N is not None:
+        raise GeneratorSpecError("interval mode does not take --N")
     return BoxParams(args.k, args.H, IntervalSpec(args.lo or 0, args.len),
                      INTERVAL)
 
@@ -238,6 +240,8 @@ def _cmd_dualfn(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.dict == "fourier" and args.grid:
+        raise GeneratorSpecError("search --dict fourier does not take --grid")
     a = generators.parse_generator(args.gen)
     grid = _parse_grid(args.grid) if args.grid else None
     hits = duality.inverse_search(a, args.N, kind=args.dict, grid=grid,
@@ -277,6 +281,8 @@ def _parse_x0(sys_: ergodic_weights.DynSystem, text: Optional[str]):
 
 
 def _cmd_weighted(args) -> int:
+    if args.grid and args.N is not None:
+        raise GeneratorSpecError("weighted takes --N or --grid, not both")
     threshold = _parse_number(args.threshold, "--threshold")
     w = generators.parse_generator(args.w)
     sys_ = _parse_system(args.system)
@@ -394,13 +400,16 @@ def _cmd_verify(args) -> int:
     if args.trials > _MAX_COUNT:
         raise GeneratorSpecError(
             f"--trials must be at most {_MAX_COUNT}, got {args.trials}")
-    seed = args.seed
+    seed = 0 if args.seed is None else args.seed
     if args.gen:
         # `--gen rad:SEED` re-bases the driving sign sequences on SEED
         if not args.gen.startswith("rad:"):
             raise GeneratorSpecError(
                 "verify draws its own seeded corpus; only rad:SEED is "
                 "accepted as a --gen override")
+        if args.seed is not None:
+            raise GeneratorSpecError("verify takes --seed or --gen rad:SEED, "
+                                     "not both")
         seed = _parse_int(args.gen.split(":", 1)[1], "seed")
     kwargs = _suite_kwargs(args)
     rep = _SUITES[args.suite](args.trials, seed=seed, **kwargs)
@@ -565,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--H", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None, help="default 0")
     _add_common(sp)
     sp.set_defaults(fn=_cmd_verify)
 

@@ -36,8 +36,8 @@ from .nilmanifold import HeisElem, IDENTITY_POINT, character_ez, nilsequence
 from .seq_core import (ComplexSeq, _fourier, _require_finite, _samples,
                        from_samples, sample_mode)
 from .uniformity import (BoxParams, SuiteReport, _blocked_cube_sum,
-                         _cyclic_box, _operand_array, _require_affordable,
-                         _run_trials, _suite_seq, box_norm)
+                         _cyclic_box, _operand_array, _run_trials, _suite_seq,
+                         box_norm)
 
 GRID_TOL = 1e-12
 
@@ -158,7 +158,6 @@ def dual_function(a: ComplexSeq, p: BoxParams) -> ComplexSeq:
     whose cost estimate passes uniformity._MAX_COST raises ValueError
     before sampling.
     """
-    _require_affordable(p, "fast")
     x = _operand_array(a, p)
     out_len = p.interval.length
     d = np.zeros(out_len, dtype=np.complex128)

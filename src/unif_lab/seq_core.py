@@ -210,20 +210,11 @@ def wrap_cyclic(a: ComplexSeq, n: int) -> ComplexSeq:
 
 
 def sample_mode(a: ComplexSeq, lo: int, hi: int, mode: DomainMode) -> np.ndarray:
-    """Values on [lo, hi), with indices reduced mod N first in cyclic mode."""
+    """Values on [lo, hi): in cyclic(N) mode those of wrap_cyclic(a, N), so
+    a must be valid on [0, N); in interval mode a's own, range-checked."""
     if mode.is_cyclic:
-        n = mode.modulus
-        a.require_range(0, n, "cyclic evaluation")
-        return a.eval(np.arange(lo, hi, dtype=np.int64) % n)
+        return wrap_cyclic(a, mode.modulus).sample(lo, hi)
     return a.sample(lo, hi)
-
-
-def require_margin(a: ComplexSeq, interval: IntervalSpec, k: int,
-                   h: int) -> None:
-    """Check the interval-mode margin contract: reads reach
-    [lo, lo + len + k*(H-1))."""
-    a.require_range(interval.lo, interval.hi + k * (h - 1),
-                    f"k={k}, H={h} box average on {interval}")
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,11 @@ Computation paths, all agreeing to better than 1e-9:
 
 Every path but spectral also returns, from the same pass, the average of
 c_h over the outermost shell max(h) = H-1: box_norm's h_tail diagnostic.
-A box average or dual function whose cost estimate (_cube_cost, from the
-parameters alone) passes _MAX_COST = 1e12 element operations raises
-ValueError before anything is sampled.
+Box averages, csg_check's mixed pairing and the dual function sample
+through _operand_array alone.  It first raises ValueError, before anything
+is sampled, when the cost estimate (_cube_cost, from the parameters alone)
+passes _MAX_COST = 1e12 element operations; it then samples only what the
+path reads: one period for spectral, [I.lo, I.hi + k*(H-1)) otherwise.
 
 In cyclic mode with H = N the h average runs over the whole group and the
 quantity is a sum of squared magnitudes, hence exactly nonnegative.  At
@@ -65,8 +67,7 @@ from .generators import rademacher_seq
 from .seq_core import (INTERVAL, ComplexSeq, DomainMode, IntervalSpec,
                        _centred_prefix, _cube_vertices, _e, _fourier, _frac,
                        _sliding_sums, add, conjugate, cyclic, from_samples,
-                       product, require_margin, sample_mode, shift,
-                       wrap_cyclic)
+                       product, sample_mode, shift, wrap_cyclic)
 
 NEGATIVITY_FLOOR = -1e-9
 _MAX_K = 16  # the cube's vertex table then has 2^16 = 65,536 entries
@@ -114,31 +115,22 @@ class NormReport:
 # Operand sampling
 # ---------------------------------------------------------------------------
 
-def _operand_array(a: ComplexSeq, p: BoxParams) -> np.ndarray:
-    """Samples covering [I.lo, I.hi + k*(H-1)), wrapped mod N when cyclic."""
-    if not p.mode.is_cyclic:
-        require_margin(a, p.interval, p.k, p.H)
-    return sample_mode(a, p.interval.lo, p.interval.hi + p.k * (p.H - 1),
-                       p.mode)
-
-
 def _cube_cost(p: BoxParams, path: str, symmetric: bool = True) -> int:
     """Element operations of one box average on `path`, from p alone.
 
     direct: 2^k H^k |I|.  fast: the windows the kernel walks, C(H+k-2, k-1)
     for symmetric operands (see _cube_sum; H^(k-1) at k <= 2) and H^(k-1)
     for mixed ones, times the |I| + k(H-1) operand points each reads, so
-    that a huge H counts even at k = 1.  spectral: the operand points.
+    that a huge H counts even at k = 1.  spectral: the N points of the
+    period, all that it reads (_operand_array).
     """
     n, k, h = p.interval.length, p.k, p.H
-    span = n + k * (h - 1)
     if path == "direct":
         return (2 * h) ** k * n
     if path == "spectral":
-        return span
-    if symmetric:
-        return math.comb(h + k - 2, k - 1) * span
-    return h ** (k - 1) * span
+        return n  # I = [0, N)
+    windows = math.comb(h + k - 2, k - 1) if symmetric else h ** (k - 1)
+    return windows * (n + k * (h - 1))
 
 
 def _require_affordable(p: BoxParams, path: str,
@@ -152,6 +144,24 @@ def _require_affordable(p: BoxParams, path: str,
             f"the {path} path would take ~{est} element operations (k={p.k}, "
             f"H={p.H}, |I|={p.interval.length}), above the limit of "
             f"{_MAX_COST:.0e}")
+
+
+def _operand_array(a: ComplexSeq, p: BoxParams, path: str = "fast",
+                   symmetric: bool = True) -> np.ndarray:
+    """The samples a box average on `path` reads, after the size preflight.
+
+    _require_affordable runs first, so a refused call samples nothing.
+    spectral reads I = [0, N), one period; every other path reads
+    [I.lo, I.hi + k*(H-1)), wrapped mod N when cyclic, and in interval mode
+    a must be valid on all of it.  `symmetric` is _cube_cost's.
+    """
+    _require_affordable(p, path, symmetric)
+    margin = 0 if path == "spectral" else p.k * (p.H - 1)
+    lo, hi = p.interval.lo, p.interval.hi + margin
+    if not p.mode.is_cyclic:
+        a.require_range(lo, hi,
+                        f"k={p.k}, H={p.H} box average on {p.interval}")
+    return sample_mode(a, lo, hi, p.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +375,10 @@ def _powered_complex(a: ComplexSeq, p: BoxParams, path: str,
                      with_tail: bool = False) -> Tuple[complex, complex]:
     """(S_H, outermost-shell average; 0 unless with_tail) in one pass, on
     a path that _resolve_path returned."""
-    _require_affordable(p, path)
-    x = _operand_array(a, p)
+    x = _operand_array(a, p, path)
     out_len = p.interval.length
     if path == "spectral":
-        return _powered_spectral(x[:p.mode.modulus], p.k), 0j
+        return _powered_spectral(x, p.k), 0j
     if path == "fast":
         return _cube_average([x] * (1 << p.k), p.k, p.H, out_len, with_tail)
     return _powered_direct(x, p.k, p.H, out_len)
@@ -459,7 +468,8 @@ def uniformity_norm_proxy(a: ComplexSeq, search_range: IntervalSpec,
     norm uses the full difference grid (H = window_len), where the spectral
     identities are exact; the h argument is ignored in this mode.
     per_window "interval": plain truncation on [M, M+window_len) with the
-    given H, reading the margin from the ambient sequence.
+    given H, reading the margin from the ambient sequence.  Either way a
+    must be valid on the whole search range.
     """
     if per_window not in ("cyclic", "interval"):
         raise ValueError("per_window must be 'cyclic' or 'interval'")
@@ -468,6 +478,7 @@ def uniformity_norm_proxy(a: ComplexSeq, search_range: IntervalSpec,
     starts = range(search_range.lo, search_range.hi - window_len + 1, stride)
     if len(starts) == 0:
         raise ValueError("search range shorter than the window")
+    a.require_range(search_range.lo, search_range.hi, "search range")
 
     def window(m: int, with_tail: bool) -> NormReport:
         # params carry the window itself, so the report says where the
@@ -475,9 +486,7 @@ def uniformity_norm_proxy(a: ComplexSeq, search_range: IntervalSpec,
         if per_window == "interval":
             return box_norm(a, BoxParams(k, h, IntervalSpec(m, window_len),
                                          INTERVAL), with_tail=with_tail)
-        p = _cyclic_box(k, window_len, window_len)  # vets k before sampling
-        _require_affordable(p, _resolve_path("auto", p))
-        rep = box_norm(from_samples(a.sample(m, m + window_len)), p,
+        rep = box_norm(shift(a, m), _cyclic_box(k, window_len, window_len),
                        with_tail=with_tail)
         here = replace(rep.params, interval=IntervalSpec(m, window_len))
         return replace(rep, params=here)
@@ -543,8 +552,7 @@ def csg_check(seqs: Sequence[ComplexSeq], p: BoxParams) -> CsgReport:
     """
     if len(seqs) != (1 << p.k):
         raise ValueError(f"need {1 << p.k} sequences for k={p.k}")
-    _require_affordable(p, "fast", symmetric=False)
-    xs = [_operand_array(s, p) for s in seqs]
+    xs = [_operand_array(s, p, symmetric=False) for s in seqs]
     s_mixed = _cube_average(xs, p.k, p.H, p.interval.length)[0]
     norms = tuple(box_norm(s, p, with_tail=False).value for s in seqs)
     rhs = float(np.prod(norms))

@@ -3,9 +3,9 @@
 One test per stated criterion, each printing a PASS/FAIL line with the
 measured quantity so a full run reads as a checklist.  Tolerances are fixed
 here, not computed.  Set UNIF_LAB_FULL=1 to also run the k = 3 vanishing
-third-difference check at the full h-grid (H = 256 at N = 65536, ~3 min on
-a small machine; the default run asserts the same identity, same tolerance,
-at H = 64).
+third-difference check at the full h-grid (H = 256 at N = 65536; criterion
+11 then takes about 18 s on one Xeon core; the default run asserts the same
+identity, same tolerance, at H = 64).
 """
 
 import math

@@ -232,6 +232,14 @@ class TestSubcommands:
             "suite": "pairing", "trials": 1, "seed": 0, "n": 16, "h": 4,
             "k": 2}
 
+    @pytest.mark.parametrize("flags, seed", [
+        ([], 0), (["--seed", "7"], 7), (["--gen", "rad:7"], 7)])
+    def test_verify_seed_from_one_flag(self, flags, seed):
+        code, out, _ = run_cli(["verify", "csg", "--trials", "1", "--N", "16",
+                                "--H", "4"] + flags)
+        assert code == 0
+        assert json.loads(out)["params"]["seed"] == seed
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_verify_trials_must_be_positive(self, trials):
         code, out, err = run_cli(["verify", "vdc", "--trials", trials,
@@ -457,6 +465,42 @@ class TestBadNumbers:
                       "--window", "16", "--stride", "16", "--H", "0"],
                      "unorm --H needs --per-window interval; the cyclic "
                      "proxy uses H = --window", id="unorm-H-cyclic"),
+        # flags the chosen mode or dictionary does not read; each ran with
+        # the flag dropped ("N": null, the grid echoed in params)
+        pytest.param(["norm", "--gen", "rad:1", "--mode", "interval",
+                      "--len", "16", "--H", "4", "--N", "5"],
+                     "interval mode does not take --N", id="norm-interval-N"),
+        pytest.param(["dualfn", "--gen", "rad:1", "--mode", "interval",
+                      "--len", "16", "--H", "4", "--N", "5"],
+                     "interval mode does not take --N",
+                     id="dualfn-interval-N"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "rot:0.1",
+                      "--obs", "ex", "--N", "10", "--grid", "10,20"],
+                     "weighted takes --N or --grid, not both",
+                     id="weighted-N-grid"),
+        pytest.param(["search", "--gen", "rad:1", "--N", "16", "--dict",
+                      "fourier", "--grid", "0:1:3"],
+                     "search --dict fourier does not take --grid",
+                     id="search-fourier-grid"),
+        # --gen rad:SEED used to win and --seed was dropped
+        pytest.param(["verify", "csg", "--trials", "2", "--seed", "5",
+                      "--gen", "rad:7"],
+                     "verify takes --seed or --gen rad:SEED, not both",
+                     id="verify-seed-gen"),
+        # the cyclic proxy named the window's indices, or its wrapped
+        # [0, window) ones, not the search range
+        pytest.param(["unorm", "--gen", "rad:1", "--range",
+                      "268435000:268436000", "--window", "512", "--stride",
+                      "512"],
+                     "search range needs indices [268435000, 268436000) but "
+                     "valid range is (-268435456, 268435456)",
+                     id="unorm-range-cyclic"),
+        pytest.param(["unorm", "--gen", "rad:1", "--range",
+                      "268435000:268436000", "--window", "512", "--stride",
+                      "512", "--per-window", "interval", "--H", "4"],
+                     "search range needs indices [268435000, 268436000) but "
+                     "valid range is (-268435456, 268435456)",
+                     id="unorm-range-interval"),
         # refused before the grid is built; one step more than the bound
         pytest.param(["search", "--gen", "exp:0.25", "--N", "1", "--dict",
                       "quad", "--grid", "0:1:1000001"],

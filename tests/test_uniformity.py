@@ -6,6 +6,7 @@ import gc
 import itertools
 import math
 import os
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -641,7 +642,9 @@ class TestReports:
 
     def test_margin_contract_enforced(self):
         a = ul.from_samples(np.ones(100))
-        with pytest.raises(SequenceRangeError):
+        with pytest.raises(SequenceRangeError, match=re.escape(
+                "k=2, H=16 box average on IntervalSpec(lo=0, length=100) "
+                "needs indices [0, 130)")):
             ul.box_norm(a, ul.BoxParams(2, 16, ul.IntervalSpec(0, 100)))
 
 
@@ -720,6 +723,51 @@ class TestCostEstimate:
         monkeypatch.setattr(ul.ComplexSeq, "eval", sampled)
         with pytest.raises(ValueError, match="element operations"):
             ul.csg_check([ul.constant_seq(1.0)] * 32, p)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_spectral_counts_the_period(self, k):
+        # the closed forms read a_0 .. a_{N-1} and nothing past them
+        p = ul.BoxParams(k, 100, ul.IntervalSpec(0, 100), ul.cyclic(100))
+        assert uniformity._cube_cost(p, "spectral") == 100
+
+
+class TestOperandSampling:
+    """_operand_array evaluates exactly the points its path reads."""
+
+    @staticmethod
+    def counted(n):
+        """A sequence valid on [0, n) that records every index evaluated."""
+        vals = ul.rademacher_seq(3).sample(0, n)
+        seen = []
+
+        def fn(ns):
+            seen.append(ns.copy())
+            return vals[ns]
+
+        return ul.ComplexSeq(fn, (0, n), 1.0), vals, seen
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_spectral_evaluates_one_period(self, k):
+        n = 64
+        a, vals, seen = self.counted(n)
+        rep = ul.box_norm(a, ul.BoxParams(k, n, ul.IntervalSpec(0, n),
+                                          ul.cyclic(n)))
+        assert rep.path == "spectral"
+        np.testing.assert_array_equal(np.concatenate(seen), np.arange(n))
+        ref = ul.box_norm(ul.from_samples(vals), rep.params, path="fast")
+        assert rep.value == pytest.approx(ref.value, abs=1e-12)
+
+    @pytest.mark.parametrize("cyc", [True, False], ids=["cyclic", "interval"])
+    def test_fast_evaluates_the_margin(self, cyc):
+        # [I.lo, I.hi + k*(H-1)), wrapped mod N when cyclic
+        k, h, n = 2, 5, 64
+        lo, length = (0, n) if cyc else (3, n - 3 - k * (h - 1))
+        a, _, seen = self.counted(n)
+        p = ul.BoxParams(k, h, ul.IntervalSpec(lo, length),
+                         ul.cyclic(n) if cyc else ul.INTERVAL)
+        ul.box_norm(a, p, path="fast")
+        want = np.arange(lo, lo + length + k * (h - 1)) % n
+        np.testing.assert_array_equal(np.concatenate(seen), want)
 
 
 class TestKernelBitIdentity:
