@@ -6,10 +6,12 @@ runs single-threaded.  Timing lines (bench) go to stderr so stdout stays
 reproducible.
 
 Exit codes: 0 success, 2 usage error (also a box average or dual function
-estimated past uniformity._MAX_COST element operations), 3 numeric-contract
-violation (e.g. a box average below -1e-9, which at H < N legitimate input
-can give, or a non-finite CSV value), 4 a `verify` suite found a violated
-inequality; its worst trial's one-trial replay then goes to stderr.
+estimated past uniformity._MAX_COST element operations, and a `verify` seed
+below 0), 3 numeric-contract violation (e.g. a box average below -1e-9,
+which at H < N legitimate input can give, or a non-finite CSV value), 4 a
+`verify` suite found a violated inequality.  Every suite derives its trials
+from the seed in uniformity._run_trials, so on exit 4 one stderr line gives
+the call that reruns the worst trial alone, from SuiteReport.replay.
 """
 
 from __future__ import annotations
@@ -357,27 +359,15 @@ _SUITES: Dict[str, Callable[..., uniformity.SuiteReport]] = {
 }
 
 
-# Seed step between a suite's trials: trial t draws from seed + step * t
-# alone, so `run_*_suite(1, seed=seed + step * t, ks=(k,))` replays it.
-# direct is absent: every trial draws from one master RNG.
-_REPLAY_STEP = {"vdc": 1, "csg": 1000, "subadd": 2, "mono": 1, "recur": 1,
-                "pairing": 1}
-
-
-def _replay_line(suite: str, seed: int, kwargs: Dict,
+def _replay_line(suite: str, kwargs: Dict,
                  rep: uniformity.SuiteReport) -> str:
-    """The stderr line that replays rep's worst trial as a one-trial run."""
-    t = rep.worst_trial
-    if suite not in _REPLAY_STEP:
-        return (f"verify {suite}: worst trial {t}; no one-trial replay, every "
-                f"trial draws from one master RNG\n")
+    """The stderr line that replays rep's worst trial as a one-trial run:
+    its seed (and ks) from rep.replay, the suite's other parameters from
+    kwargs."""
     fn = _SUITES[suite]
-    call = ["1", f"seed={seed + _REPLAY_STEP[suite] * t}"]
-    ks = inspect.signature(fn).parameters.get("ks")
-    if ks is not None:
-        call.append(f"ks=({ks.default[t % len(ks.default)]},)")
-    call += [f"{name}={value!r}" for name, value in kwargs.items()]
-    return (f"verify {suite}: worst trial {t}; replay: "
+    call = ["1"] + [f"{name}={value!r}"
+                    for name, value in rep.replay + tuple(kwargs.items())]
+    return (f"verify {suite}: worst trial {rep.worst_trial}; replay: "
             f"{fn.__module__}.{fn.__name__}({', '.join(call)})\n")
 
 
@@ -421,7 +411,7 @@ def _cmd_verify(args) -> int:
     _emit_json(args, obj)
     if rep.ok:
         return 0
-    sys.stderr.write(_replay_line(args.suite, seed, kwargs, rep))
+    sys.stderr.write(_replay_line(args.suite, kwargs, rep))
     return VERIFY_EXIT
 
 

@@ -34,7 +34,7 @@ from .errors import FrequencyGridMismatch
 from .generators import TrigPoly, exp_seq, quad_phase_seq, trig_poly_seq
 from .nilmanifold import HeisElem, IDENTITY_POINT, character_ez, nilsequence
 from .seq_core import (ComplexSeq, _fourier, _require_finite, _samples,
-                       from_samples, sample_mode)
+                       from_samples)
 from .uniformity import (BoxParams, SuiteReport, _blocked_cube_sum,
                          _cyclic_box, _operand_array, _run_trials, _suite_seq,
                          box_norm)
@@ -145,6 +145,16 @@ def inverse_search(a: ComplexSeq, n: int, kind: str = "fourier",
 # Dual functions
 # ---------------------------------------------------------------------------
 
+def _dual_values(x: np.ndarray, p: BoxParams) -> np.ndarray:
+    """D_k a on p.interval from the operand samples x = _operand_array(a, p)."""
+    out_len = p.interval.length
+    d = np.zeros(out_len, dtype=np.complex128)
+    one = np.broadcast_to(np.complex128(1), x.shape)  # no N-point array
+    _blocked_cube_sum([one] + [x] * ((1 << p.k) - 1), p.k, p.H, out_len, d)
+    d /= p.H ** p.k
+    return d
+
+
 def dual_function(a: ComplexSeq, p: BoxParams) -> ComplexSeq:
     """The dual function D_k a on p.interval.
 
@@ -158,21 +168,16 @@ def dual_function(a: ComplexSeq, p: BoxParams) -> ComplexSeq:
     whose cost estimate passes uniformity._MAX_COST raises ValueError
     before sampling.
     """
-    x = _operand_array(a, p)
-    out_len = p.interval.length
-    d = np.zeros(out_len, dtype=np.complex128)
-    one = np.broadcast_to(np.complex128(1), x.shape)  # no N-point array
-    _blocked_cube_sum([one] + [x] * ((1 << p.k) - 1), p.k, p.H, out_len, d)
-    d /= p.H ** p.k
-    return from_samples(d, lo=p.interval.lo)
+    return from_samples(_dual_values(_operand_array(a, p), p),
+                        lo=p.interval.lo)
 
 
 def dual_pairing(a: ComplexSeq, p: BoxParams) -> complex:
-    """avg_{n in I} a_n * (D_k a)(n); its real part is the powered box norm."""
-    d = dual_function(a, p)
-    base = sample_mode(a, p.interval.lo, p.interval.hi, p.mode)
-    vals = d.sample(p.interval.lo, p.interval.hi)
-    return complex(np.mean(base * vals))
+    """avg_{n in I} a_n * (D_k a)(n); its real part is the powered box norm.
+    a is sampled once: the base a_n is the head x[:|I|] of the operand the
+    dual function reads."""
+    x = _operand_array(a, p)
+    return complex(np.mean(x[:p.interval.length] * _dual_values(x, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,31 +225,32 @@ def direct_bound_check(a: ComplexSeq, b: TrigPoly,
 
 def run_direct_bound_suite(trials: int, n: int = 4096,
                            seed: int = 0) -> SuiteReport:
+    """Trial seed s draws a = _suite_seq(s, N) and, from its own stream
+    default_rng([s, 1]), the 5 distinct grid bins and complex coefficients
+    of b."""
     if n < 5:  # each trial draws 5 distinct bins of the N-point grid
         raise ValueError(f"direct-bound suite needs N >= 5, got {n}")
-    rng_master = np.random.default_rng(seed)
 
-    def slack(t: int) -> float:
-        a = _suite_seq(seed + t, n)
-        rng = np.random.default_rng(rng_master.integers(1 << 62))
+    def slack(s: int) -> float:
+        rng = np.random.default_rng([s, 1])
         bins = rng.choice(n, size=5, replace=False)
         coefs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         b = TrigPoly(tuple((int(j) / n, complex(c))
                            for j, c in zip(bins, coefs)))
-        rep = direct_bound_check(a, b, n)
+        rep = direct_bound_check(_suite_seq(s, n), b, n)
         return rep.corr - rep.bound - 1e-9
 
-    return _run_trials("direct-bound", trials, slack)
+    return _run_trials("direct-bound", trials, slack, seed)
 
 
 def run_pairing_suite(trials: int, n: int = 1024, h: int = 32, k: int = 2,
                       seed: int = 0) -> SuiteReport:
     p = _cyclic_box(k, h, n)
 
-    def slack(t: int) -> float:
-        a = _suite_seq(seed + t, n)
+    def slack(s: int) -> float:
+        a = _suite_seq(s, n)
         pairing = dual_pairing(a, p).real
         powered = box_norm(a, p, with_tail=False).powered
         return abs(pairing - powered) - 1e-9
 
-    return _run_trials("dual-pairing", trials, slack)
+    return _run_trials("dual-pairing", trials, slack, seed)

@@ -41,16 +41,20 @@ Computation paths, all agreeing to better than 1e-9:
 Every path but spectral also returns, from the same pass, the average of
 c_h over the outermost shell max(h) = H-1: box_norm's h_tail diagnostic.
 Box averages, csg_check's mixed pairing and the dual function sample
-through _operand_array alone.  It first raises ValueError, before anything
-is sampled, when the cost estimate (_cube_cost, from the parameters alone)
-passes _MAX_COST = 1e12 element operations; it then samples only what the
-path reads: one period for spectral, [I.lo, I.hi + k*(H-1)) otherwise.
+through _operand_array alone, once per sequence: csg_check's norms and
+dual_pairing's base read the arrays already sampled.  It first raises
+ValueError, before anything is sampled, when the cost estimate
+(_cube_cost, from the parameters alone) passes _MAX_COST = 1e12 element
+operations; it then samples only what the path reads: one period for
+spectral, [I.lo, I.hi + k*(H-1)) otherwise.
 
 In cyclic mode with H = N the h average runs over the whole group and the
 quantity is a sum of squared magnitudes, hence exactly nonnegative.  At
 H < N the uniform h average is not a positive-definite kernel, so S_H can
 be genuinely negative (exp:0.1, k = 1, H = 8: -0.140 on [0, 4096)) and
-raise NegativityViolation.  The seeded suites below check the inequalities.
+raise NegativityViolation.  The seeded suites below check the inequalities;
+_run_trials derives every trial from the suite's seed, so each is
+replayable alone.
 """
 
 from __future__ import annotations
@@ -371,17 +375,23 @@ def _resolve_path(path: str, p: BoxParams) -> str:
     return path
 
 
-def _powered_complex(a: ComplexSeq, p: BoxParams, path: str,
-                     with_tail: bool = False) -> Tuple[complex, complex]:
-    """(S_H, outermost-shell average; 0 unless with_tail) in one pass, on
-    a path that _resolve_path returned."""
-    x = _operand_array(a, p, path)
+def _powered_array(x: np.ndarray, p: BoxParams, path: str,
+                   with_tail: bool = False) -> Tuple[complex, complex]:
+    """(S_H, outermost-shell average; 0 unless with_tail) in one pass over
+    operand samples x, on a path that _resolve_path returned.  x starts at
+    I.lo and covers what the path reads; spectral reads the period x[:N]."""
     out_len = p.interval.length
     if path == "spectral":
-        return _powered_spectral(x, p.k), 0j
+        return _powered_spectral(x[:out_len], p.k), 0j
     if path == "fast":
         return _cube_average([x] * (1 << p.k), p.k, p.H, out_len, with_tail)
     return _powered_direct(x, p.k, p.H, out_len)
+
+
+def _powered_complex(a: ComplexSeq, p: BoxParams, path: str,
+                     with_tail: bool = False) -> Tuple[complex, complex]:
+    """_powered_array on the samples of a that the path reads."""
+    return _powered_array(_operand_array(a, p, path), p, path, with_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +557,18 @@ def csg_check(seqs: Sequence[ComplexSeq], p: BoxParams) -> CsgReport:
     """Cauchy-Schwarz-Gowers: |mixed box pairing| <= product of box norms.
 
     seqs[m] sits at cube vertex eps with eps_{i+1} = bit i of m and is
-    conjugated when |eps| is odd.  In interval mode edge effects can break
-    the bound; that is reported as a warning, not asserted.
+    conjugated when |eps| is odd.  Each sequence is sampled once: its box
+    norm (box_norm's "auto" path, without the tail) reads the same array as
+    the mixed pairing.  In interval mode edge effects can break the bound;
+    that is reported as a warning, not asserted.
     """
     if len(seqs) != (1 << p.k):
         raise ValueError(f"need {1 << p.k} sequences for k={p.k}")
+    path = _resolve_path("auto", p)
     xs = [_operand_array(s, p, symmetric=False) for s in seqs]
     s_mixed = _cube_average(xs, p.k, p.H, p.interval.length)[0]
-    norms = tuple(box_norm(s, p, with_tail=False).value for s in seqs)
+    norms = tuple(_finalize_norm(_powered_array(x, p, path)[0], p, 0.0,
+                                 path).value for x in xs)
     rhs = float(np.prod(norms))
     warning = None
     if not p.mode.is_cyclic:
@@ -569,31 +583,48 @@ def csg_check(seqs: Sequence[ComplexSeq], p: BoxParams) -> CsgReport:
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """A seeded suite's verdict.  `replay` holds the keywords that rerun
+    the worst trial alone, e.g. (("seed", 553174), ("ks", (1,))):
+    run_*_suite(1, **dict(replay), **params), with the suite's other
+    parameters as given, reproduces worst_slack exactly."""
+
     name: str
     trials: int
     violations: int
     worst_slack: float  # most positive (lhs - allowed rhs); negative is good
     worst_trial: int = 0  # the first trial t that gave worst_slack
+    replay: Tuple[Tuple[str, object], ...] = ()
 
     @property
     def ok(self) -> bool:
         return self.violations == 0
 
 
-def _run_trials(name: str, trials: int,
-                slack: Callable[[int], float]) -> SuiteReport:
-    """Score slack(t) for t = 0, 1, ..., trials-1, in that order.
+def _run_trials(name: str, trials: int, slack: Callable[..., float],
+                seed: int, step: int = 1,
+                ks: Optional[Sequence[int]] = None) -> SuiteReport:
+    """Score trials t = 0, 1, ..., trials-1: the one rule that turns a
+    suite's seed into its trials.
 
-    A positive slack is a violation; the report keeps the worst one and
-    the first trial that gave it.  Suites that draw from one master RNG
-    rely on the order.
+    Trial t draws from s = seed + step*t alone, by slack(s), or by
+    slack(s, k) with k = ks[t % len(ks)] when the suite cycles through ks;
+    step keeps the seeds of trials that draw several sequences apart.  A
+    positive slack is a violation; the report keeps the worst one, the
+    first trial that gave it and the (seed, ks) keywords that replay it
+    as a one-trial run.  A seed below 0 raises ValueError before any trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    slacks = [slack(t) for t in range(trials)]
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    args = [(seed + step * t,) if ks is None
+            else (seed + step * t, ks[t % len(ks)]) for t in range(trials)]
+    slacks = [slack(*a) for a in args]
     worst = max(range(trials), key=slacks.__getitem__)
+    replay = (("seed", args[worst][0]),) + (() if ks is None
+                                           else (("ks", args[worst][1:]),))
     return SuiteReport(name, trials, sum(1 for s in slacks if s > 0),
-                       float(slacks[worst]), worst)
+                       float(slacks[worst]), worst, replay)
 
 
 def _cyclic_box(k: int, h: int, n: int) -> BoxParams:
@@ -632,52 +663,49 @@ def run_vdc_suite(trials: int, length: int = 8192, h: int = 64,
                   seed: int = 0) -> SuiteReport:
     interval = IntervalSpec(0, length)
 
-    def slack(t: int) -> float:
-        rep = vdc_bound(rademacher_seq(seed + t), interval, h)
+    def slack(s: int) -> float:
+        rep = vdc_bound(rademacher_seq(s), interval, h)
         return rep.lhs - rep.rhs - 1e-12
 
-    return _run_trials("vdc", trials, slack)
+    return _run_trials("vdc", trials, slack, seed)
 
 
 def run_csg_suite(trials: int, n: int = 1024, h: int = 32,
                   ks: Sequence[int] = (2, 3), seed: int = 0) -> SuiteReport:
     params_by_k = {k: _cyclic_box(k, h, n) for k in ks}
 
-    def slack(t: int) -> float:
-        k = ks[t % len(ks)]
-        seqs = [_suite_seq(seed + 1000 * t + m, n) for m in range(1 << k)]
+    def slack(s: int, k: int) -> float:
+        seqs = [_suite_seq(s + m, n) for m in range(1 << k)]
         rep = csg_check(seqs, params_by_k[k])
         return rep.lhs - rep.rhs - 1e-9
 
-    return _run_trials("csg", trials, slack)
+    return _run_trials("csg", trials, slack, seed, 1000, ks)
 
 
 def run_subadditivity_suite(trials: int, n: int = 1024, h: int = 32,
                             ks: Sequence[int] = (1, 2, 3),
                             seed: int = 0) -> SuiteReport:
-    def slack(t: int) -> float:
-        p = _cyclic_box(ks[t % len(ks)], h, n)
-        a = _suite_seq(seed + 2 * t, n)
-        b = _suite_seq(seed + 2 * t + 1, n)
+    def slack(s: int, k: int) -> float:
+        p = _cyclic_box(k, h, n)
+        a, b = _suite_seq(s, n), _suite_seq(s + 1, n)
         lhs = box_norm(add(a, b), p, with_tail=False).value
         rhs = (box_norm(a, p, with_tail=False).value
                + box_norm(b, p, with_tail=False).value)
         return lhs - rhs - 1e-9
 
-    return _run_trials("subadditivity", trials, slack)
+    return _run_trials("subadditivity", trials, slack, seed, 2, ks)
 
 
 def run_monotonicity_suite(trials: int, n: int = 1024, h: int = 32,
                            ks: Sequence[int] = (1, 2),
                            seed: int = 0) -> SuiteReport:
-    def slack(t: int) -> float:
-        k = ks[t % len(ks)]
-        a = _suite_seq(seed + t, n)
+    def slack(s: int, k: int) -> float:
+        a = _suite_seq(s, n)
         lo = box_norm(a, _cyclic_box(k, h, n), with_tail=False).value
         hi = box_norm(a, _cyclic_box(k + 1, h, n), with_tail=False).value
         return lo - hi - 1e-9
 
-    return _run_trials("monotonicity", trials, slack)
+    return _run_trials("monotonicity", trials, slack, seed, ks=ks)
 
 
 def run_recursion_suite(trials: int, n: int = 1024, h: int = 32,
@@ -690,9 +718,8 @@ def run_recursion_suite(trials: int, n: int = 1024, h: int = 32,
     of the twisted factors may be legitimately negative even though their
     mean is the nonnegative k+1 quantity.
     """
-    def slack(t: int) -> float:
-        k = ks[t % len(ks)]
-        a = wrap_cyclic(_suite_seq(seed + t, n), n)
+    def slack(s: int, k: int) -> float:
+        a = wrap_cyclic(_suite_seq(s, n), n)
         p_k = _cyclic_box(k, h, n)
         acc = 0.0
         for hh in range(h):
@@ -702,4 +729,4 @@ def run_recursion_suite(trials: int, n: int = 1024, h: int = 32,
         rhs = box_powered_signed(a, _cyclic_box(k + 1, h, n))
         return abs(lhs - rhs) - 1e-9
 
-    return _run_trials("recursion", trials, slack)
+    return _run_trials("recursion", trials, slack, seed, ks=ks)

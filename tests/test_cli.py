@@ -207,20 +207,47 @@ class TestSubcommands:
         ("subadd", {"n": 64, "h": 8}, 1),
         ("mono", {"n": 64, "h": 8}, 0),
         ("recur", {"n": 64, "h": 8}, 2),
-        ("pairing", {"n": 64, "h": 8, "k": 2}, 0)])
+        ("pairing", {"n": 64, "h": 8, "k": 2}, 0),
+        ("direct", {"n": 64}, 0)])
     def test_replay_line_reruns_the_worst_trial(self, suite, kwargs, seed):
         # seeds whose worst trial is not the first, so the seed step counts
         rep = cli._SUITES[suite](5, seed=seed, **kwargs)
         assert rep.worst_trial > 0
-        line = cli._replay_line(suite, seed, kwargs, rep)
+        line = cli._replay_line(suite, kwargs, rep)
         call = line.rstrip("\n").split("; replay: ", 1)[1]
         assert eval(call, {"unif_lab": ul}).worst_slack == rep.worst_slack
 
-    def test_direct_has_no_replay(self):
-        rep = ul.SuiteReport("direct-bound", 3, 1, 0.5, 2)
-        line = cli._replay_line("direct", 0, {"n": 256}, rep)
-        assert line == ("verify direct: worst trial 2; no one-trial replay, "
-                        "every trial draws from one master RNG\n")
+    # trial t of a suite draws from seed + step * t alone
+    SEED_STEP = {"vdc": 1, "csg": 1000, "subadd": 2, "mono": 1, "recur": 1,
+                 "pairing": 1, "direct": 1}
+    SMALL = {"vdc": {"length": 256, "h": 4}, "csg": {"n": 32, "h": 4},
+             "subadd": {"n": 32, "h": 4}, "mono": {"n": 32, "h": 4},
+             "recur": {"n": 32, "h": 4}, "pairing": {"n": 32, "h": 4},
+             "direct": {"n": 32}}
+
+    @pytest.mark.parametrize("suite", sorted(SMALL))
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 10 ** 9))
+    def test_replay_keywords_rerun_the_worst_trial(self, suite, seed):
+        kwargs = self.SMALL[suite]
+        rep = cli._SUITES[suite](3, seed=seed, **kwargs)
+        replay = dict(rep.replay)
+        assert replay["seed"] == seed + self.SEED_STEP[suite] * rep.worst_trial
+        again = cli._SUITES[suite](1, **replay, **kwargs)
+        assert again.worst_slack == rep.worst_slack
+        assert again.replay == rep.replay
+
+    @pytest.mark.parametrize("argv", [
+        ["mono", "--seed", "-1", "--N", "32", "--H", "4"],
+        ["vdc", "--seed", "-1", "--len", "64", "--H", "4"],
+        ["mono", "--gen", "rad:-1", "--N", "32", "--H", "4"],
+    ], ids=["mono", "vdc", "mono-gen"])
+    def test_verify_refuses_negative_seeds(self, argv):
+        # mono exited 2 with numpy's "expected non-negative integer", which
+        # named no flag; vdc ran and exited 0
+        code, out, err = run_cli(["verify", *argv, "--trials", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be >= 0, got -1\n"
 
     def test_verify_params_take_the_suite_defaults(self):
         # every parameter a flag can set is printed, unset ones at the

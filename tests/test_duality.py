@@ -268,6 +268,15 @@ class TestDirectBound:
     def test_seeded_suite(self):
         assert run_direct_bound_suite(60, n=1024, seed=3).ok
 
+    def test_trial_draws_from_its_own_seed(self):
+        # trial t's a, bins and coefficients come from seed + t alone, not
+        # from a master RNG advanced by the trials before it
+        rep = run_direct_bound_suite(3, n=256, seed=6)
+        assert rep.worst_trial == 2
+        alone = run_direct_bound_suite(1, n=256, seed=8)
+        assert alone.worst_slack == rep.worst_slack
+        assert rep.replay == alone.replay == (("seed", 8),)
+
     def test_suite_needs_five_bins(self):
         # each trial draws 5 distinct bins; numpy's refusal named no field
         with pytest.raises(ValueError,
@@ -277,6 +286,25 @@ class TestDirectBound:
 
     def test_pairing_suite(self):
         assert run_pairing_suite(20, n=512, h=16, seed=3).ok
+
+    def test_pairing_samples_once(self, monkeypatch):
+        # the base a_n is read from the dual function's operand: 1,086
+        # points (I plus the k(H-1) margin), each evaluated by the cyclic
+        # wrapper and by a; sampling a on I again and reading the dual
+        # function back made 5,244
+        p = ul.BoxParams(2, 32, ul.IntervalSpec(0, 1024), ul.cyclic(1024))
+        a = ul.from_samples(ul.rademacher_seq(5).sample(0, 1024))
+        want = ul.box_norm(a, p).powered
+        evaluated = []
+        orig = ul.ComplexSeq.eval
+
+        def counting(self, ns):
+            evaluated.append(np.size(ns))
+            return orig(self, ns)
+
+        monkeypatch.setattr(ul.ComplexSeq, "eval", counting)
+        assert dual_pairing(a, p).real == pytest.approx(want, abs=1e-12)
+        assert sum(evaluated) == 2 * 1086
 
 
 class TestInverseSearch:

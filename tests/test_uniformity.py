@@ -769,6 +769,30 @@ class TestOperandSampling:
         want = np.arange(lo, lo + length + k * (h - 1)) % n
         np.testing.assert_array_equal(np.concatenate(seen), want)
 
+    @pytest.mark.parametrize("h, span", [(32, 1086), (1024, 3070)],
+                             ids=["fast", "spectral"])
+    def test_csg_samples_each_sequence_once(self, monkeypatch, h, span):
+        # the 2^k box norms read the arrays the mixed pairing sampled (the
+        # spectral norm its period x[:N]): one span per sequence, each point
+        # evaluated by the cyclic wrapper and by the sequence.  Sampling
+        # again for the norms made 4,344 per sequence at H = 32, 8,188 at N
+        n = 1024
+        seqs = [ul.from_samples(ul.rademacher_seq(m).sample(0, n))
+                for m in range(4)]
+        p = ul.BoxParams(2, h, ul.IntervalSpec(0, n), ul.cyclic(n))
+        want = [ul.box_norm(s, p, with_tail=False).value for s in seqs]
+        evaluated = []
+        orig = ul.ComplexSeq.eval
+
+        def counting(self, ns):
+            evaluated.append(np.size(ns))
+            return orig(self, ns)
+
+        monkeypatch.setattr(ul.ComplexSeq, "eval", counting)
+        rep = ul.csg_check(seqs, p)
+        assert sum(evaluated) == 4 * 2 * span
+        assert list(rep.norms) == want
+
 
 class TestKernelBitIdentity:
     """The workspace kernel gives the reference kernel's bits exactly."""
