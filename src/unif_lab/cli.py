@@ -30,8 +30,8 @@ from . import duality, ergodic_weights, generators, nilmanifold, uniformity
 from .errors import (GeneratorSpecError, NegativityViolation,
                      SupBoundViolation, UnifLabError)
 from .generators import _parse_int, _parse_list, _parse_number
-from .seq_core import (INTERVAL, DomainMode, IntervalSpec, _e, _frac,
-                       _require_finite, cyclic)
+from .seq_core import (INTERVAL, DomainMode, IntervalSpec, _require_finite,
+                       cyclic)
 from .uniformity import BoxParams, NormReport
 
 USAGE_EXIT = 2
@@ -333,9 +333,8 @@ def _cmd_heis(args) -> int:
                 and args.f == "ez"):
             raise GeneratorSpecError(
                 "--check-closed-form needs tau=(alpha,1,0), identity x0, f=ez")
-        # C(n+1,2) rounded once; int64 n*(n+1)//2 wraps past 3.04e9
-        nf = ns.astype(np.float64)
-        ref = _e(_frac(-(nf * (nf + 1.0) * 0.5) * tau.x))
+        # e(-alpha n(n+1)/2), each power of n reduced mod 1 exactly
+        ref = generators.poly_phase_seq([0.0, -tau.x / 2, -tau.x / 2]).eval(ns)
         dev = float(np.max(np.abs(vals - ref)))
         obj = {"op": "heis-check",
                "params": {"tau": args.tau, "f": args.f, "range": args.range},

@@ -35,9 +35,8 @@ from .generators import TrigPoly, exp_seq, quad_phase_seq, trig_poly_seq
 from .nilmanifold import HeisElem, IDENTITY_POINT, character_ez, nilsequence
 from .seq_core import (ComplexSeq, _fourier, _require_finite, _samples,
                        from_samples)
-from .uniformity import (BoxParams, SuiteReport, _blocked_cube_sum,
-                         _cyclic_box, _operand_array, _run_trials, _suite_seq,
-                         box_norm)
+from .uniformity import (BoxParams, SuiteReport, _cube_average, _cyclic_box,
+                         _operand_array, _run_trials, _suite_seq, box_norm)
 
 GRID_TOL = 1e-12
 
@@ -147,12 +146,9 @@ def inverse_search(a: ComplexSeq, n: int, kind: str = "fourier",
 
 def _dual_values(x: np.ndarray, p: BoxParams) -> np.ndarray:
     """D_k a on p.interval from the operand samples x = _operand_array(a, p)."""
-    out_len = p.interval.length
-    d = np.zeros(out_len, dtype=np.complex128)
     one = np.broadcast_to(np.complex128(1), x.shape)  # no N-point array
-    _blocked_cube_sum([one] + [x] * ((1 << p.k) - 1), p.k, p.H, out_len, d)
-    d /= p.H ** p.k
-    return d
+    return _cube_average([one] + [x] * ((1 << p.k) - 1), p.k, p.H,
+                         p.interval.length, per_n=True)
 
 
 def dual_function(a: ComplexSeq, p: BoxParams) -> ComplexSeq:

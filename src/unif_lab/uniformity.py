@@ -16,19 +16,21 @@ formulas) hold exactly at the finite stage.
 Computation paths, all agreeing to better than 1e-9:
 
   direct    the literal O(|I| * H^k * 2^k) sum over the h grid, lexicographic;
-  fast      one cube recursion over 2^k per-vertex arrays (_cube_sum) that
-            differences the last coordinate down to a mean-centered
-            prefix-sum sliding window, with its products and prefix in
-            buffers made once per pass and reused for every shift.  Box
-            averages need only the n-sum, which the base takes from two dot
-            products on the centred prefix, with no window or per-n array;
-            the dual function keeps the per-n window and puts the constant
-            1 at the base vertex.  For symmetric operands (one array per
-            |eps|: box norms, the dual function) c_h is invariant under
-            permuting h, so at every k it walks only sorted outer shifts,
+  fast      one cube recursion over 2^k per-vertex arrays (_cube_sum),
+            entered only through _cube_average, that differences the last
+            coordinate down to a mean-centered prefix-sum sliding window,
+            with its products and prefix in buffers made once per chunk and
+            reused for every shift.  Box averages need only the n-sum,
+            which the base takes from two dot products on the centred
+            prefix, with no window or per-n array; the dual function keeps
+            the per-n window and puts the constant 1 at the base vertex.
+            For symmetric operands (one array per |eps|: box norms, the
+            dual function) c_h is invariant under permuting h, so at every
+            k it walks only sorted outer shifts,
             O(C(H+k-2, k-1) * |I|), and reads the shell below off that walk;
             only csg_check's 2^k mixed operands walk the full grid,
-            O(H^(k-1) * |I|).  The n-range runs in near-equal chunks of at
+            O(H^(k-1) * |I|).  _cube_average tests the operands for
+            symmetry once, then runs the n-range in near-equal chunks of at
             most _BLOCK = 2^13 points, each on views of its operands plus
             the k*(H-1) margin, so the workspace is O(2^13) per level and
             stays in cache.  Past 2^13 points each chunk's windows centre on
@@ -75,10 +77,10 @@ from .seq_core import (INTERVAL, ComplexSeq, DomainMode, IntervalSpec,
 
 NEGATIVITY_FLOOR = -1e-9
 _MAX_K = 16  # the cube's vertex table then has 2^16 = 65,536 entries
-# Output points per _cube_sum call (_blocked_cube_sum).  Past ~2^15 points a
-# pass's arrays leave the L2 cache.  Of 2^11 .. 2^15, 2^13 was fastest, or
-# within 2% of it, at k = 2, H = 256, N = 2^16 and k = 3, H = 16, N = 2^18
-# (Xeon, 2 MiB L2 per core).
+# Output points per _cube_sum pass (one chunk of _cube_average).  Past ~2^15
+# points a pass's arrays leave the L2 cache.  Of 2^11 .. 2^15, 2^13 was
+# fastest, or within 2% of it, at k = 2, H = 256, N = 2^16 and k = 3, H = 16,
+# N = 2^18 (Xeon, 2 MiB L2 per core).
 _BLOCK = 1 << 13
 # Element operations past which a box average or dual function is refused
 # before sampling (_require_affordable): hours of kernel time at the
@@ -173,10 +175,10 @@ def _operand_array(a: ComplexSeq, p: BoxParams, path: str = "fast",
 # ---------------------------------------------------------------------------
 
 def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
-              acc: Union[np.ndarray, list], shell: Optional[list] = None,
-              ws: Optional[dict] = None,
-              walk: Optional[Tuple[int, int, int, int]] = None) -> None:
-    """acc[n] += sum_{h in [0,H)^k} prod_eps C^{|eps|} xs[m][n + eps.h].
+              acc: Union[np.ndarray, list], shell: Optional[list],
+              ws: dict, walk: Optional[Tuple[int, int, int, int]]) -> None:
+    """acc[n] += sum_{h in [0,H)^k} prod_eps C^{|eps|} xs[m][n + eps.h]: the
+    cube recursion, entered only through _cube_average.
 
     Vertex m holds eps with eps_{i+1} = bit i of m.  Recursion on the last
     cube coordinate: at shift h_k, vertex v and v + 2^(k-1) merge into
@@ -195,34 +197,28 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
 
     Symmetric operands (one array per popcount |eps|: box averages and the
     dual function) give a c_h that a permutation of the h coordinates
-    leaves unchanged.  The top-level call then walks only the sorted outer
-    shifts h_k <= ... <= h_2 and weights each by its number of orderings,
+    leaves unchanged.  The walk then visits only the sorted outer shifts
+    h_k <= ... <= h_2 and weights each by its number of orderings,
     (k-1)!/prod r_i! for runs of r_i equal values: C(H+k-2, k-1) windows in
     place of H^(k-1), which at k <= 2 is the same loop with every weight 1.
     `walk` carries (least next shift, shifts chosen, their multiplicity,
-    length of the last run) down the recursion; it is None only for mixed
-    operands (csg_check), which walk the full grid.
+    length of the last run) down the recursion, from (0, 0, 1, 0) at the
+    top; it is None for mixed operands (csg_check), which walk the full
+    grid.
 
-    A one-element `shell` list also gains the n-sum of c_h over the shell
-    max(h) = H-1, read off the walk: the base's whole sum when the largest
-    chosen outer shift, walk[0], is H-1, else its edge term h_1 = H-1.
-    Only the n-summed base keeps a shell, and only on a symmetric operand
-    list (_cube_average of a box average).
+    A one-element `shell` list (or None) also gains the n-sum of c_h over
+    the shell max(h) = H-1, read off the walk: the base's whole sum when
+    the largest chosen outer shift, walk[0], is H-1, else its edge term
+    h_1 = H-1.  Only the n-summed base keeps a shell, and only on a
+    symmetric operand list.
 
     The merged products, the prefix and (per-n) the window are written into
-    buffers made on the first shift of a top-level call and reused for
-    every later shift (`ws`, keyed by level, is threaded through the
-    recursion); none of them outlives the call.  The arithmetic is the
-    same, in the same order, as with a fresh array per shift.  Callers go
-    through _blocked_cube_sum, which makes one top-level call per chunk of
-    at most _BLOCK output points, so these buffers are O(_BLOCK) long.
+    the buffers of `ws`, keyed by level: made on the first shift of a pass
+    and reused for every later shift.  The arithmetic is the same, in the
+    same order, as with a fresh array per shift.  _cube_average hands each
+    chunk of at most _BLOCK output points a fresh ws, so these buffers are
+    O(_BLOCK) long.
     """
-    if ws is None:
-        ws, walk = {}, None
-        by_weight: dict = {}  # popcount -> the first array seen with it
-        if all(by_weight.setdefault(m.bit_count(), x) is x
-               for m, x in enumerate(xs)):
-            walk = (0, 0, 1, 0)
     if k == 1:
         mult = 1 if walk is None else walk[2]
         x0, x1 = xs[0][:out_len], xs[1]
@@ -278,55 +274,56 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
         _cube_sum(below, k - 1, h, out_len, acc, shell, ws, inner)
 
 
-def _blocked_cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
-                      acc: Union[np.ndarray, list],
-                      shell: Optional[list] = None) -> None:
-    """_cube_sum over the n-range in near-equal chunks of at most _BLOCK
-    points, so that each pass's workspace stays in cache.
+def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
+                  with_tail: bool = False, per_n: bool = False
+                  ) -> Union[Tuple[complex, complex], np.ndarray]:
+    """(1/H^k) sum_h c_h with vertex m reading xs[m], and the average of c_h
+    over the shell max(h) = H-1 (0 unless with_tail); with per_n, the
+    out_len-point array of the per-n sums over H^k (the dual function)
+    instead.  The one entry into the cube kernel (_cube_sum).
 
-    acc[n] reads only xs[m][n : n + k*(H-1) + 1], so a chunk runs the
-    unchanged recursion on views covering itself plus that margin, adding
-    into its slice of acc (or, n-summed, into a sum of its own) and into
-    the shared shell.  Each distinct operand gets one view per chunk: pair
-    merging and the symmetric walk test operands by identity.  The
-    workspace is O(_BLOCK) per level in place of O(out_len).  Operands
-    hold exactly out_len + k*(H-1) points, so at out_len <= _BLOCK the one
-    chunk's views are the whole arrays; past it, each chunk's windows
-    centre on the chunk's own mean and the sum runs chunk by chunk, which
-    moves the last bits.  An n-summed acc gains the exact sum (math.fsum)
-    of the chunks' own sums.
+    The operand list is tested for symmetry (one array per popcount, by
+    identity) once per call; symmetric lists take the sorted walk, and
+    with_tail needs one, since the shell is read off that walk.  The
+    n-range then runs in near-equal chunks of at most _BLOCK points, so
+    each pass's workspace stays in cache: acc[n] reads only
+    xs[m][n : n + k*(H-1) + 1], so a chunk runs the recursion on views
+    covering itself plus that margin, one view per distinct operand (pair
+    merging and the walk test operands by identity), with a fresh
+    workspace, adding into its slice of the per-n array (or, n-summed, into
+    a sum of its own) and into the one shared shell.  Operands hold exactly
+    out_len + k*(H-1) points, so at out_len <= _BLOCK the one chunk's views
+    are the whole arrays; past it, each chunk's windows centre on the
+    chunk's own mean and the sum runs chunk by chunk, which moves the last
+    bits.  The n-summed total is the exact sum (math.fsum) of the chunks'
+    own sums.
     """
+    by_weight: dict = {}  # popcount -> the first array seen with it
+    walk = ((0, 0, 1, 0) if all(by_weight.setdefault(m.bit_count(), x) is x
+                                for m, x in enumerate(xs)) else None)
     chunks = -(-out_len // _BLOCK)
+    ends = [out_len * c // chunks for c in range(chunks + 1)]
     margin = k * (h - 1)
     distinct = {id(x): x for x in xs}
-    ends = [out_len * c // chunks for c in range(chunks + 1)]
-    per_n = isinstance(acc, np.ndarray)
-    sums = []  # n-summed: each chunk's own sum
+    acc = np.zeros(out_len, dtype=np.complex128) if per_n else None
+    shell, sums = [0j], []  # sums: each chunk's own n-sum
     for lo, hi in zip(ends, ends[1:]):
         views = {i: x[lo:hi + margin] for i, x in distinct.items()}
         part = acc[lo:hi] if per_n else [0j]
-        _cube_sum([views[id(x)] for x in xs], k, h, hi - lo, part, shell)
+        _cube_sum([views[id(x)] for x in xs], k, h, hi - lo, part,
+                  shell if with_tail else None, {}, walk)
         if not per_n:
             sums.append(part[0])
-    if sums:
-        # the chunk sums are near-equal: one running total over every
-        # window of every chunk was 3.5e-14 off e(alpha n^3)'s closed form
-        # at 2^20 points, this 1.3e-15
-        acc[0] += complex(math.fsum(z.real for z in sums),
-                          math.fsum(z.imag for z in sums))
-
-
-def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
-                  with_tail: bool = False) -> Tuple[complex, complex]:
-    """(1/H^k) sum_h c_h with vertex m reading xs[m], and the average of c_h
-    over the shell max(h) = H-1 (0 unless with_tail).  The kernel sums n
-    itself (an n-summed acc list), in chunks of at most _BLOCK points
-    (_blocked_cube_sum).  with_tail needs symmetric operands (one array per
-    popcount, see _cube_sum): the shell is read off their sorted walk."""
-    acc, shell = [0j], [0j]
-    _blocked_cube_sum(xs, k, h, out_len, acc, shell if with_tail else None)
+    if per_n:
+        acc /= h ** k
+        return acc
+    # the chunk sums are near-equal: one running total over every window of
+    # every chunk was 3.5e-14 off e(alpha n^3)'s closed form at 2^20
+    # points, this 1.3e-15.  The 0j start keeps the printed signed zeros.
+    total = 0j + complex(math.fsum(z.real for z in sums),
+                         math.fsum(z.imag for z in sums))
     tail = complex(shell[0]) / (out_len * (h ** k - (h - 1) ** k))
-    return complex(acc[0]) / out_len / h ** k, tail
+    return total / out_len / h ** k, tail
 
 
 def _powered_direct(x: np.ndarray, k: int, h: int,
@@ -388,12 +385,6 @@ def _powered_array(x: np.ndarray, p: BoxParams, path: str,
     return _powered_direct(x, p.k, p.H, out_len)
 
 
-def _powered_complex(a: ComplexSeq, p: BoxParams, path: str,
-                     with_tail: bool = False) -> Tuple[complex, complex]:
-    """_powered_array on the samples of a that the path reads."""
-    return _powered_array(_operand_array(a, p, path), p, path, with_tail)
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -434,7 +425,8 @@ def box_norm(a: ComplexSeq, p: BoxParams, path: str = "auto",
     """
     with_tail = with_tail and not (p.mode.is_cyclic and p.H == p.mode.modulus)
     path = _resolve_path(path, p)
-    s_h, shell = _powered_complex(a, p, path, with_tail)
+    s_h, shell = _powered_array(_operand_array(a, p, path), p, path,
+                                with_tail)
     return _finalize_norm(s_h, p, abs(shell) if with_tail else 0.0, path)
 
 
@@ -446,7 +438,8 @@ def box_powered_signed(a: ComplexSeq, p: BoxParams, path: str = "auto") -> float
     average well below zero while the k+1 aggregate stays nonnegative, so
     identity checks need the signed quantity that box_norm refuses to expose.
     """
-    return _powered_complex(a, p, _resolve_path(path, p))[0].real
+    path = _resolve_path(path, p)
+    return _powered_array(_operand_array(a, p, path), p, path)[0].real
 
 
 def u1_norm(a: ComplexSeq, interval: IntervalSpec, h: int,
@@ -611,12 +604,15 @@ def _run_trials(name: str, trials: int, slack: Callable[..., float],
     step keeps the seeds of trials that draw several sequences apart.  A
     positive slack is a violation; the report keeps the worst one, the
     first trial that gave it and the (seed, ks) keywords that replay it
-    as a one-trial run.  A seed below 0 raises ValueError before any trial.
+    as a one-trial run.  A seed below 0, or an empty ks, raises ValueError
+    before any trial.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if ks is not None and len(ks) == 0:
+        raise ValueError("ks must name at least one k")
     args = [(seed + step * t,) if ks is None
             else (seed + step * t, ks[t % len(ks)]) for t in range(trials)]
     slacks = [slack(*a) for a in args]

@@ -1,12 +1,15 @@
 """CLI surface: grammar, output shapes, exit codes, reproducibility."""
 
+import cmath
 import io
 import json
+import math
 import re
 import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +167,23 @@ class TestSubcommands:
         obj = json.loads(out)
         assert obj["ok"]
         assert obj["max_abs_dev"] <= 1e-6
+
+    def test_heis_check_reference_is_exact(self):
+        # the reference once rounded the O(n^2) product alpha*n(n+1)/2,
+        # 1.2e-2 off at n = 1e7; max_abs_dev now measures the orbit alone
+        alpha, lo, hi = 0.41421356, 10_000_000, 10_000_100
+        code, out, _ = run_cli(["heis", "--tau", f"{alpha!r},1,0",
+                                "--range", f"{lo}:{hi}",
+                                "--check-closed-form"])
+        assert code == 0
+        orbit = ul.nilsequence(ul.HeisElem(alpha, 1.0, 0.0),
+                               ul.IDENTITY_POINT,
+                               nilmanifold.character_ez(1)).eval(
+                                   np.arange(lo, hi))
+        exact = np.array([cmath.exp(2j * math.pi * float(
+            -Fraction(alpha) * n * (n + 1) / 2 % 1)) for n in range(lo, hi)])
+        want = float(np.max(np.abs(orbit - exact)))
+        assert abs(json.loads(out)["max_abs_dev"] - want) <= 1e-12
 
     def test_heis_check_past_int64_binomials(self):
         # int64 n*(n+1)//2 wrapped from n = 3,037,000,500 and n*(n-1)//2

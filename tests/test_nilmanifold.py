@@ -13,7 +13,7 @@ from unif_lab import nilmanifold
 from unif_lab.generators import named_character, parse_heis_spec
 from unif_lab.nilmanifold import (_reduce_arrays, character_ex, character_ez,
                                   orbit_points)
-from unif_lab.seq_core import _cube_vertices
+from unif_lab.seq_core import _cube_vertices, _e
 
 coord = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -311,6 +311,15 @@ class TestCharactersAndSpecs:
         assert abs(named_character("ez")(x, x, z)[0] - 1j) < 1e-12
         assert abs(named_character("ex")(x, x, z)[0] - (-1.0)) < 1e-12
         assert abs(named_character("e2z")(x, x, z)[0] - (-1.0)) < 1e-12
+
+    def test_ey_spec_is_e_of_y(self):
+        # f=ey: e(y) of the orbit's canonical representatives
+        tau, x0 = ul.HeisElem(0.3, 0.7, 0.1), ul.HeisPoint(0.2, 0.5, 0.9)
+        ns = np.arange(-20, 44)
+        seq = parse_heis_spec("tau=(0.3,0.7,0.1);x0=(0.2,0.5,0.9);f=ey")
+        ys = orbit_points(tau, x0, ns)[1]
+        np.testing.assert_array_equal(seq.eval(ns), _e(ys))
+        assert np.max(np.abs(seq.eval(ns) - np.exp(2j * np.pi * ys))) < 1e-12
 
     def test_parse_heis_spec(self):
         seq = parse_heis_spec("tau=(0.41,1,0);x0=(0,0,0);f=ez")

@@ -78,9 +78,11 @@ def require_acc(acc):
     raise TypeError(f"unhandled accumulator {type(acc).__name__}")
 
 
-def ref_cube_sum(xs, k, h, out_len, acc, shell=None):
+def ref_cube_sum(xs, k, h, out_len, acc, shell, ws, walk):
     """Reference cube kernel: the walk of uniformity._cube_sum with a fresh
-    array for every merged product and every window.  Symmetric operands
+    array for every merged product and every window.  It takes the
+    kernel's arguments, ignores its workspace ws and tests the operands for
+    symmetry itself in place of reading walk.  Symmetric operands
     (one array per popcount of the vertex index) visit only the sorted
     outer shifts h_k <= ... <= h_2, each window weighted by the number of
     orderings of its tuple; mixed operands walk the full grid.  An n-summed
@@ -185,6 +187,11 @@ def full_grid(xs, k, h, out_len):
     return acc, shell[0]
 
 
+def shell_average(shell_sum, k, h, out_len):
+    """A shell's n-summed c_h as the average _cube_average returns."""
+    return shell_sum / (out_len * (h ** k - (h - 1) ** k))
+
+
 def assert_close(got, want, case):
     assert abs(got - want) <= 1e-12 * abs(want), case
 
@@ -216,9 +223,16 @@ def ref_powered_fft_k2(x, h, with_tail=False):
 
 def reference_kernel(fn):
     """fn() with the cube kernel on ref_cube_sum.  Every caller reaches the
-    kernel through uniformity._blocked_cube_sum, which looks it up there."""
+    kernel through uniformity._cube_average, which looks it up there."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(uniformity, "_cube_sum", ref_cube_sum)
+        return fn()
+
+
+def unchunked(fn):
+    """fn() with every _cube_average call one pass over the whole n-range."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniformity, "_BLOCK", 1 << 62)
         return fn()
 
 
@@ -328,7 +342,8 @@ class TestPathAgreement:
         for n, h, seed in cases:
             a = ul.rademacher_seq(seed)
             p = ul.BoxParams(2, h, ul.IntervalSpec(0, n), ul.cyclic(n))
-            got = uniformity._powered_complex(a, p, "fast", with_tail=True)
+            x = uniformity._operand_array(a, p)
+            got = uniformity._cube_average([x] * 4, 2, h, n, with_tail=True)
             want = ref_powered_fft_k2(a.sample(0, n), h, with_tail=True)
             assert abs(got[0] - want[0]) <= 1e-9, (n, h, seed)
             assert abs(got[1] - want[1]) <= 1e-9, (n, h, seed)
@@ -518,6 +533,18 @@ class TestSuiteInequalities:
         rep = run_recursion_suite(20, n=512, h=16, seed=7)
         assert rep.ok
         assert rep.worst_slack < 0  # gaps well inside 1e-9
+
+    @pytest.mark.parametrize("suite", [
+        run_csg_suite, run_subadditivity_suite, run_monotonicity_suite,
+        run_recursion_suite])
+    def test_empty_ks_refused(self, suite, monkeypatch):
+        # ks=() once divided by zero in the trial loop
+        def drawn(seed, n):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(uniformity, "_suite_seq", drawn)
+        with pytest.raises(ValueError, match=r"^ks must name at least one k$"):
+            suite(2, n=32, h=4, ks=())
 
 
 class TestProxy:
@@ -812,10 +839,9 @@ class TestKernelBitIdentity:
                 want = reference_kernel(
                     lambda: uniformity._cube_average(xs, k, h, out_len, tail))
                 assert got == want, case
-                acc = np.zeros(out_len, dtype=complex)
-                uniformity._cube_sum(xs, k, h, out_len, acc)
-                ref_acc = np.zeros(out_len, dtype=complex)
-                ref_cube_sum(xs, k, h, out_len, ref_acc)
+                acc = uniformity._cube_average(xs, k, h, out_len, per_n=True)
+                ref_acc = reference_kernel(lambda: uniformity._cube_average(
+                    xs, k, h, out_len, per_n=True))
                 assert acc.tobytes() == ref_acc.tobytes(), case
 
     def test_sup_window_average_unchanged(self):
@@ -843,21 +869,21 @@ class TestSortedWalk:
             calls.append(1)
             return seq_core._sliding_sums(*args, **kwargs)
 
-        acc = np.zeros(out_len, dtype=complex)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uniformity, "_sliding_sums", counted)
-            uniformity._cube_sum(xs, k, h, out_len, acc)
+            acc = uniformity._cube_average(xs, k, h, out_len, per_n=True)
         if pattern == "distinct":
             assert len(calls) == h ** (k - 1)
         else:
             assert len(calls) == math.comb(h + k - 2, k - 1)
         full_acc, full_shell = full_grid(xs, k, h, out_len)
+        full_acc /= h ** k
         if pattern == "distinct" or k <= 2:
             assert acc.tobytes() == full_acc.tobytes()
         if pattern != "distinct":
-            summed, shell = [0j], [0j]
-            uniformity._cube_sum(xs, k, h, out_len, summed, shell)
-            assert_close(shell[0], full_shell, "shell")
+            shell = uniformity._cube_average(xs, k, h, out_len, True)[1]
+            assert_close(shell, shell_average(full_shell, k, h, out_len),
+                         "shell")
 
     @pytest.mark.parametrize("pattern", ["single", "dual"])
     @pytest.mark.parametrize("cyclic", [True, False],
@@ -869,15 +895,15 @@ class TestSortedWalk:
                 xs = cube_operands(pattern, k, h, out_len, cyclic,
                                    seed=10 * h + out_len)
                 case = f"H={h} out_len={out_len}"
-                acc = np.zeros(out_len, dtype=complex)
-                uniformity._cube_sum(xs, k, h, out_len, acc)
+                acc = uniformity._cube_average(xs, k, h, out_len, per_n=True)
                 full_acc, full_shell = full_grid(xs, k, h, out_len)
+                full_acc /= h ** k
                 scale = np.max(np.abs(full_acc))
                 assert np.max(np.abs(acc - full_acc)) <= 1e-12 * scale, case
                 assert_close(acc.mean(), full_acc.mean(), case)
-                summed, shell = [0j], [0j]
-                uniformity._cube_sum(xs, k, h, out_len, summed, shell)
-                assert_close(shell[0], full_shell, case)
+                shell = uniformity._cube_average(xs, k, h, out_len, True)[1]
+                assert_close(shell, shell_average(full_shell, k, h, out_len),
+                             case)
 
 
 class TestKernelWorkspace:
@@ -981,8 +1007,8 @@ BLOCK_LENS = (BLOCK_TEST - 1, BLOCK_TEST, BLOCK_TEST + 1, 3 * BLOCK_TEST + 17)
 
 
 class TestKernelBlocks:
-    """_blocked_cube_sum, with the block shrunk to 64 points, against one
-    unblocked _cube_sum call over the whole n-range."""
+    """_cube_average's chunks, with the block shrunk to 64 points, against
+    one unchunked pass over the whole n-range."""
 
     @pytest.fixture(autouse=True)
     def small_block(self, monkeypatch):
@@ -998,19 +1024,20 @@ class TestKernelBlocks:
                 xs = cube_operands(pattern, k, h, out_len, cyclic,
                                    seed=out_len + 10 * k + h)
                 case = f"H={h} out_len={out_len}"
-                acc = np.zeros(out_len, dtype=complex)
-                uniformity._blocked_cube_sum(xs, k, h, out_len, acc)
-                one_acc = np.zeros(out_len, dtype=complex)
-                uniformity._cube_sum(xs, k, h, out_len, one_acc)
-                # the shell, n-summed, of symmetric operands only
-                shell = one_shell = [0j]
+
+                def per_n():
+                    return uniformity._cube_average(xs, k, h, out_len,
+                                                    per_n=True)
+                acc, one_acc = per_n(), unchunked(per_n)
+                # the shell average of symmetric operands only
+                shell = one_shell = 0j
                 if pattern != "distinct":
-                    shell, one_shell = [0j], [0j]
-                    uniformity._blocked_cube_sum(xs, k, h, out_len, [0j],
-                                                 shell)
-                    uniformity._cube_sum(xs, k, h, out_len, [0j], one_shell)
-                    assert_close(shell[0], full_grid(xs, k, h, out_len)[1],
-                                 case)
+                    def tail():
+                        return uniformity._cube_average(xs, k, h, out_len,
+                                                        True)[1]
+                    shell, one_shell = tail(), unchunked(tail)
+                    assert_close(shell, shell_average(
+                        full_grid(xs, k, h, out_len)[1], k, h, out_len), case)
                 if out_len <= BLOCK_TEST:
                     assert acc.tobytes() == one_acc.tobytes(), case
                     assert shell == one_shell, case
@@ -1018,7 +1045,7 @@ class TestKernelBlocks:
                 scale = np.max(np.abs(one_acc))
                 assert np.max(np.abs(acc - one_acc)) <= 1e-12 * scale, case
                 assert_close(acc.mean(), one_acc.mean(), case)
-                assert_close(shell[0], one_shell[0], case)
+                assert_close(shell, one_shell, case)
 
     @pytest.mark.parametrize("pattern", OPERAND_PATTERNS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -1039,10 +1066,9 @@ class TestKernelBlocks:
                 lens.append(n)
                 return seq_core._sliding_sums(x, width, n, **kwargs)
 
-            acc = np.zeros(out_len, dtype=complex)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(uniformity, "_sliding_sums", counted)
-                uniformity._blocked_cube_sum(xs, k, h, out_len, acc)
+                uniformity._cube_average(xs, k, h, out_len, per_n=True)
             chunks = -(-out_len // BLOCK_TEST)
             assert len(lens) == chunks * per_chunk, out_len
             assert sum(lens) == per_chunk * out_len, out_len
@@ -1067,9 +1093,9 @@ SUMMED_LENS = (1, 2, 7, BLOCK_TEST - 1, BLOCK_TEST + 1, 3 * BLOCK_TEST + 17)
 
 
 class TestSummedKernel:
-    """The n-summed base (a one-element acc list: _cube_average, hence
-    every box average) against the per-n kernel, with the block shrunk to
-    64 points."""
+    """The n-summed base (_cube_average without per_n, hence every box
+    average) against the per-n kernel, with the block shrunk to 64
+    points."""
 
     @pytest.fixture(autouse=True)
     def small_block(self, monkeypatch):
@@ -1085,15 +1111,14 @@ class TestSummedKernel:
                 xs = cube_operands(pattern, k, h, out_len, cyclic,
                                    seed=out_len + 10 * k + h)
                 case = f"H={h} out_len={out_len}"
-                acc = np.zeros(out_len, dtype=complex)
-                uniformity._blocked_cube_sum(xs, k, h, out_len, acc)
+                acc = uniformity._cube_average(xs, k, h, out_len, per_n=True)
                 tail = pattern != "distinct"  # a shell needs symmetric xs
                 got = uniformity._cube_average(xs, k, h, out_len, tail)
-                assert_close(got[0], acc.mean() / h ** k, case)
+                assert_close(got[0], acc.mean(), case)
                 if tail:
                     shell = full_grid(xs, k, h, out_len)[1]
-                    assert_close(got[1], shell / (out_len * (
-                        h ** k - (h - 1) ** k)), case)
+                    assert_close(got[1], shell_average(shell, k, h, out_len),
+                                 case)
 
     @pytest.mark.parametrize("pattern", OPERAND_PATTERNS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -1247,7 +1272,8 @@ class TestPolynomialPhaseClosedForm:
             alpha = INTERVAL_ALPHA
             vals = poly_phase_samples(alpha, d, n + k * (h - 1))
             p = ul.BoxParams(k, h, ul.IntervalSpec(0, n))
-        got = uniformity._powered_complex(ul.from_samples(vals), p, "fast")[0]
+        x = uniformity._operand_array(ul.from_samples(vals), p)
+        got = uniformity._cube_average([x] * (1 << k), k, h, n)[0]
         want = poly_phase_powered(alpha, d, k, h)
         assert abs(got - want) <= CLOSED_FORM_TOL, (got, want)
 
@@ -1264,3 +1290,64 @@ class TestPolynomialPhaseClosedForm:
         got = duality.dual_function(ul.from_samples(vals), p).sample(0, n)
         want = poly_phase_powered(alpha, d, d, h) * np.conj(vals[:n])
         assert np.max(np.abs(got - want)) <= CLOSED_FORM_TOL
+
+
+# ---------------------------------------------------------------------------
+# An exact oracle for sign sequences
+# ---------------------------------------------------------------------------
+
+# |S_H - exact| and max_n |D(n) - exact / H^k|, against 5.3e-17 and 9.5e-16
+# measured at these sizes, 6.9e-18 and 1.4e-15 at 2^20
+SIGN_S_TOL = 1e-15
+SIGN_DUAL_TOL = 1e-14
+SIGN_N = 3 * 8192 + 17  # crosses two chunk boundaries, not a multiple of them
+SIGN_CASES = [("rad:3", 2, 64, SIGN_N), ("tm:pm", 2, 64, SIGN_N),
+              ("rad:12345", 3, 16, SIGN_N), ("tm:pm", 3, 16, SIGN_N),
+              ("rad:7", 4, 4, 8193)]
+if FULL:
+    SIGN_CASES += [("rad:11", 2, 64, 1 << 20), ("rad:3", 3, 16, 1 << 20)]
+
+
+def exact_cube_sums(xs, k, h, out_len):
+    """sum_{h in [0,H)^k} prod_m xs[m][n + eps.h] at every n < out_len, in
+    int64 for integer operands: the full grid of the cube recursion, with
+    a window of integer prefix sums at its base."""
+    if k == 1:
+        prefix = np.concatenate(([0], np.cumsum(xs[1])))
+        return xs[0][:out_len] * (prefix[h:h + out_len] - prefix[:out_len])
+    half = 1 << (k - 1)
+    m = out_len + (k - 1) * (h - 1)
+    total = np.zeros(out_len, dtype=np.int64)
+    for hh in range(h):
+        total += exact_cube_sums(
+            [xs[v][:m] * xs[v + half][hh:hh + m] for v in range(half)],
+            k - 1, h, out_len)
+    return total
+
+
+class TestSignSequenceExact:
+    """For +-1 input every cube product is +-1, so H^k D_k a(n) and
+    |I| H^k S_H = sum_n a_n H^k D_k a(n) are integers, which int64 holds
+    exactly while |I| H^k <= 2^62.  The kernel's S_H and dual function
+    against them, in both modes, past the chunk size."""
+
+    @pytest.mark.parametrize("spec,k,h,n", SIGN_CASES,
+                             ids=[f"{c[0]}-k{c[1]}-H{c[2]}-N{c[3]}"
+                                  for c in SIGN_CASES])
+    @pytest.mark.parametrize("cyclic", [True, False],
+                             ids=["cyclic", "interval"])
+    def test_against_integers(self, spec, k, h, n, cyclic):
+        assert n > uniformity._BLOCK and n * h ** k <= 1 << 62
+        p = ul.BoxParams(k, h, ul.IntervalSpec(0, n),
+                         ul.cyclic(n) if cyclic else ul.INTERVAL)
+        x = uniformity._operand_array(ul.parse_generator(spec), p)
+        signs = x.real.astype(np.int64)
+        assert np.array_equal(signs, x) and np.all(np.abs(signs) == 1)
+        dual = exact_cube_sums([np.ones_like(signs)]
+                               + [signs] * ((1 << k) - 1), k, h, n)
+        total = int(np.dot(signs[:n], dual))
+        got = uniformity._cube_average([x] * (1 << k), k, h, n)[0]
+        err = abs(Fraction(got.real) - Fraction(total, n * h ** k))
+        assert err <= SIGN_S_TOL and abs(got.imag) <= SIGN_S_TOL, float(err)
+        d = duality._dual_values(x, p)
+        assert np.max(np.abs(d - dual / h ** k)) <= SIGN_DUAL_TOL
