@@ -211,10 +211,17 @@ def wrap_cyclic(a: ComplexSeq, n: int) -> ComplexSeq:
 
 def sample_mode(a: ComplexSeq, lo: int, hi: int, mode: DomainMode) -> np.ndarray:
     """Values on [lo, hi): in cyclic(N) mode those of wrap_cyclic(a, N), so
-    a must be valid on [0, N); in interval mode a's own, range-checked."""
-    if mode.is_cyclic:
-        return wrap_cyclic(a, mode.modulus).sample(lo, hi)
-    return a.sample(lo, hi)
+    a must be valid on [0, N); in interval mode a's own, range-checked.
+
+    Cyclic mode reduces its one index array mod N in place and hands it to
+    a itself, with no wrapping sequence between them: one span-long int64
+    array, not two, and each point evaluated once.
+    """
+    if not mode.is_cyclic:
+        return a.sample(lo, hi)
+    a.require_range(0, mode.modulus, "cyclic wrap")
+    ns = np.arange(lo, hi, dtype=np.int64)
+    return a.eval(np.remainder(ns, mode.modulus, out=ns))
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,13 @@ Computation paths, all agreeing to better than 1e-9:
             with its products and prefix in buffers made once per chunk and
             reused for every shift.  Box averages need only the n-sum,
             which the base takes from two dot products on the centred
-            prefix, with no window or per-n array; the dual function keeps
-            the per-n window and puts the constant 1 at the base vertex.
-            For symmetric operands (one array per |eps|: box norms, the
-            dual function) c_h is invariant under permuting h, so at every
-            k it walks only sorted outer shifts,
+            prefix, with no window or per-n array; their operands are
+            conjugated once per chunk, not once per window, so a merge is
+            one product.  The dual function keeps the per-n window, its
+            per-window conjugates, and puts the constant 1 at the base
+            vertex.  For symmetric operands (one array per |eps|: box
+            norms, the dual function) c_h is invariant under permuting h,
+            so at every k it walks only sorted outer shifts,
             O(C(H+k-2, k-1) * |I|), and reads the shell below off that walk;
             only csg_check's 2^k mixed operands walk the full grid,
             O(H^(k-1) * |I|).  _cube_average tests the operands for
@@ -42,6 +44,11 @@ Computation paths, all agreeing to better than 1e-9:
 
 Every path but spectral also returns, from the same pass, the average of
 c_h over the outermost shell max(h) = H-1: box_norm's h_tail diagnostic.
+On the fast path the shell is the windows whose largest outer shift is H-1
+plus, by the same permutation symmetry, a share of the h_1 < H-1 part of
+those holding H-1 once, so only those take an extra dot product (one at
+k = 2, H-1 at k = 3); it agrees with the full grid's shell sum to a few
+parts in 1e15 (_cube_sum).
 Box averages, csg_check's mixed pairing and the dual function sample
 through _operand_array alone, once per sequence: csg_check's norms and
 dual_pairing's base read the arrays already sampled.  It first raises
@@ -139,17 +146,22 @@ def _cube_cost(p: BoxParams, path: str, symmetric: bool = True) -> int:
     return windows * (n + k * (h - 1))
 
 
+def _approx(cost: int) -> str:
+    """An element-operation count to three digits, or as a power of two
+    past float range."""
+    return (f"{float(cost):.2e}" if cost.bit_length() <= 1000
+            else f"2^{cost.bit_length() - 1}")
+
+
 def _require_affordable(p: BoxParams, path: str,
                         symmetric: bool = True) -> None:
     """ValueError, naming the estimate, when _cube_cost exceeds _MAX_COST."""
     cost = _cube_cost(p, path, symmetric)
     if cost > _MAX_COST:
-        est = (f"{float(cost):.2e}" if cost.bit_length() <= 1000
-               else f"2^{cost.bit_length() - 1}")
         raise ValueError(
-            f"the {path} path would take ~{est} element operations (k={p.k}, "
-            f"H={p.H}, |I|={p.interval.length}), above the limit of "
-            f"{_MAX_COST:.0e}")
+            f"the {path} path would take ~{_approx(cost)} element operations "
+            f"(k={p.k}, H={p.H}, |I|={p.interval.length}), above the limit "
+            f"of {_MAX_COST:.0e}")
 
 
 def _operand_array(a: ComplexSeq, p: BoxParams, path: str = "fast",
@@ -174,9 +186,10 @@ def _operand_array(a: ComplexSeq, p: BoxParams, path: str = "fast",
 # Powered-value computation paths (complex averages, before Re/clamp)
 # ---------------------------------------------------------------------------
 
-def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
-              acc: Union[np.ndarray, list], shell: Optional[list],
-              ws: dict, walk: Optional[Tuple[int, int, int, int]]) -> None:
+def _cube_sum(xs: List[np.ndarray], cs: List[Optional[np.ndarray]], k: int,
+              h: int, out_len: int, acc: Union[np.ndarray, list],
+              shell: Optional[list], ws: dict,
+              walk: Optional[Tuple[int, int, int, int]]) -> None:
     """acc[n] += sum_{h in [0,H)^k} prod_eps C^{|eps|} xs[m][n + eps.h]: the
     cube recursion, entered only through _cube_average.
 
@@ -186,38 +199,53 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
     h sum is a sliding window.  Pairs of the same two arrays (by identity)
     are multiplied once, so a single sequence costs one product per shift.
 
+    cs[m] is conj(xs[m]) or None.  A merge whose shifted operand has one is
+    the single product cs[v + 2^(k-1)][h_k:] * xs[v]; without one it
+    conjugates the shifted copy first, with the same bits (save at length
+    1, where numpy's in-place product rounds differently).  At k >= 3
+    each merged product whose lower vertex v has cs[v] also gets its own
+    conjugate, xs[v + 2^(k-1)][h_k:] * cs[v], which is conj of the merge
+    bit for bit (rounding commutes with negation): the cs of the level
+    below, where it is shifted.  _cube_average supplies cs to n-summed
+    calls only, so the dual function still conjugates per window.
+
     `acc` is either an out_len-point array, which gains every acc[n] (the
     dual function), or a one-element list, which gains only their n-sum
     (box averages).  The n-summed base never forms the window
     W[n] = sum_{t<H} x1[n+t]: from the centred prefix p of x1 (mean mu,
     _centred_prefix) it takes
-      sum_n conj(W[n]) x0[n] = vdot(p[H-1:H-1+L], x0) - vdot(p[:L-1], x0[1:L])
-                               + conj(H mu) * sum_{n<L} x0[n],
+      B = sum_n conj(W[n]) x0[n] = vdot(p[H-1:H-1+L], x0) - vdot(p[:L-1], x0[1:L])
+                                   + conj(H mu) * sum_{n<L} x0[n],
     with L = out_len, and the last sum is p[L-1] + L mu when x0 is x1.
 
     Symmetric operands (one array per popcount |eps|: box averages and the
     dual function) give a c_h that a permutation of the h coordinates
     leaves unchanged.  The walk then visits only the sorted outer shifts
     h_k <= ... <= h_2 and weights each by its number of orderings,
-    (k-1)!/prod r_i! for runs of r_i equal values: C(H+k-2, k-1) windows in
-    place of H^(k-1), which at k <= 2 is the same loop with every weight 1.
-    `walk` carries (least next shift, shifts chosen, their multiplicity,
-    length of the last run) down the recursion, from (0, 0, 1, 0) at the
-    top; it is None for mixed operands (csg_check), which walk the full
-    grid.
+    mult = (k-1)!/prod r_i! for runs of r_i equal values: C(H+k-2, k-1)
+    windows in place of H^(k-1), which at k <= 2 is the same loop with
+    every weight 1.  `walk` carries (least next shift, shifts chosen, their
+    multiplicity, length of the last run) down the recursion, from
+    (0, 0, 1, 0) at the top; it is None for mixed operands (csg_check),
+    which walk the full grid.
 
     A one-element `shell` list (or None) also gains the n-sum of c_h over
-    the shell max(h) = H-1, read off the walk: the base's whole sum when
-    the largest chosen outer shift, walk[0], is H-1, else its edge term
-    h_1 = H-1.  Only the n-summed base keeps a shell, and only on a
-    symmetric operand list.
+    the shell max(h) = H-1, read off the walk (symmetric operands and the
+    n-summed base only).  At k = 1 it is the edge term E = c_{H-1} of the
+    one window.  At k >= 2 it is
+      sum over windows with h_2 = H-1 of mult * B
+      + sum over those where H-1 occurs once of mult/(k-1) * (B - E):
+    by the permutation symmetry, the h_1 = H-1 terms of the windows below
+    the shell add up to the h_1 < H-1 part of the windows holding H-1
+    once.  So only those windows, one at k = 2 and H-1 at k = 3, take the
+    edge dot product E = vdot(x1[H-1:H-1+L], x0).
 
-    The merged products, the prefix and (per-n) the window are written into
-    the buffers of `ws`, keyed by level: made on the first shift of a pass
-    and reused for every later shift.  The arithmetic is the same, in the
-    same order, as with a fresh array per shift.  _cube_average hands each
-    chunk of at most _BLOCK output points a fresh ws, so these buffers are
-    O(_BLOCK) long.
+    The merged products, their conjugates, the prefix and (per-n) the
+    window are written into the buffers of `ws`, keyed by level: made on
+    the first shift of a pass and reused for every later shift.  The
+    arithmetic is the same, in the same order, as with a fresh array per
+    shift.  _cube_average hands each chunk of at most _BLOCK output points
+    a fresh ws, so these buffers are O(_BLOCK) long.
     """
     if k == 1:
         mult = 1 if walk is None else walk[2]
@@ -239,27 +267,34 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
         p, mu = _centred_prefix(x1, ws[1][0])
         s0 = (p[out_len - 1] + out_len * mu if xs[0] is x1
               else np.add.reduce(x0))
-        total = (np.vdot(p[h - 1:h - 1 + out_len], x0)
-                 - np.vdot(p[:out_len - 1], x0[1:])
-                 + np.conj(h * mu) * s0)
-        if mult != 1:
-            total = mult * total
+        base = (np.vdot(p[h - 1:h - 1 + out_len], x0)
+                - np.vdot(p[:out_len - 1], x0[1:])
+                + np.conj(h * mu) * s0)
+        total = base if mult == 1 else mult * base
         acc[0] += total
-        if shell is not None and walk[1] and walk[0] == h - 1:
-            shell[0] += total
-        elif shell is not None:
-            edge = np.vdot(x1[h - 1:h - 1 + out_len], x0)
-            shell[0] += edge if mult == 1 else mult * edge
+        if shell is None or (walk[1] and walk[0] != h - 1):
+            return
+        if not walk[1]:  # k = 1: the edge term alone
+            shell[0] += np.vdot(x1[h - 1:h - 1 + out_len], x0)
+            return
+        shell[0] += total
+        if walk[3] == 1 and h > 1:  # H-1 once: the share of the edges below
+            share = mult // walk[1]
+            rest = base - np.vdot(x1[h - 1:h - 1 + out_len], x0)
+            shell[0] += rest if share == 1 else share * rest
         return
     half = 1 << (k - 1)
     m = out_len + (k - 1) * (h - 1)
     pairs: dict = {}  # (id, id) of a vertex pair -> its first vertex
     rep = [pairs.setdefault((id(xs[v]), id(xs[v + half])), v)
            for v in range(half)]
-    if k not in ws:  # one merged buffer per distinct vertex pair
-        ws[k] = {v: np.empty(m, dtype=np.complex128) for v in pairs.values()}
-    merged = ws[k]
+    if k not in ws:  # per distinct vertex pair: the merge and its conjugate
+        ws[k] = ({v: np.empty(m, dtype=np.complex128) for v in pairs.values()},
+                 {v: np.empty(m, dtype=np.complex128) for v in pairs.values()
+                  if k > 2 and cs[v] is not None})
+    merged, conj_merged = ws[k]
     below = [merged[r] for r in rep]
+    below_cs = [conj_merged.get(r) for r in rep]
     if walk is None:
         lo, inner = 0, None
     else:
@@ -269,9 +304,20 @@ def _cube_sum(xs: List[np.ndarray], k: int, h: int, out_len: int,
             r = run + 1 if hh == lo else 1
             inner = (hh, chosen + 1, mult * (chosen + 1) // r, r)
         for v, buf in merged.items():
-            np.conj(xs[v + half][hh:hh + m], out=buf)
-            buf *= xs[v][:m]
-        _cube_sum(below, k - 1, h, out_len, acc, shell, ws, inner)
+            c = cs[v + half]
+            if c is None:
+                np.conj(xs[v + half][hh:hh + m], out=buf)
+                buf *= xs[v][:m]
+            else:
+                np.multiply(c[hh:hh + m], xs[v][:m], out=buf)
+        for v, buf in conj_merged.items():
+            np.multiply(xs[v + half][hh:hh + m], cs[v][:m], out=buf)
+        _cube_sum(below, below_cs, k - 1, h, out_len, acc, shell, ws, inner)
+
+
+def _fsum(zs: List[complex]) -> complex:
+    """The exact sum of complex numbers, rounded once per part."""
+    return complex(math.fsum(z.real for z in zs), math.fsum(z.imag for z in zs))
 
 
 def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
@@ -291,12 +337,17 @@ def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
     covering itself plus that margin, one view per distinct operand (pair
     merging and the walk test operands by identity), with a fresh
     workspace, adding into its slice of the per-n array (or, n-summed, into
-    a sum of its own) and into the one shared shell.  Operands hold exactly
-    out_len + k*(H-1) points, so at out_len <= _BLOCK the one chunk's views
-    are the whole arrays; past it, each chunk's windows centre on the
-    chunk's own mean and the sum runs chunk by chunk, which moves the last
-    bits.  The n-summed total is the exact sum (math.fsum) of the chunks'
-    own sums.
+    a sum and a shell of its own).  An n-summed call also conjugates, once
+    per chunk, each distinct operand at a vertex m >= 2 (those some level
+    shifts: every one that is shifted, and at k >= 3 the lower vertices
+    whose merges the level below shifts) into a buffer made once per call,
+    and passes these as _cube_sum's cs; the per-n dual function keeps its
+    per-window conjugates and so its smaller workspace.  Operands hold
+    exactly out_len + k*(H-1) points, so at out_len <= _BLOCK the one
+    chunk's views are the whole arrays; past it, each chunk's windows
+    centre on the chunk's own mean and the sum runs chunk by chunk, which
+    moves the last bits.  The n-summed total and the shell are the exact
+    sums (math.fsum) of the chunks' own sums.
     """
     by_weight: dict = {}  # popcount -> the first array seen with it
     walk = ((0, 0, 1, 0) if all(by_weight.setdefault(m.bit_count(), x) is x
@@ -305,24 +356,35 @@ def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
     ends = [out_len * c // chunks for c in range(chunks + 1)]
     margin = k * (h - 1)
     distinct = {id(x): x for x in xs}
+    # one conjugate buffer per distinct operand at a vertex m >= 2, as long
+    # as the longest chunk's views
+    width = -(-out_len // chunks) + margin
+    conj_bufs = {} if per_n else {id(x): np.empty(width, dtype=np.complex128)
+                                  for x in xs[2:]}
     acc = np.zeros(out_len, dtype=np.complex128) if per_n else None
-    shell, sums = [0j], []  # sums: each chunk's own n-sum
+    sums, shells = [], []  # each chunk's own n-sum and shell sum
     for lo, hi in zip(ends, ends[1:]):
         views = {i: x[lo:hi + margin] for i, x in distinct.items()}
+        conjs = {i: np.conj(views[i], out=buf[:hi - lo + margin])
+                 for i, buf in conj_bufs.items()}
         part = acc[lo:hi] if per_n else [0j]
-        _cube_sum([views[id(x)] for x in xs], k, h, hi - lo, part,
-                  shell if with_tail else None, {}, walk)
+        shell = [0j] if with_tail else None
+        _cube_sum([views[id(x)] for x in xs], [conjs.get(id(x)) for x in xs],
+                  k, h, hi - lo, part, shell, {}, walk)
         if not per_n:
             sums.append(part[0])
+        if with_tail:
+            shells.append(shell[0])
     if per_n:
         acc /= h ** k
         return acc
     # the chunk sums are near-equal: one running total over every window of
     # every chunk was 3.5e-14 off e(alpha n^3)'s closed form at 2^20
-    # points, this 1.3e-15.  The 0j start keeps the printed signed zeros.
-    total = 0j + complex(math.fsum(z.real for z in sums),
-                         math.fsum(z.imag for z in sums))
-    tail = complex(shell[0]) / (out_len * (h ** k - (h - 1) ** k))
+    # points, this 1.3e-15; for the shell average, 2.5e-14 off
+    # e(alpha n^4)'s at k = 4, H = 8, this 2.8e-15.  The 0j start keeps the
+    # printed signed zeros.
+    total = 0j + _fsum(sums)
+    tail = _fsum(shells) / (out_len * (h ** k - (h - 1) ** k))
     return total / out_len / h ** k, tail
 
 
@@ -472,7 +534,9 @@ def uniformity_norm_proxy(a: ComplexSeq, search_range: IntervalSpec,
     identities are exact; the h argument is ignored in this mode.
     per_window "interval": plain truncation on [M, M+window_len) with the
     given H, reading the margin from the ambient sequence.  Either way a
-    must be valid on the whole search range.
+    must be valid on the whole search range.  Past _MAX_COST element
+    operations for all windows together (one window's _cube_cost times
+    their number) it raises ValueError before the first window.
     """
     if per_window not in ("cyclic", "interval"):
         raise ValueError("per_window must be 'cyclic' or 'interval'")
@@ -482,6 +546,17 @@ def uniformity_norm_proxy(a: ComplexSeq, search_range: IntervalSpec,
     if len(starts) == 0:
         raise ValueError("search range shorter than the window")
     a.require_range(search_range.lo, search_range.hi, "search range")
+    first = (BoxParams(k, h, IntervalSpec(search_range.lo, window_len))
+             if per_window == "interval"
+             else _cyclic_box(k, window_len, window_len))
+    path = _resolve_path("auto", first)
+    _require_affordable(first, path)  # one window alone, as box_norm would
+    each = _cube_cost(first, path)
+    if each * len(starts) > _MAX_COST:
+        raise ValueError(
+            f"the proxy's {len(starts)} windows would take "
+            f"~{_approx(each * len(starts))} element operations "
+            f"(~{_approx(each)} each), above the limit of {_MAX_COST:.0e}")
 
     def window(m: int, with_tail: bool) -> NormReport:
         # params carry the window itself, so the report says where the
@@ -514,6 +589,12 @@ def vdc_bound(a: ComplexSeq, interval: IntervalSpec, h: int) -> VdcReport:
     """Finite van der Corput inequality with the exact constant 4H/|I|:
 
       |avg_I a|^2 <= 4H/|I| + | sum_{|h'|<=H} (H-|h'|)/H^2 * avg_I a_{n+h'} conj(a_n) |
+
+    Each shift's average is one dot product, vdot(a on I, a on I + h') /
+    |I|: no conjugate copy, product or temporaries per shift.  On +-1
+    input at a power-of-two |I| (run_vdc_suite's) every partial sum is an
+    integer and 1/|I| is exact, so the bits are those of the mean of the
+    product.
     """
     if h < 1:
         raise ValueError(f"van der Corput needs H >= 1, got {h}")
@@ -528,7 +609,7 @@ def vdc_bound(a: ComplexSeq, interval: IntervalSpec, h: int) -> VdcReport:
     for hh in range(-h, h + 1):
         w = (h - abs(hh)) / (h * h)
         seg = samples[h + hh:h + hh + length]
-        acc += w * complex(np.mean(seg * np.conj(base)))
+        acc += w * (complex(np.vdot(base, seg)) / length)
     rhs = 4.0 * h / length + abs(acc)
     return VdcReport(lhs, rhs)
 

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -610,6 +611,27 @@ class TestBadNumbers:
                             r"~\S+ element operations \(k=\d+, H=\d+, "
                             r"\|I\|=\d+\), above the limit of 1e\+12\n",
                             err), err
+
+    @pytest.mark.parametrize("command", [
+        # k = 2 cyclic windows take the spectral path, 4,096 operations
+        # each: affordable one at a time, hours for all of them
+        "unorm --gen exp:0.1 --range 0:4000000000 --window 4096 --stride 1 "
+        "--k 2",
+        "unorm --gen rad:1 --range 0:200000000 --window 512 --stride 1 "
+        "--k 3 --per-window interval --H 32",
+    ], ids=["cyclic", "interval"])
+    def test_unorm_total_refused(self, command, monkeypatch):
+        def sampled(self, ns):
+            raise AssertionError("sampled before the proxy's preflight")
+
+        monkeypatch.setattr(ul.ComplexSeq, "eval", sampled)
+        start = time.perf_counter()
+        code, out, err = run_cli(command.split())
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: the proxy's \d+ windows would take "
+                            r"~\S+ element operations \(~\S+ each\), above "
+                            r"the limit of 1e\+12\n", err), err
 
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 7.28 TiB for an array with shape "

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import unif_lab as ul
 from unif_lab.errors import IncompatibleRangeError, SequenceRangeError
-from unif_lab.seq_core import _frac
+from unif_lab.seq_core import _frac, sample_mode
 
 
 def brute_average(seq, lo, hi):
@@ -154,6 +154,27 @@ class TestAlgebra:
         w = ul.wrap_cyclic(ul.from_samples(vals), 8)
         assert ul.shift(w, 3).at(6) == vals[(6 + 3) % 8]
         assert w.valid_range is None
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 8), (3, 8), (0, 11), (5, 6), (7, 30), (-3, 2), (-20, -9),
+        (16, 40), (9, 9)])
+    def test_cyclic_sample_mode_is_the_wrap(self, lo, hi):
+        # a(n mod N) on [lo, hi), as wrap_cyclic gives it, with each point
+        # evaluated once by a itself
+        vals = ul.rademacher_seq(2).sample(0, 8) * np.exp(1j * np.arange(8))
+        seen = []
+
+        def fn(ns):
+            seen.extend(ns.tolist())
+            return vals[ns]
+
+        a = ul.ComplexSeq(fn, (0, 8), 1.0)
+        got = sample_mode(a, lo, hi, ul.cyclic(8))
+        want = ul.wrap_cyclic(ul.from_samples(vals), 8).sample(lo, hi)
+        assert got.tobytes() == want.tobytes()
+        assert seen == (np.arange(lo, hi) % 8).tolist()
+        with pytest.raises(SequenceRangeError, match="cyclic wrap"):
+            sample_mode(a, lo, hi, ul.cyclic(9))
 
     @given(st.complex_numbers(max_magnitude=10, allow_nan=False,
                               allow_infinity=False))

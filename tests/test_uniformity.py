@@ -78,27 +78,33 @@ def require_acc(acc):
     raise TypeError(f"unhandled accumulator {type(acc).__name__}")
 
 
-def ref_cube_sum(xs, k, h, out_len, acc, shell, ws, walk):
+def ref_cube_sum(xs, cs, k, h, out_len, acc, shell, ws, walk):
     """Reference cube kernel: the walk of uniformity._cube_sum with a fresh
-    array for every merged product and every window.  It takes the
-    kernel's arguments, ignores its workspace ws and tests the operands for
-    symmetry itself in place of reading walk.  Symmetric operands
-    (one array per popcount of the vertex index) visit only the sorted
-    outer shifts h_k <= ... <= h_2, each window weighted by the number of
-    orderings of its tuple; mixed operands walk the full grid.  An n-summed
-    acc (one-element list) takes ref_window_dot at the base, and a shell
-    list gains that sum when the largest outer shift is H-1, else the edge
-    term h_1 = H-1; a per-n acc takes the window itself and has no shell.
-    The workspace kernel must match it bit for bit and never peak above it
-    in memory."""
+    array for every merged product, every conjugate and every window.  It
+    takes the kernel's arguments, ignores its workspace ws and tests the
+    operands for symmetry itself in place of reading walk.  Symmetric
+    operands (one array per popcount of the vertex index) visit only the
+    sorted outer shifts h_k <= ... <= h_2, each window weighted by the
+    number of orderings of its tuple; mixed operands walk the full grid.
+    A merge reads cs[v + half], the shifted operand's conjugate, when
+    there is one (one np.multiply), else conjugates the shifted copy and
+    multiplies in place; at k >= 3 a merge whose lower vertex has a
+    conjugate also forms its own, which the level below reads.  An
+    n-summed acc (one-element list) takes ref_window_dot at the base, and
+    a shell list gains the shell rule of _cube_sum: the edge term h_1 = H-1
+    at k = 1; at k >= 2 the whole window when its largest outer shift is
+    H-1, plus mult/(k-1) times its h_1 < H-1 part when H-1 occurs there
+    once.  A per-n acc takes the window itself and has no shell.  The
+    workspace kernel must match it bit for bit and never peak above it in
+    memory."""
     require_acc(acc)
     first = {}
     symmetric = all(first.setdefault(bin(m).count("1"), x) is x
                     for m, x in enumerate(xs))
-    _ref_walk(xs, k, h, out_len, acc, shell, () if symmetric else None)
+    _ref_walk(xs, cs, k, h, out_len, acc, shell, () if symmetric else None)
 
 
-def _ref_walk(xs, k, h, out_len, acc, shell, outer):
+def _ref_walk(xs, cs, k, h, out_len, acc, shell, outer):
     """ref_cube_sum below the top; outer is the sorted tuple of shifts
     chosen so far, or None on the full grid."""
     if k == 1:
@@ -116,19 +122,22 @@ def _ref_walk(xs, k, h, out_len, acc, shell, outer):
                 w *= mult
             acc += w
             return
-        total = ref_window_dot(xs[0], xs[1], h, out_len)
-        if mult != 1:
-            total = mult * total
+        base = ref_window_dot(xs[0], xs[1], h, out_len)
+        total = base if mult == 1 else mult * base
         acc[0] += total
         if shell is None:
             return
         if outer is None:
             raise TypeError("the shell needs symmetric operands")
-        if outer and outer[-1] == h - 1:
+        edge = np.vdot(xs[1][h - 1:h - 1 + out_len], xs[0][:out_len])
+        if not outer:
+            shell[0] += edge
+        elif outer[-1] == h - 1:
             shell[0] += total
-        else:
-            edge = np.vdot(xs[1][h - 1:h - 1 + out_len], xs[0][:out_len])
-            shell[0] += edge if mult == 1 else mult * edge
+            if outer.count(h - 1) == 1 and h > 1:
+                share = mult // len(outer)
+                rest = base - edge
+                shell[0] += rest if share == 1 else share * rest
         return
     half = 1 << (k - 1)
     m = out_len + (k - 1) * (h - 1)
@@ -137,12 +146,19 @@ def _ref_walk(xs, k, h, out_len, acc, shell, outer):
            for v in range(half)]
     lo = outer[-1] if outer else 0
     for hh in range(lo, h):
-        merged = {}
+        merged, conj_merged = {}, {}
         for v in pairs.values():
-            prod = np.conj(xs[v + half][hh:hh + m])
-            prod *= xs[v][:m]
+            if cs[v + half] is None:
+                prod = np.conj(xs[v + half][hh:hh + m])
+                prod *= xs[v][:m]
+            else:
+                prod = np.multiply(cs[v + half][hh:hh + m], xs[v][:m])
             merged[v] = prod
-        _ref_walk([merged[r] for r in rep], k - 1, h, out_len, acc, shell,
+            if k > 2 and cs[v] is not None:
+                conj_merged[v] = np.multiply(xs[v + half][hh:hh + m],
+                                             cs[v][:m])
+        _ref_walk([merged[r] for r in rep], [conj_merged.get(r) for r in rep],
+                  k - 1, h, out_len, acc, shell,
                   None if outer is None else outer + (hh,))
 
 
@@ -467,6 +483,38 @@ class TestVdc:
     def test_seeded_suite(self):
         rep = run_vdc_suite(100, length=2048, h=32, seed=5)
         assert rep.ok
+
+    @staticmethod
+    def mean_of_products(a, interval, h):
+        """vdc_bound's (lhs, rhs) with each shift's average the mean of a
+        conjugate copy times the shifted segment."""
+        length = interval.length
+        samples = a.sample(interval.lo - h, interval.hi + h)
+        base = samples[h:h + length]
+        acc = 0.0 + 0.0j
+        for hh in range(-h, h + 1):
+            w = (h - abs(hh)) / (h * h)
+            seg = samples[h + hh:h + hh + length]
+            acc += w * complex(np.mean(seg * np.conj(base)))
+        return abs(complex(base.mean())) ** 2, 4.0 * h / length + abs(acc)
+
+    def test_one_dot_product_per_shift(self):
+        # unimodular phases: within 1e-15.  +-1 input at a power-of-two
+        # |I|, as in run_vdc_suite: every partial sum is an integer and
+        # numpy's mean multiplies by an exact 1/|I|, so the same bits
+        rng = np.random.default_rng(3)
+        interval = ul.IntervalSpec(70, 2048)
+        for h in (1, 7, 64):
+            phases = ul.from_samples(np.exp(2j * np.pi * rng.random(2200)))
+            rep = ul.vdc_bound(phases, interval, h)
+            lhs, rhs = self.mean_of_products(phases, interval, h)
+            assert rep.lhs == lhs
+            assert abs(rep.rhs - rhs) <= 1e-15, h
+            for s in range(20):
+                a = ul.rademacher_seq(s)
+                rep = ul.vdc_bound(a, interval, h)
+                assert (rep.lhs, rep.rhs) == self.mean_of_products(
+                    a, interval, h), (h, s)
 
 
 class TestCsg:
@@ -796,13 +844,31 @@ class TestOperandSampling:
         want = np.arange(lo, lo + length + k * (h - 1)) % n
         np.testing.assert_array_equal(np.concatenate(seen), want)
 
+    @pytest.mark.parametrize("spec, limit", [("samples", 1.01),
+                                             ("rad:3", 2.01)])
+    def test_cyclic_peak(self, spec, limit):
+        # traced peak above the returned operand, in N-point complex
+        # arrays, at cyclic N = 2^16, k = 2, H = 64: the span's one index
+        # array, reduced mod N in place, and from_samples' own ns - lo
+        # (1.00), or rad:'s evaluation temporaries (2.00).  A second index
+        # array, np.arange(lo, hi) % N, made it 1.50 and 2.51
+        n = 1 << 16
+        a = ul.parse_generator("rad:3")
+        if spec == "samples":
+            a = ul.from_samples(a.sample(0, n) * np.exp(1j * np.arange(n)))
+        p = ul.BoxParams(2, 64, ul.IntervalSpec(0, n), ul.cyclic(n))
+        x = uniformity._operand_array(a, p)
+        extra = _traced_peak(lambda: uniformity._operand_array(a, p))
+        assert (extra - x.nbytes) / (16 * n) <= limit
+
     @pytest.mark.parametrize("h, span", [(32, 1086), (1024, 3070)],
                              ids=["fast", "spectral"])
     def test_csg_samples_each_sequence_once(self, monkeypatch, h, span):
         # the 2^k box norms read the arrays the mixed pairing sampled (the
         # spectral norm its period x[:N]): one span per sequence, each point
-        # evaluated by the cyclic wrapper and by the sequence.  Sampling
-        # again for the norms made 4,344 per sequence at H = 32, 8,188 at N
+        # evaluated once by the sequence.  Sampling again for the norms
+        # made 4,344 per sequence at H = 32, 8,188 at N; a cyclic wrapper
+        # that evaluated each point too, 2,172 and 6,140
         n = 1024
         seqs = [ul.from_samples(ul.rademacher_seq(m).sample(0, n))
                 for m in range(4)]
@@ -817,7 +883,7 @@ class TestOperandSampling:
 
         monkeypatch.setattr(ul.ComplexSeq, "eval", counting)
         rep = ul.csg_check(seqs, p)
-        assert sum(evaluated) == 4 * 2 * span
+        assert sum(evaluated) == 4 * span
         assert list(rep.norms) == want
 
 
@@ -1151,6 +1217,57 @@ class TestSummedKernel:
             assert sum(lens) == per_chunk * (out_len + chunks * (h - 1))
 
 
+class TestKernelPasses:
+    """What an n-summed call computes besides the windows' merges and
+    prefixes: one conjugate per chunk of each distinct operand some level
+    shifts (those at vertices m >= 2), none per window, and two dot
+    products per window, plus the shell's edge term h_1 = H-1 at k = 1
+    and in each window whose outer shifts hold H-1 exactly once: 1 per
+    chunk at k = 2, H-1 at k = 3, C(H, 2) at k = 4."""
+
+    @pytest.fixture(autouse=True)
+    def small_block(self, monkeypatch):
+        monkeypatch.setattr(uniformity, "_BLOCK", BLOCK_TEST)
+
+    @pytest.mark.parametrize("out_len", [9, 3 * BLOCK_TEST + 17],
+                             ids=["one-chunk", "four-chunks"])
+    @pytest.mark.parametrize("pattern", OPERAND_PATTERNS)
+    @pytest.mark.parametrize("h", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_conj_and_vdot_counts(self, k, h, pattern, out_len):
+        xs = cube_operands(pattern, k, h, out_len, False, seed=k + h)
+        conjs, vdots = [], []
+        conj, vdot = np.conj, np.vdot
+
+        def counted_conj(x, *args, **kwargs):
+            if isinstance(x, np.ndarray):  # not the base's scalar conj(H mu)
+                conjs.append(len(x))
+            return conj(x, *args, **kwargs)
+
+        def counted_vdot(a, b):
+            vdots.append(1)
+            return vdot(a, b)
+
+        tail = pattern != "distinct"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(uniformity.np, "conj", counted_conj)
+            mp.setattr(uniformity.np, "vdot", counted_vdot)
+            got = uniformity._cube_average(xs, k, h, out_len, tail)
+        chunks = -(-out_len // BLOCK_TEST)
+        shifted = len({id(x) for x in xs[2:]})
+        assert len(conjs) == chunks * shifted  # each its chunk and margin
+        assert sum(conjs) == shifted * (out_len + chunks * k * (h - 1))
+        if pattern == "distinct":
+            windows, edges = h ** (k - 1), 0
+        else:
+            windows = math.comb(h + k - 2, k - 1)
+            edges = 1 if k == 1 else (math.comb(h + k - 4, k - 2) if h > 1
+                                      else 0)
+        assert len(vdots) == chunks * (2 * windows + edges)
+        assert got == reference_kernel(lambda: uniformity._cube_average(
+            xs, k, h, out_len, tail))
+
+
 class TestBlockedWorkspace:
     """Past _BLOCK output points the kernel's workspace is a few
     (_BLOCK + k(H-1))-point arrays, not a few N-point ones."""
@@ -1263,6 +1380,9 @@ class TestPolynomialPhaseClosedForm:
     @pytest.mark.parametrize("cyclic", [True, False],
                              ids=["cyclic", "interval"])
     def test_powered(self, d, k, h, n, cyclic):
+        """S_H, and the shell average, whose closed form is
+        (H^k P(H) - (H-1)^k P(H-1)) / (H^k - (H-1)^k) for P(H) = S_H:
+        within 1.2e-15 of it at these sizes."""
         assert n > uniformity._BLOCK
         if cyclic:
             alpha = Fraction(n // 3 + 1, n)
@@ -1273,9 +1393,13 @@ class TestPolynomialPhaseClosedForm:
             vals = poly_phase_samples(alpha, d, n + k * (h - 1))
             p = ul.BoxParams(k, h, ul.IntervalSpec(0, n))
         x = uniformity._operand_array(ul.from_samples(vals), p)
-        got = uniformity._cube_average([x] * (1 << k), k, h, n)[0]
+        got, shell = uniformity._cube_average([x] * (1 << k), k, h, n, True)
         want = poly_phase_powered(alpha, d, k, h)
         assert abs(got - want) <= CLOSED_FORM_TOL, (got, want)
+        below = poly_phase_powered(alpha, d, k, h - 1)
+        want = ((h ** k * want - (h - 1) ** k * below)
+                / (h ** k - (h - 1) ** k))
+        assert abs(shell - want) <= CLOSED_FORM_TOL, (shell, want)
 
     @pytest.mark.parametrize("cyclic", [True, False],
                              ids=["cyclic", "interval"])
@@ -1297,7 +1421,8 @@ class TestPolynomialPhaseClosedForm:
 # ---------------------------------------------------------------------------
 
 # |S_H - exact| and max_n |D(n) - exact / H^k|, against 5.3e-17 and 9.5e-16
-# measured at these sizes, 6.9e-18 and 1.4e-15 at 2^20
+# measured at these sizes, 6.9e-18 and 1.4e-15 at 2^20; the shell's n-sum
+# over |I| H^k, against 5.6e-17 at these sizes
 SIGN_S_TOL = 1e-15
 SIGN_DUAL_TOL = 1e-14
 SIGN_N = 3 * 8192 + 17  # crosses two chunk boundaries, not a multiple of them
@@ -1328,8 +1453,10 @@ def exact_cube_sums(xs, k, h, out_len):
 class TestSignSequenceExact:
     """For +-1 input every cube product is +-1, so H^k D_k a(n) and
     |I| H^k S_H = sum_n a_n H^k D_k a(n) are integers, which int64 holds
-    exactly while |I| H^k <= 2^62.  The kernel's S_H and dual function
-    against them, in both modes, past the chunk size."""
+    exactly while |I| H^k <= 2^62; so is the n-sum over the shell
+    max(h) = H-1, the grid [0,H)^k less [0,H-1)^k.  The kernel's S_H,
+    shell and dual function against them, in both modes, past the chunk
+    size."""
 
     @pytest.mark.parametrize("spec,k,h,n", SIGN_CASES,
                              ids=[f"{c[0]}-k{c[1]}-H{c[2]}-N{c[3]}"
@@ -1346,8 +1473,15 @@ class TestSignSequenceExact:
         dual = exact_cube_sums([np.ones_like(signs)]
                                + [signs] * ((1 << k) - 1), k, h, n)
         total = int(np.dot(signs[:n], dual))
-        got = uniformity._cube_average([x] * (1 << k), k, h, n)[0]
+        got, shell = uniformity._cube_average([x] * (1 << k), k, h, n, True)
         err = abs(Fraction(got.real) - Fraction(total, n * h ** k))
         assert err <= SIGN_S_TOL and abs(got.imag) <= SIGN_S_TOL, float(err)
+        # the shell's n-sum, relative to the |I| H^k terms of the grid
+        inner = int(np.sum(exact_cube_sums([signs] * (1 << k), k, h - 1, n)))
+        count = h ** k - (h - 1) ** k
+        shell_sum = shell * (n * count)
+        err = abs(Fraction(shell_sum.real) - (total - inner))
+        assert err <= SIGN_S_TOL * n * h ** k, float(err)
+        assert abs(shell_sum.imag) <= SIGN_S_TOL * n * h ** k
         d = duality._dual_values(x, p)
         assert np.max(np.abs(d - dual / h ** k)) <= SIGN_DUAL_TOL
