@@ -3,7 +3,9 @@
 Every subcommand is a pure function of its flags: fixed flags and seed give
 byte-identical output.  --threads is accepted and ignored; every command
 runs single-threaded.  Timing lines (bench) go to stderr so stdout stays
-reproducible.
+reproducible.  A subcommand takes --json or --csv only where the flag picks
+or names the format it prints (gen and dual pick, heis names its mode's),
+and never both; the other format's flag is a usage error.
 
 Exit codes: 0 success, 2 usage error (also a box average or dual function
 estimated past uniformity._MAX_COST element operations, and a `verify` seed
@@ -158,6 +160,14 @@ def _emit_csv(args, header: Sequence[str], *columns: np.ndarray) -> None:
     _emit(args, blocks())
 
 
+def _require_format(args, printed: str, what: str) -> None:
+    """Refuse --json or --csv when `what` prints the other format."""
+    other = "csv" if printed == "json" else "json"
+    if getattr(args, other):
+        raise GeneratorSpecError(
+            f"{what} prints {printed.upper()}, not {other.upper()}")
+
+
 def _emit_samples(args, ns: np.ndarray, vals: np.ndarray) -> None:
     """The n,re,im table of complex samples vals at indices ns."""
     _emit_csv(args, ("n", "re", "im"), ns, vals.real, vals.imag)
@@ -211,6 +221,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_dual(args) -> int:
     if args.trig:
+        _require_format(args, "json", "dual --trig")
         poly = generators.parse_trig_terms(args.trig)
         obj = {"op": "dual", "params": {"trig": args.trig},
                "hk2": duality.hk_norm_k2(poly),
@@ -325,6 +336,10 @@ def _cmd_heis(args) -> int:
     x0 = _heis_x0(args.x0)
     f = generators.named_character(args.f)
     rng = _parse_range(args.range)
+    if args.check_closed_form:
+        _require_format(args, "json", "heis --check-closed-form")
+    else:
+        _require_format(args, "csv", "heis")
     seq = nilmanifold.nilsequence(tau, x0, f, rng)
     ns = np.arange(rng.lo, rng.hi, dtype=np.int64)
     vals = seq.eval(ns)
@@ -462,6 +477,8 @@ def _cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(sp, *names) -> None:
+    """The flags shared by several subcommands; --json and --csv only where
+    `names` lists them, as alternatives."""
     if "gen" in names:
         sp.add_argument("--gen", required=True, help="generator spec string")
     if "box" in names:
@@ -475,8 +492,10 @@ def _add_common(sp, *names) -> None:
     sp.add_argument("--threads", type=int, default=1,
                     help="accepted and ignored")
     sp.add_argument("--out", default=None, help="write output to a file")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--csv", action="store_true")
+    formats = sp.add_mutually_exclusive_group()
+    for fmt in ("json", "csv"):
+        if fmt in names:
+            formats.add_argument(f"--{fmt}", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,14 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("norm", help="box norm of a generated sequence")
-    _add_common(sp, "gen", "box")
+    _add_common(sp, "gen", "box", "json")
     sp.add_argument("--path", default="auto",
                     choices=("auto", "fast", "direct", "fft", "spectral"),
                     help="computation path; fft is another name for fast")
     sp.set_defaults(fn=_cmd_norm)
 
     sp = sub.add_parser("unorm", help="sliding-window uniformity-norm proxy")
-    _add_common(sp, "gen")
+    _add_common(sp, "gen", "json")
     sp.add_argument("--range", required=True, help="search range lo:hi")
     sp.add_argument("--window", type=int, required=True)
     sp.add_argument("--stride", type=int, required=True)
@@ -504,12 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_unorm)
 
     sp = sub.add_parser("gen", help="dump sequence samples")
-    _add_common(sp, "gen")
+    _add_common(sp, "gen", "json", "csv")
     sp.add_argument("--range", required=True, help="lo:hi")
     sp.set_defaults(fn=_cmd_gen)
 
     sp = sub.add_parser("dual", help="k=2 spectrum / dual-norm calculus")
-    _add_common(sp)
+    _add_common(sp, "json", "csv")
     sp.add_argument("--gen", default=None)
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--trig", default=None,
@@ -517,11 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_dual)
 
     sp = sub.add_parser("dualfn", help="dual function samples as CSV")
-    _add_common(sp, "gen", "box")
+    _add_common(sp, "gen", "box", "csv")
     sp.set_defaults(fn=_cmd_dualfn)
 
     sp = sub.add_parser("search", help="empirical correlation search")
-    _add_common(sp, "gen")
+    _add_common(sp, "gen", "json")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--dict", choices=("fourier", "quad", "heis"),
                     default="fourier")
@@ -530,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_search)
 
     sp = sub.add_parser("weighted", help="weighted multiple ergodic average")
-    _add_common(sp)
+    _add_common(sp, "json")
     sp.add_argument("--w", required=True, help="weight generator spec")
     sp.add_argument("--system", required=True, help="rot:a | skew:a | heis:a,b,c")
     sp.add_argument("--obs", required=True, help="comma list, e.g. ex,ex")
@@ -541,12 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_weighted)
 
     sp = sub.add_parser("ww", help="Wiener-Wintner frequency scan (CSV)")
-    _add_common(sp, "gen")
+    _add_common(sp, "gen", "csv")
     sp.add_argument("--N", type=int, required=True)
     sp.set_defaults(fn=_cmd_ww)
 
     sp = sub.add_parser("heis", help="Heisenberg nilsequence tools")
-    _add_common(sp)
+    _add_common(sp, "json", "csv")
     sp.add_argument("--tau", required=True, help="a,b,c")
     sp.add_argument("--x0", default=None, help="x,y,z")
     sp.add_argument("--f", default="ez")
@@ -564,11 +583,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--H", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None, help="default 0")
-    _add_common(sp)
+    _add_common(sp, "json")
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("bench", help="direct vs fast timing (timings on stderr)")
-    _add_common(sp)
+    _add_common(sp, "json")
     sp.add_argument("--N", type=int, default=1 << 16)
     sp.add_argument("--H", type=int, default=256)
     sp.add_argument("--k", type=int, default=2)

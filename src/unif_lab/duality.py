@@ -20,7 +20,8 @@ The dual function averages the cube products missing the base vertex:
 
 so that pairing it against a regroups exactly into the powered box norm:
 avg_n a_n (D_k a)(n) = S_H.  It is the box-norm cube sum with the constant 1
-at the base vertex.
+at the base vertex, which the kernel takes as None: the base vertex's merge
+is the shifted conjugate itself, with no product and no array of ones.
 """
 
 from __future__ import annotations
@@ -145,9 +146,9 @@ def inverse_search(a: ComplexSeq, n: int, kind: str = "fourier",
 # ---------------------------------------------------------------------------
 
 def _dual_values(x: np.ndarray, p: BoxParams) -> np.ndarray:
-    """D_k a on p.interval from the operand samples x = _operand_array(a, p)."""
-    one = np.broadcast_to(np.complex128(1), x.shape)  # no N-point array
-    return _cube_average([one] + [x] * ((1 << p.k) - 1), p.k, p.H,
+    """D_k a on p.interval from the operand samples x = _operand_array(a, p):
+    the per-n cube average with None, the constant 1, at vertex 0."""
+    return _cube_average([None] + [x] * ((1 << p.k) - 1), p.k, p.H,
                          p.interval.length, per_n=True)
 
 

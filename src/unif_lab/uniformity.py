@@ -22,11 +22,12 @@ Computation paths, all agreeing to better than 1e-9:
             with its products and prefix in buffers made once per chunk and
             reused for every shift.  Box averages need only the n-sum,
             which the base takes from two dot products on the centred
-            prefix, with no window or per-n array; their operands are
-            conjugated once per chunk, not once per window, so a merge is
-            one product.  The dual function keeps the per-n window, its
-            per-window conjugates, and puts the constant 1 at the base
-            vertex.  For symmetric operands (one array per |eps|: box
+            prefix, with no window or per-n array.  Every call conjugates
+            its shifted operands once per chunk, not once per window, so
+            a merge is one product.  The dual function keeps the per-n
+            window and passes None, the constant 1, at the base vertex,
+            which merges as the shifted conjugate itself, with no
+            product.  For symmetric operands (one array per |eps|: box
             norms, the dual function) c_h is invariant under permuting h,
             so at every k it walks only sorted outer shifts,
             O(C(H+k-2, k-1) * |I|), and reads the shell below off that walk;
@@ -186,9 +187,9 @@ def _operand_array(a: ComplexSeq, p: BoxParams, path: str = "fast",
 # Powered-value computation paths (complex averages, before Re/clamp)
 # ---------------------------------------------------------------------------
 
-def _cube_sum(xs: List[np.ndarray], cs: List[Optional[np.ndarray]], k: int,
-              h: int, out_len: int, acc: Union[np.ndarray, list],
-              shell: Optional[list], ws: dict,
+def _cube_sum(xs: List[Optional[np.ndarray]],
+              cs: List[Optional[np.ndarray]], k: int, h: int, out_len: int,
+              acc: Union[np.ndarray, list], shell: Optional[list], ws: dict,
               walk: Optional[Tuple[int, int, int, int]]) -> None:
     """acc[n] += sum_{h in [0,H)^k} prod_eps C^{|eps|} xs[m][n + eps.h]: the
     cube recursion, entered only through _cube_average.
@@ -199,15 +200,16 @@ def _cube_sum(xs: List[np.ndarray], cs: List[Optional[np.ndarray]], k: int,
     h sum is a sliding window.  Pairs of the same two arrays (by identity)
     are multiplied once, so a single sequence costs one product per shift.
 
-    cs[m] is conj(xs[m]) or None.  A merge whose shifted operand has one is
-    the single product cs[v + 2^(k-1)][h_k:] * xs[v]; without one it
-    conjugates the shifted copy first, with the same bits (save at length
-    1, where numpy's in-place product rounds differently).  At k >= 3
-    each merged product whose lower vertex v has cs[v] also gets its own
+    cs[m] is conj(xs[m]) or None; at k >= 2 every shifted vertex
+    m >= 2^(k-1) has one, so a merge is the one product
+    cs[v + 2^(k-1)][h_k:] * xs[v].  xs[0] may be None, the constant 1 (the
+    dual function): its merge is the view cs[2^(k-1)][h_k:] itself, with
+    no buffer and no product, and at k = 1 the per-n base skips its
+    multiply, while the n-summed base needs an array there.  At k >= 3 each
+    merged product whose lower vertex v has cs[v] also gets its own
     conjugate, xs[v + 2^(k-1)][h_k:] * cs[v], which is conj of the merge
     bit for bit (rounding commutes with negation): the cs of the level
-    below, where it is shifted.  _cube_average supplies cs to n-summed
-    calls only, so the dual function still conjugates per window.
+    below, where it is shifted.
 
     `acc` is either an out_len-point array, which gains every acc[n] (the
     dual function), or a one-element list, which gains only their n-sum
@@ -249,19 +251,20 @@ def _cube_sum(xs: List[np.ndarray], cs: List[Optional[np.ndarray]], k: int,
     """
     if k == 1:
         mult = 1 if walk is None else walk[2]
-        x0, x1 = xs[0][:out_len], xs[1]
         if isinstance(acc, np.ndarray):  # per-n: the window itself
             if 1 not in ws:  # [prefix scratch, window]
-                ws[1] = [np.empty(len(x1), dtype=np.complex128),
+                ws[1] = [np.empty(len(xs[1]), dtype=np.complex128),
                          np.empty(out_len, dtype=np.complex128)]
             scratch, w = ws[1]
-            _sliding_sums(x1, h, out_len, out=w, scratch=scratch)
+            _sliding_sums(xs[1], h, out_len, out=w, scratch=scratch)
             np.conj(w, out=w)
-            w *= x0
+            if xs[0] is not None:  # None is the constant 1
+                w *= xs[0][:out_len]
             if mult != 1:
                 w *= mult
             acc += w
             return
+        x0, x1 = xs[0][:out_len], xs[1]
         if 1 not in ws:  # [prefix scratch]
             ws[1] = [np.empty(len(x1), dtype=np.complex128)]
         p, mu = _centred_prefix(x1, ws[1][0])
@@ -289,11 +292,12 @@ def _cube_sum(xs: List[np.ndarray], cs: List[Optional[np.ndarray]], k: int,
     rep = [pairs.setdefault((id(xs[v]), id(xs[v + half])), v)
            for v in range(half)]
     if k not in ws:  # per distinct vertex pair: the merge and its conjugate
-        ws[k] = ({v: np.empty(m, dtype=np.complex128) for v in pairs.values()},
+        ws[k] = ({v: np.empty(m, dtype=np.complex128) for v in pairs.values()
+                  if xs[v] is not None},
                  {v: np.empty(m, dtype=np.complex128) for v in pairs.values()
                   if k > 2 and cs[v] is not None})
     merged, conj_merged = ws[k]
-    below = [merged[r] for r in rep]
+    below = [merged.get(r) for r in rep]
     below_cs = [conj_merged.get(r) for r in rep]
     if walk is None:
         lo, inner = 0, None
@@ -304,14 +308,11 @@ def _cube_sum(xs: List[np.ndarray], cs: List[Optional[np.ndarray]], k: int,
             r = run + 1 if hh == lo else 1
             inner = (hh, chosen + 1, mult * (chosen + 1) // r, r)
         for v, buf in merged.items():
-            c = cs[v + half]
-            if c is None:
-                np.conj(xs[v + half][hh:hh + m], out=buf)
-                buf *= xs[v][:m]
-            else:
-                np.multiply(c[hh:hh + m], xs[v][:m], out=buf)
+            np.multiply(cs[v + half][hh:hh + m], xs[v][:m], out=buf)
         for v, buf in conj_merged.items():
             np.multiply(xs[v + half][hh:hh + m], cs[v][:m], out=buf)
+        if xs[0] is None:  # the constant 1 times the shifted conjugate
+            below[0] = cs[half][hh:hh + m]
         _cube_sum(below, below_cs, k - 1, h, out_len, acc, shell, ws, inner)
 
 
@@ -320,7 +321,7 @@ def _fsum(zs: List[complex]) -> complex:
     return complex(math.fsum(z.real for z in zs), math.fsum(z.imag for z in zs))
 
 
-def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
+def _cube_average(xs: List[Optional[np.ndarray]], k: int, h: int, out_len: int,
                   with_tail: bool = False, per_n: bool = False
                   ) -> Union[Tuple[complex, complex], np.ndarray]:
     """(1/H^k) sum_h c_h with vertex m reading xs[m], and the average of c_h
@@ -337,12 +338,12 @@ def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
     covering itself plus that margin, one view per distinct operand (pair
     merging and the walk test operands by identity), with a fresh
     workspace, adding into its slice of the per-n array (or, n-summed, into
-    a sum and a shell of its own).  An n-summed call also conjugates, once
-    per chunk, each distinct operand at a vertex m >= 2 (those some level
-    shifts: every one that is shifted, and at k >= 3 the lower vertices
-    whose merges the level below shifts) into a buffer made once per call,
-    and passes these as _cube_sum's cs; the per-n dual function keeps its
-    per-window conjugates and so its smaller workspace.  Operands hold
+    a sum and a shell of its own).  Each chunk also conjugates each
+    distinct operand at a vertex m >= 2 (those some level shifts: every
+    one that is shifted, and at k >= 3 the lower vertices whose merges the
+    level below shifts) into a buffer made once per call, and passes
+    these as _cube_sum's cs.  xs[0] may be None, the constant 1, in a
+    per-n call (the dual function); it has no view.  Operands hold
     exactly out_len + k*(H-1) points, so at out_len <= _BLOCK the one
     chunk's views are the whole arrays; past it, each chunk's windows
     centre on the chunk's own mean and the sum runs chunk by chunk, which
@@ -355,12 +356,11 @@ def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
     chunks = -(-out_len // _BLOCK)
     ends = [out_len * c // chunks for c in range(chunks + 1)]
     margin = k * (h - 1)
-    distinct = {id(x): x for x in xs}
+    distinct = {id(x): x for x in xs if x is not None}
     # one conjugate buffer per distinct operand at a vertex m >= 2, as long
     # as the longest chunk's views
     width = -(-out_len // chunks) + margin
-    conj_bufs = {} if per_n else {id(x): np.empty(width, dtype=np.complex128)
-                                  for x in xs[2:]}
+    conj_bufs = {id(x): np.empty(width, dtype=np.complex128) for x in xs[2:]}
     acc = np.zeros(out_len, dtype=np.complex128) if per_n else None
     sums, shells = [], []  # each chunk's own n-sum and shell sum
     for lo, hi in zip(ends, ends[1:]):
@@ -369,8 +369,9 @@ def _cube_average(xs: List[np.ndarray], k: int, h: int, out_len: int,
                  for i, buf in conj_bufs.items()}
         part = acc[lo:hi] if per_n else [0j]
         shell = [0j] if with_tail else None
-        _cube_sum([views[id(x)] for x in xs], [conjs.get(id(x)) for x in xs],
-                  k, h, hi - lo, part, shell, {}, walk)
+        _cube_sum([views.get(id(x)) for x in xs],
+                  [conjs.get(id(x)) for x in xs], k, h, hi - lo, part, shell,
+                  {}, walk)
         if not per_n:
             sums.append(part[0])
         if with_tail:

@@ -351,6 +351,34 @@ class TestSubcommands:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 5" in err.getvalue()
 
+    @pytest.mark.parametrize("argv, flag", [
+        ("norm --gen rad:1 --N 64 --H 8", "--json"),
+        ("unorm --gen rad:1 --range 0:64 --window 16 --stride 16", "--json"),
+        ("gen --gen rad:1 --range 0:4", "--csv"),
+        ("gen --gen rad:1 --range 0:4", "--json"),
+        ("dual --gen rad:1 --N 16", "--json"),
+        ("dual --gen rad:1 --N 16", "--csv"),
+        ("dual --trig t=0.1,l=0.5", "--json"),
+        ("dualfn --gen rad:1 --N 16 --H 4", "--csv"),
+        ("search --gen rad:1 --N 16", "--json"),
+        ("weighted --w rad:1 --system rot:0.1 --obs ex --N 16", "--json"),
+        ("ww --gen rad:1 --N 16", "--csv"),
+        ("heis --tau 0.1,1,0 --range 0:4", "--csv"),
+        ("heis --tau 0.1,1,0 --range 0:4 --check-closed-form", "--json"),
+        ("verify vdc --trials 1 --len 64 --H 4", "--json"),
+        ("bench --N 64 --H 4", "--json"),
+    ], ids=lambda v: v.split()[0] if " " in v else v)
+    def test_format_flag_accepted(self, argv, flag):
+        # the flag of the format printed: gen --json and dual --csv pick
+        # it, every other one names the default (bench's stderr timings
+        # differ from run to run)
+        code, out, _ = run_cli(argv.split() + [flag])
+        assert code == 0
+        assert out.startswith("{") == (flag == "--json")
+        picks = (argv.split()[0], flag) in (("gen", "--json"),
+                                            ("dual", "--csv"))
+        assert (out == run_cli(argv.split())[1]) != picks
+
     def test_usage_error_exit_two(self):
         code, _, _ = run_cli(["gen", "--gen", "bogus:1", "--range", "0:4"])
         assert code == 2

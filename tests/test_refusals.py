@@ -38,6 +38,10 @@ CLI_REFUSALS = [
     ("bench --k 3", "bench compares the k=2 paths"),
     ("gen --gen heis:x0=(0,0,0) --range 0:4", "heis spec needs tau=(a,b,c)"),
     ("gen --gen trig:t=0.1,l=abc --range 0:4", "bad coefficient 'abc'"),
+    ("dual --trig t=0.1,l=0.5 --csv", "dual --trig prints JSON, not CSV"),
+    ("heis --tau 0.1,1,0 --range 0:4 --json", "heis prints CSV, not JSON"),
+    ("heis --tau 0.1,1,0 --range 0:4 --check-closed-form --csv",
+     "heis --check-closed-form prints JSON, not CSV"),
 ]
 
 
@@ -49,6 +53,41 @@ def test_cli_refusal(argv, message):
         code = cli.dispatch(argv.split())
     assert (code, out.getvalue(), err.getvalue()) == (
         cli.USAGE_EXIT, "", f"error: {message}\n")
+
+
+# a format flag where the subcommand prints the other format, or both
+# flags at once: argparse's own usage error
+NOT_REGISTERED = "unrecognized arguments: {}"
+BOTH = "argument --csv: not allowed with argument --json"
+FORMAT_REFUSALS = [
+    ("norm --gen rad:1 --k 2 --N 64 --H 8 --csv", NOT_REGISTERED),
+    ("unorm --gen rad:1 --range 0:64 --window 16 --stride 16 --csv",
+     NOT_REGISTERED),
+    ("search --gen rad:1 --N 16 --csv", NOT_REGISTERED),
+    ("weighted --w rad:1 --system rot:0.1 --obs ex --N 16 --csv",
+     NOT_REGISTERED),
+    ("verify vdc --trials 1 --csv", NOT_REGISTERED),
+    ("bench --N 64 --H 4 --csv", NOT_REGISTERED),
+    ("dualfn --gen rad:1 --N 16 --H 4 --json", NOT_REGISTERED),
+    ("ww --gen rad:1 --N 4 --json", NOT_REGISTERED),
+    ("gen --gen rad:1 --range 0:4 --json --csv", BOTH),
+    ("dual --gen rad:1 --N 16 --json --csv", BOTH),
+]
+
+
+@pytest.mark.parametrize("argv, message", FORMAT_REFUSALS,
+                         ids=[a for a, _ in FORMAT_REFUSALS])
+def test_cli_format_refusal(argv, message):
+    """Exit 2 before anything runs, argparse's error as the last stderr
+    line, nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with (redirect_stdout(out), redirect_stderr(err),
+          pytest.raises(SystemExit) as exc):
+        cli.dispatch(argv.split())
+    assert (exc.value.code, out.getvalue()) == (cli.USAGE_EXIT, "")
+    flag = argv.split()[-1]
+    assert err.getvalue().splitlines()[-1].endswith(
+        "error: " + message.format(flag))
 
 
 def _interval(n=8):

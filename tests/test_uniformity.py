@@ -86,17 +86,17 @@ def ref_cube_sum(xs, cs, k, h, out_len, acc, shell, ws, walk):
     operands (one array per popcount of the vertex index) visit only the
     sorted outer shifts h_k <= ... <= h_2, each window weighted by the
     number of orderings of its tuple; mixed operands walk the full grid.
-    A merge reads cs[v + half], the shifted operand's conjugate, when
-    there is one (one np.multiply), else conjugates the shifted copy and
-    multiplies in place; at k >= 3 a merge whose lower vertex has a
+    A merge is the one product cs[v + half][h_k:] * xs[v], from the
+    shifted operand's conjugate; a None vertex (the constant 1) merges
+    as that conjugate itself; at k >= 3 a merge whose lower vertex has a
     conjugate also forms its own, which the level below reads.  An
     n-summed acc (one-element list) takes ref_window_dot at the base, and
     a shell list gains the shell rule of _cube_sum: the edge term h_1 = H-1
     at k = 1; at k >= 2 the whole window when its largest outer shift is
     H-1, plus mult/(k-1) times its h_1 < H-1 part when H-1 occurs there
-    once.  A per-n acc takes the window itself and has no shell.  The
-    workspace kernel must match it bit for bit and never peak above it in
-    memory."""
+    once.  A per-n acc takes the window itself, times vertex 0 unless
+    that is None, and has no shell.  The workspace kernel must match it
+    bit for bit and never peak above it in memory."""
     require_acc(acc)
     first = {}
     symmetric = all(first.setdefault(bin(m).count("1"), x) is x
@@ -117,7 +117,8 @@ def _ref_walk(xs, cs, k, h, out_len, acc, shell, outer):
             if shell is not None:
                 raise TypeError("a per-n accumulator has no shell")
             w = np.conj(ref_sliding_sums(xs[1], h, out_len))
-            w *= xs[0][:out_len]
+            if xs[0] is not None:
+                w *= xs[0][:out_len]
             if mult != 1:
                 w *= mult
             acc += w
@@ -148,12 +149,8 @@ def _ref_walk(xs, cs, k, h, out_len, acc, shell, outer):
     for hh in range(lo, h):
         merged, conj_merged = {}, {}
         for v in pairs.values():
-            if cs[v + half] is None:
-                prod = np.conj(xs[v + half][hh:hh + m])
-                prod *= xs[v][:m]
-            else:
-                prod = np.multiply(cs[v + half][hh:hh + m], xs[v][:m])
-            merged[v] = prod
+            merged[v] = (cs[v + half][hh:hh + m] if xs[v] is None else
+                         np.multiply(cs[v + half][hh:hh + m], xs[v][:m]))
             if k > 2 and cs[v] is not None:
                 conj_merged[v] = np.multiply(xs[v + half][hh:hh + m],
                                              cs[v][:m])
@@ -197,9 +194,10 @@ def ref_full_cube_sum(xs, k, h, out_len, acc, shell=None, on_shell=False):
 
 
 def full_grid(xs, k, h, out_len):
-    """(per-n acc, shell sum) of ref_full_cube_sum."""
+    """(per-n acc, shell sum) of ref_full_cube_sum, with a None vertex
+    (the dual function's constant 1) as an array of ones."""
     acc, shell = np.zeros(out_len, dtype=complex), [0j]
-    ref_full_cube_sum(xs, k, h, out_len, acc, shell)
+    ref_full_cube_sum(summed_operands(xs), k, h, out_len, acc, shell)
     return acc, shell[0]
 
 
@@ -730,8 +728,9 @@ def cube_operands(pattern, k, h, out_len, cyclic, seed=0):
     """2^k kernel operands covering out_len + k*(h-1) points.
 
     single: one array at every vertex (box_norm); distinct: 2^k arrays
-    (csg_check); dual: ones at vertex 0, one array elsewhere (dual_function).
-    Cyclic operands repeat a period of length out_len.
+    (csg_check); dual: None, the constant 1, at vertex 0 and one array
+    elsewhere (dual_function).  Cyclic operands repeat a period of length
+    out_len.
     """
     rng = np.random.default_rng(seed)
     span = out_len + k * (h - 1)
@@ -745,8 +744,14 @@ def cube_operands(pattern, k, h, out_len, cyclic, seed=0):
         return [draw() for _ in range(1 << k)]
     x = draw()
     if pattern == "dual":
-        return [np.ones_like(x)] + [x] * ((1 << k) - 1)
+        return [None] + [x] * ((1 << k) - 1)
     return [x] * (1 << k)
+
+
+def summed_operands(xs):
+    """xs for an n-summed call, whose base reads an array at every vertex:
+    the dual pattern's None, the constant 1, as an array of ones."""
+    return [np.ones_like(xs[-1]) if x is None else x for x in xs]
 
 
 class TestCostEstimate:
@@ -901,9 +906,10 @@ class TestKernelBitIdentity:
                                    seed=out_len + k)
                 case = f"out_len={out_len} {pattern}"
                 tail = pattern != "distinct"  # a shell needs symmetric xs
-                got = uniformity._cube_average(xs, k, h, out_len, tail)
-                want = reference_kernel(
-                    lambda: uniformity._cube_average(xs, k, h, out_len, tail))
+                arrays = summed_operands(xs)
+                got = uniformity._cube_average(arrays, k, h, out_len, tail)
+                want = reference_kernel(lambda: uniformity._cube_average(
+                    arrays, k, h, out_len, tail))
                 assert got == want, case
                 acc = uniformity._cube_average(xs, k, h, out_len, per_n=True)
                 ref_acc = reference_kernel(lambda: uniformity._cube_average(
@@ -947,7 +953,8 @@ class TestSortedWalk:
         if pattern == "distinct" or k <= 2:
             assert acc.tobytes() == full_acc.tobytes()
         if pattern != "distinct":
-            shell = uniformity._cube_average(xs, k, h, out_len, True)[1]
+            shell = uniformity._cube_average(summed_operands(xs), k, h,
+                                             out_len, True)[1]
             assert_close(shell, shell_average(full_shell, k, h, out_len),
                          "shell")
 
@@ -967,7 +974,8 @@ class TestSortedWalk:
                 scale = np.max(np.abs(full_acc))
                 assert np.max(np.abs(acc - full_acc)) <= 1e-12 * scale, case
                 assert_close(acc.mean(), full_acc.mean(), case)
-                shell = uniformity._cube_average(xs, k, h, out_len, True)[1]
+                shell = uniformity._cube_average(summed_operands(xs), k, h,
+                                                 out_len, True)[1]
                 assert_close(shell, shell_average(full_shell, k, h, out_len),
                              case)
 
@@ -979,9 +987,12 @@ class TestKernelWorkspace:
         for k in (1, 2, 3):
             for pattern in OPERAND_PATTERNS:
                 xs = cube_operands(pattern, k, 5, 64, False)
-                before = [x.tobytes() for x in xs]
-                uniformity._cube_average(xs, k, 5, 64, pattern != "distinct")
-                assert [x.tobytes() for x in xs] == before, (k, pattern)
+                arrays = summed_operands(xs)  # xs's arrays, and ones for None
+                before = [x.tobytes() for x in arrays]
+                uniformity._cube_average(arrays, k, 5, 64,
+                                         pattern != "distinct")
+                uniformity._cube_average(xs, k, 5, 64, per_n=True)
+                assert [x.tobytes() for x in arrays] == before, (k, pattern)
 
     def test_csg_operands_untouched(self):
         n = 256
@@ -1099,8 +1110,8 @@ class TestKernelBlocks:
                 shell = one_shell = 0j
                 if pattern != "distinct":
                     def tail():
-                        return uniformity._cube_average(xs, k, h, out_len,
-                                                        True)[1]
+                        return uniformity._cube_average(
+                            summed_operands(xs), k, h, out_len, True)[1]
                     shell, one_shell = tail(), unchunked(tail)
                     assert_close(shell, shell_average(
                         full_grid(xs, k, h, out_len)[1], k, h, out_len), case)
@@ -1179,7 +1190,8 @@ class TestSummedKernel:
                 case = f"H={h} out_len={out_len}"
                 acc = uniformity._cube_average(xs, k, h, out_len, per_n=True)
                 tail = pattern != "distinct"  # a shell needs symmetric xs
-                got = uniformity._cube_average(xs, k, h, out_len, tail)
+                got = uniformity._cube_average(summed_operands(xs), k, h,
+                                               out_len, tail)
                 assert_close(got[0], acc.mean(), case)
                 if tail:
                     shell = full_grid(xs, k, h, out_len)[1]
@@ -1197,7 +1209,8 @@ class TestSummedKernel:
         else:
             per_chunk = math.comb(h + k - 2, k - 1)
         for out_len in SUMMED_LENS:
-            xs = cube_operands(pattern, k, h, out_len, False, seed=k)
+            xs = summed_operands(cube_operands(pattern, k, h, out_len, False,
+                                               seed=k))
             lens = []
 
             def counted(x, scratch=None):
@@ -1218,12 +1231,14 @@ class TestSummedKernel:
 
 
 class TestKernelPasses:
-    """What an n-summed call computes besides the windows' merges and
-    prefixes: one conjugate per chunk of each distinct operand some level
-    shifts (those at vertices m >= 2), none per window, and two dot
-    products per window, plus the shell's edge term h_1 = H-1 at k = 1
-    and in each window whose outer shifts hold H-1 exactly once: 1 per
-    chunk at k = 2, H-1 at k = 3, C(H, 2) at k = 4."""
+    """What a call computes besides the windows' prefixes.  Every call
+    conjugates each distinct operand some level shifts (those at vertices
+    m >= 2) once per chunk, and no merge conjugates.  An n-summed call
+    takes two dot products per window, plus the shell's edge term
+    h_1 = H-1 at k = 1 and in each window whose outer shifts hold H-1
+    exactly once: 1 per chunk at k = 2, H-1 at k = 3, C(H, 2) at k = 4.
+    A per-n call conjugates each window once and makes one product per
+    merge, none for the dual function's constant 1."""
 
     @pytest.fixture(autouse=True)
     def small_block(self, monkeypatch):
@@ -1235,7 +1250,8 @@ class TestKernelPasses:
     @pytest.mark.parametrize("h", [1, 2, 5])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_conj_and_vdot_counts(self, k, h, pattern, out_len):
-        xs = cube_operands(pattern, k, h, out_len, False, seed=k + h)
+        xs = summed_operands(cube_operands(pattern, k, h, out_len, False,
+                                           seed=k + h))
         conjs, vdots = [], []
         conj, vdot = np.conj, np.vdot
 
@@ -1267,6 +1283,49 @@ class TestKernelPasses:
         assert got == reference_kernel(lambda: uniformity._cube_average(
             xs, k, h, out_len, tail))
 
+    @pytest.mark.parametrize("out_len", [9, 3 * BLOCK_TEST + 17],
+                             ids=["one-chunk", "four-chunks"])
+    @pytest.mark.parametrize("pattern", ["single", "dual"])
+    @pytest.mark.parametrize("h", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_per_n_counts(self, k, h, pattern, out_len):
+        xs = cube_operands(pattern, k, h, out_len, False, seed=k + h)
+        conjs, products = [], []
+        conj, multiply = np.conj, np.multiply
+
+        def counted_conj(x, *args, **kwargs):
+            conjs.append(len(x))
+            return conj(x, *args, **kwargs)
+
+        def counted_multiply(*args, **kwargs):
+            products.append(1)
+            return multiply(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(uniformity.np, "conj", counted_conj)
+            mp.setattr(uniformity.np, "multiply", counted_multiply)
+            got = uniformity._cube_average(xs, k, h, out_len, per_n=True)
+        chunks = -(-out_len // BLOCK_TEST)
+        shifted = len({id(x) for x in xs[2:]})
+        windows = math.comb(h + k - 2, k - 1)
+        # the operands' conjugates cover their chunk and margin, the
+        # windows' their chunk
+        assert len(conjs) == chunks * (shifted + windows)
+        assert sum(conjs) == (shifted * (out_len + chunks * k * (h - 1))
+                              + windows * out_len)
+        # level j (k >= j >= 2) runs once per sorted tuple of the k - j + 1
+        # outer shifts chosen so far; each run makes one product per vertex
+        # pair (the dual's lower levels pair the constant's merge with the
+        # rest's), none for the constant's own pair, and at j >= 3 one more
+        # for the conjugate of the merge that the level below shifts
+        merges = sum(math.comb(h + k - j, k - j + 1)
+                     * ((2 if pattern == "dual" and j < k else 1) + (j > 2))
+                     for j in range(2, k + 1))
+        assert len(products) == chunks * merges
+        want = reference_kernel(lambda: uniformity._cube_average(
+            xs, k, h, out_len, per_n=True))
+        assert got.tobytes() == want.tobytes()
+
 
 class TestBlockedWorkspace:
     """Past _BLOCK output points the kernel's workspace is a few
@@ -1279,29 +1338,40 @@ class TestBlockedWorkspace:
         rng = np.random.default_rng(5)
         return ul.from_samples(np.exp(2j * np.pi * rng.random(self.N)))
 
-    def _check(self, fn, operands=0, outputs=0):
+    def params(self, k, h):
+        return ul.BoxParams(k, h, ul.IntervalSpec(0, self.N),
+                            ul.cyclic(self.N))
+
+    def _check(self, fn, p, operands=0, outputs=0, blocks=5):
         """fn's traced peak, less its operand arrays and N-point outputs,
-        which are not workspace."""
-        span = self.N + self.K * (self.H - 1)
-        extra = _traced_peak(fn) - 16 * (operands * span + outputs * self.N)
-        unit = 16 * (uniformity._BLOCK + self.K * (self.H - 1))
-        assert extra <= 5 * unit, f"workspace {extra / unit:.2f} blocks"
+        which are not workspace, within `blocks` arrays of
+        _BLOCK + k(H-1) points."""
+        margin = p.k * (p.H - 1)
+        extra = _traced_peak(fn) - 16 * (operands * (self.N + margin)
+                                         + outputs * self.N)
+        unit = 16 * (uniformity._BLOCK + margin)
+        assert extra <= blocks * unit, f"workspace {extra / unit:.2f} blocks"
 
     def test_box_norm(self, big):
         # the kernel of a box average on an operand sampled before tracing:
         # box_norm's own peak is its sampling, and it has no N-point output
-        p = ul.BoxParams(self.K, self.H, ul.IntervalSpec(0, self.N),
-                         ul.cyclic(self.N))
+        p = self.params(self.K, self.H)
         x = uniformity._operand_array(big, p)
         self._check(lambda: uniformity._cube_average(
-            [x] * (1 << self.K), self.K, self.H, self.N, True))
+            [x] * (1 << self.K), self.K, self.H, self.N, True), p)
 
     def test_dual_function(self, big):
-        # one operand, the samples (the constant 1 at the base vertex is a
-        # broadcast scalar), and the N-point output
-        p = ul.BoxParams(self.K, self.H, ul.IntervalSpec(0, self.N),
-                         ul.cyclic(self.N))
-        self._check(lambda: duality.dual_function(big, p), 1, 1)
+        # one operand, the samples (the constant 1 at the base vertex is
+        # None, no array), and the N-point output
+        p = self.params(self.K, self.H)
+        self._check(lambda: duality.dual_function(big, p), p, 1, 1)
+
+    def test_dual_function_k3(self, big):
+        # 7 blocks: the top merge and its conjugate (which the k = 2 level
+        # shifts), the operand's conjugate, the two k = 2 merges, the
+        # prefix and the window
+        p = self.params(3, 16)
+        self._check(lambda: duality.dual_function(big, p), p, 1, 1, 8)
 
 
 # ---------------------------------------------------------------------------
