@@ -1,11 +1,13 @@
 """Batch command-line front end.
 
 Every subcommand is a pure function of its flags: fixed flags and seed give
-byte-identical output.  --threads is accepted and ignored; every command
-runs single-threaded.  Timing lines (bench) go to stderr so stdout stays
-reproducible.  A subcommand takes --json or --csv only where the flag picks
-or names the format it prints (gen and dual pick, heis names its mode's),
-and never both; the other format's flag is a usage error.
+byte-identical output.  Every command runs single-threaded; verify alone
+takes --threads, and ignores it.  Timing lines (bench) go to stderr so
+stdout stays reproducible.  A subcommand takes --json or --csv only where
+the flag picks or names the format it prints (gen and dual pick, heis names
+its mode's), and never both; the other format's flag is a usage error.  A
+flag the subcommand does not take is refused by that subcommand's parser,
+whose usage and error lines name it.
 
 Exit codes: 0 success, 2 usage error (also a box average or dual function
 estimated past uniformity._MAX_COST element operations, and a `verify` seed
@@ -442,9 +444,9 @@ def run_bench(n: int, h: int, k: int = 2, seed: int = 0) -> Dict:
     a = generators.rademacher_seq(seed)
     p = BoxParams(2, h, IntervalSpec(0, n), cyclic(n))
     t0 = time.perf_counter()
-    direct = uniformity.box_norm(a, p, path="direct", with_tail=False)
+    direct = uniformity.box_norm(a, p, path="direct")
     t1 = time.perf_counter()
-    fast = uniformity.box_norm(a, p, path="fast", with_tail=False)
+    fast = uniformity.box_norm(a, p, path="fast")
     t2 = time.perf_counter()
     diff = abs(direct.value - fast.value)
     return {
@@ -489,8 +491,6 @@ def _add_common(sp, *names) -> None:
                         default="cyclic")
         sp.add_argument("--lo", type=int, default=None)
         sp.add_argument("--len", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted and ignored")
     sp.add_argument("--out", default=None, help="write output to a file")
     formats = sp.add_mutually_exclusive_group()
     for fmt in ("json", "csv"):
@@ -583,6 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--H", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None, help="default 0")
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted and ignored")
     _add_common(sp, "json")
     sp.set_defaults(fn=_cmd_verify)
 
@@ -594,6 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_bench)
 
+    for sp in sub.choices.values():  # the parser that refuses unknown flags
+        sp.set_defaults(parser=sp)
     return ap
 
 
@@ -619,7 +623,10 @@ def _normalize_argv(argv: Sequence[str]) -> List[str]:
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_normalize_argv(list(argv)))
+    args, unknown = build_parser().parse_known_args(
+        _normalize_argv(list(argv)))
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.fn(args)
     except (NegativityViolation, SupBoundViolation) as exc:

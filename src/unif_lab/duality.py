@@ -247,7 +247,7 @@ def run_pairing_suite(trials: int, n: int = 1024, h: int = 32, k: int = 2,
     def slack(s: int) -> float:
         a = _suite_seq(s, n)
         pairing = dual_pairing(a, p).real
-        powered = box_norm(a, p, with_tail=False).powered
+        powered = box_norm(a, p).powered
         return abs(pairing - powered) - 1e-9
 
     return _run_trials("dual-pairing", trials, slack, seed)

@@ -44,8 +44,9 @@ Computation paths, all agreeing to better than 1e-9:
             sum_j |hat a(j)|^4 in O(N log N).
 
 Every path but spectral also returns, from the same pass, the average of
-c_h over the outermost shell max(h) = H-1: box_norm's h_tail diagnostic.
-On the fast path the shell is the windows whose largest outer shift is H-1
+c_h over the outermost shell max(h) = H-1: the h_tail diagnostic that every
+box norm reports, csg_check's included.  On the fast path every symmetric
+n-summed walk reads it off: the windows whose largest outer shift is H-1
 plus, by the same permutation symmetry, a share of the h_1 < H-1 part of
 those holding H-1 once, so only those take an extra dot product (one at
 k = 2, H-1 at k = 3); it agrees with the full grid's shell sum to a few
@@ -231,10 +232,11 @@ def _cube_sum(xs: List[Optional[np.ndarray]],
     (0, 0, 1, 0) at the top; it is None for mixed operands (csg_check),
     which walk the full grid.
 
-    A one-element `shell` list (or None) also gains the n-sum of c_h over
-    the shell max(h) = H-1, read off the walk (symmetric operands and the
-    n-summed base only).  At k = 1 it is the edge term E = c_{H-1} of the
-    one window.  At k >= 2 it is
+    A one-element `shell` list also gains the n-sum of c_h over the shell
+    max(h) = H-1, read off the walk: _cube_average passes one for every
+    symmetric n-summed call and None for mixed operands and per-n calls,
+    and acc gains the same bits either way.  At k = 1 it is the edge term
+    E = c_{H-1} of the one window.  At k >= 2 it is
       sum over windows with h_2 = H-1 of mult * B
       + sum over those where H-1 occurs once of mult/(k-1) * (B - E):
     by the permutation symmetry, the h_1 = H-1 terms of the windows below
@@ -322,17 +324,17 @@ def _fsum(zs: List[complex]) -> complex:
 
 
 def _cube_average(xs: List[Optional[np.ndarray]], k: int, h: int, out_len: int,
-                  with_tail: bool = False, per_n: bool = False
+                  *, per_n: bool = False
                   ) -> Union[Tuple[complex, complex], np.ndarray]:
     """(1/H^k) sum_h c_h with vertex m reading xs[m], and the average of c_h
-    over the shell max(h) = H-1 (0 unless with_tail); with per_n, the
+    over the shell max(h) = H-1 (0 for mixed operands); with per_n, the
     out_len-point array of the per-n sums over H^k (the dual function)
     instead.  The one entry into the cube kernel (_cube_sum).
 
     The operand list is tested for symmetry (one array per popcount, by
-    identity) once per call; symmetric lists take the sorted walk, and
-    with_tail needs one, since the shell is read off that walk.  The
-    n-range then runs in near-equal chunks of at most _BLOCK points, so
+    identity) once per call; symmetric lists take the sorted walk, and an
+    n-summed one also reads the shell off it, the only walk that has one.
+    The n-range then runs in near-equal chunks of at most _BLOCK points, so
     each pass's workspace stays in cache: acc[n] reads only
     xs[m][n : n + k*(H-1) + 1], so a chunk runs the recursion on views
     covering itself plus that margin, one view per distinct operand (pair
@@ -368,13 +370,13 @@ def _cube_average(xs: List[Optional[np.ndarray]], k: int, h: int, out_len: int,
         conjs = {i: np.conj(views[i], out=buf[:hi - lo + margin])
                  for i, buf in conj_bufs.items()}
         part = acc[lo:hi] if per_n else [0j]
-        shell = [0j] if with_tail else None
+        shell = None if per_n or walk is None else [0j]
         _cube_sum([views.get(id(x)) for x in xs],
                   [conjs.get(id(x)) for x in xs], k, h, hi - lo, part, shell,
                   {}, walk)
         if not per_n:
             sums.append(part[0])
-        if with_tail:
+        if shell is not None:
             shells.append(shell[0])
     if per_n:
         acc /= h ** k
@@ -435,16 +437,16 @@ def _resolve_path(path: str, p: BoxParams) -> str:
     return path
 
 
-def _powered_array(x: np.ndarray, p: BoxParams, path: str,
-                   with_tail: bool = False) -> Tuple[complex, complex]:
-    """(S_H, outermost-shell average; 0 unless with_tail) in one pass over
+def _powered_array(x: np.ndarray, p: BoxParams,
+                   path: str) -> Tuple[complex, complex]:
+    """(S_H, outermost-shell average; 0 on spectral) in one pass over
     operand samples x, on a path that _resolve_path returned.  x starts at
     I.lo and covers what the path reads; spectral reads the period x[:N]."""
     out_len = p.interval.length
     if path == "spectral":
         return _powered_spectral(x[:out_len], p.k), 0j
     if path == "fast":
-        return _cube_average([x] * (1 << p.k), p.k, p.H, out_len, with_tail)
+        return _cube_average([x] * (1 << p.k), p.k, p.H, out_len)
     return _powered_direct(x, p.k, p.H, out_len)
 
 
@@ -463,34 +465,33 @@ def box_correlation(a: ComplexSeq, h: Sequence[int], p: BoxParams) -> complex:
     return complex(term.mean())
 
 
-def _finalize_norm(s_h: complex, p: BoxParams, tail: float,
-                   path: str) -> NormReport:
+def _norm_report(x: np.ndarray, p: BoxParams, path: str) -> NormReport:
+    """The box norm of operand samples x (_powered_array's) and its h_tail,
+    |average of c_h over the shell max(h) = H-1|.  h_tail is 0 at H = N in
+    cyclic mode, where the average runs over the whole group and there is
+    no truncation remainder."""
+    s_h, shell = _powered_array(x, p, path)
     raw = s_h.real
     if not math.isfinite(raw) or raw < NEGATIVITY_FLOOR:
         raise NegativityViolation(
             f"box average {raw} is not finite or is below the noise floor "
             f"{NEGATIVITY_FLOOR} (k={p.k}, H={p.H}, {p.mode.describe()})")
     powered = max(raw, 0.0)
-    return NormReport(powered ** (1.0 / (1 << p.k)), powered, p, tail, path)
+    full_group = p.mode.is_cyclic and p.H == p.mode.modulus
+    return NormReport(powered ** (1.0 / (1 << p.k)), powered, p,
+                      0.0 if full_group else abs(shell), path)
 
 
-def box_norm(a: ComplexSeq, p: BoxParams, path: str = "auto",
-             with_tail: bool = True) -> NormReport:
+def box_norm(a: ComplexSeq, p: BoxParams, path: str = "auto") -> NormReport:
     """Finite-stage box norm with the outermost-shell diagnostic.
 
-    h_tail is |average of c_h over the shell max(h) = H-1|, accumulated by
-    the same kernel pass as S_H: how much the truncation is still moving.
-    It is 0 without with_tail, and at H = N in cyclic mode, where the average
-    runs over the whole group and there is no truncation remainder.  The
-    report's path is the one that ran, with "auto" and "fft" resolved.
-    Past _MAX_COST element operations (_cube_cost) it raises ValueError
-    before sampling.
+    h_tail (_norm_report) comes from the same kernel pass as S_H: how much
+    the truncation is still moving.  The report's path is the one that
+    ran, with "auto" and "fft" resolved.  Past _MAX_COST element
+    operations (_cube_cost) it raises ValueError before sampling.
     """
-    with_tail = with_tail and not (p.mode.is_cyclic and p.H == p.mode.modulus)
     path = _resolve_path(path, p)
-    s_h, shell = _powered_array(_operand_array(a, p, path), p, path,
-                                with_tail)
-    return _finalize_norm(s_h, p, abs(shell) if with_tail else 0.0, path)
+    return _norm_report(_operand_array(a, p, path), p, path)
 
 
 def box_powered_signed(a: ComplexSeq, p: BoxParams, path: str = "auto") -> float:
@@ -559,21 +560,18 @@ def uniformity_norm_proxy(a: ComplexSeq, search_range: IntervalSpec,
             f"~{_approx(each * len(starts))} element operations "
             f"(~{_approx(each)} each), above the limit of {_MAX_COST:.0e}")
 
-    def window(m: int, with_tail: bool) -> NormReport:
+    def window(m: int) -> NormReport:
         # params carry the window itself, so the report says where the
         # maximum was attained
         if per_window == "interval":
             return box_norm(a, BoxParams(k, h, IntervalSpec(m, window_len),
-                                         INTERVAL), with_tail=with_tail)
-        rep = box_norm(shift(a, m), _cyclic_box(k, window_len, window_len),
-                       with_tail=with_tail)
+                                         INTERVAL))
+        rep = box_norm(shift(a, m), _cyclic_box(k, window_len, window_len))
         here = replace(rep.params, interval=IntervalSpec(m, window_len))
         return replace(rep, params=here)
 
-    # max() keeps the first window that attains the maximum; the winner is
-    # recomputed with the tail diagnostic
-    best_m = max(starts, key=lambda m: window(m, False).value)
-    return window(best_m, True)
+    # max() keeps the first window that attains the maximum
+    return max(map(window, starts), key=lambda rep: rep.value)
 
 
 @dataclass(frozen=True)
@@ -633,17 +631,16 @@ def csg_check(seqs: Sequence[ComplexSeq], p: BoxParams) -> CsgReport:
 
     seqs[m] sits at cube vertex eps with eps_{i+1} = bit i of m and is
     conjugated when |eps| is odd.  Each sequence is sampled once: its box
-    norm (box_norm's "auto" path, without the tail) reads the same array as
-    the mixed pairing.  In interval mode edge effects can break the bound;
-    that is reported as a warning, not asserted.
+    norm (box_norm's "auto" path, through _norm_report) reads the same
+    array as the mixed pairing.  In interval mode edge effects can break
+    the bound; that is reported as a warning, not asserted.
     """
     if len(seqs) != (1 << p.k):
         raise ValueError(f"need {1 << p.k} sequences for k={p.k}")
     path = _resolve_path("auto", p)
     xs = [_operand_array(s, p, symmetric=False) for s in seqs]
     s_mixed = _cube_average(xs, p.k, p.H, p.interval.length)[0]
-    norms = tuple(_finalize_norm(_powered_array(x, p, path)[0], p, 0.0,
-                                 path).value for x in xs)
+    norms = tuple(_norm_report(x, p, path).value for x in xs)
     rhs = float(np.prod(norms))
     warning = None
     if not p.mode.is_cyclic:
@@ -766,9 +763,8 @@ def run_subadditivity_suite(trials: int, n: int = 1024, h: int = 32,
     def slack(s: int, k: int) -> float:
         p = _cyclic_box(k, h, n)
         a, b = _suite_seq(s, n), _suite_seq(s + 1, n)
-        lhs = box_norm(add(a, b), p, with_tail=False).value
-        rhs = (box_norm(a, p, with_tail=False).value
-               + box_norm(b, p, with_tail=False).value)
+        lhs = box_norm(add(a, b), p).value
+        rhs = box_norm(a, p).value + box_norm(b, p).value
         return lhs - rhs - 1e-9
 
     return _run_trials("subadditivity", trials, slack, seed, 2, ks)
@@ -779,8 +775,8 @@ def run_monotonicity_suite(trials: int, n: int = 1024, h: int = 32,
                            seed: int = 0) -> SuiteReport:
     def slack(s: int, k: int) -> float:
         a = _suite_seq(s, n)
-        lo = box_norm(a, _cyclic_box(k, h, n), with_tail=False).value
-        hi = box_norm(a, _cyclic_box(k + 1, h, n), with_tail=False).value
+        lo = box_norm(a, _cyclic_box(k, h, n)).value
+        hi = box_norm(a, _cyclic_box(k + 1, h, n)).value
         return lo - hi - 1e-9
 
     return _run_trials("monotonicity", trials, slack, seed, ks=ks)

@@ -96,8 +96,7 @@ def test_criterion_07_k2_fourier_calculus():
         p = ul.TrigPoly(tuple((int(j) / n, complex(c))
                               for j, c in zip(bins, coefs)))
         bx = ul.box_norm(ul.trig_poly_seq(p),
-                         ul.BoxParams(2, n, ul.IntervalSpec(0, n), ul.cyclic(n)),
-                         with_tail=False)
+                         ul.BoxParams(2, n, ul.IntervalSpec(0, n), ul.cyclic(n)))
         worst = max(worst, abs(ul.hk_norm_k2(p) - bx.value))
     halves = ul.TrigPoly(((0.1, 0.5), (0.37, 0.5)))
     ok = (worst <= 1e-9
@@ -159,10 +158,9 @@ def test_criterion_11_structured_vs_random():
     alpha = math.sqrt(2) / 2
     quad = ul.quad_phase_seq(alpha)
     k2 = ul.box_norm(quad, ul.BoxParams(2, 256, ul.IntervalSpec(0, 65536),
-                                        ul.cyclic(65536)), with_tail=False)
+                                        ul.cyclic(65536)))
     h3 = 256 if FULL else 64
-    k3 = ul.box_norm(quad, ul.BoxParams(3, h3, ul.IntervalSpec(0, 65536)),
-                     with_tail=False)
+    k3 = ul.box_norm(quad, ul.BoxParams(3, h3, ul.IntervalSpec(0, 65536)))
     prox = ul.uniformity_norm_proxy(ul.rademacher_seq(7),
                                     ul.IntervalSpec(0, 1 << 16),
                                     4096, 1024, 2, 64)
@@ -178,8 +176,7 @@ def test_criterion_12_block_counterexample():
     seq, intervals = ul.block_counterexample_seq(ul.BlockSpec.geometric(4, 20))
     norms = {}
     for j in (4, 5, 6, 7, 8):
-        rep = ul.box_norm(seq, ul.BoxParams(2, 32, intervals[j - 1]),
-                          with_tail=False)
+        rep = ul.box_norm(seq, ul.BoxParams(2, 32, intervals[j - 1]))
         norms[j] = rep.value
     norms_ok = all(v >= 0.9 for v in norms.values())
 

@@ -121,8 +121,7 @@ class TestNormFormulas:
             p = ul.TrigPoly(tuple((int(j) / n, complex(c))
                                   for j, c in zip(bins, coefs)))
             bx = ul.box_norm(ul.trig_poly_seq(p),
-                             ul.BoxParams(2, n, ul.IntervalSpec(0, n), ul.cyclic(n)),
-                             with_tail=False)
+                             ul.BoxParams(2, n, ul.IntervalSpec(0, n), ul.cyclic(n)))
             assert ul.hk_norm_k2(p) == pytest.approx(bx.value, abs=1e-9)
 
 
@@ -163,7 +162,7 @@ class TestDualFunction:
             a = ul.from_samples(np.exp(
                 2j * np.pi * np.random.default_rng(seed).random(n)))
             pairing = dual_pairing(a, p)
-            powered = ul.box_norm(a, p, with_tail=False).powered
+            powered = ul.box_norm(a, p).powered
             assert pairing.real == pytest.approx(powered, abs=1e-9)
 
     def test_bounded_by_one(self):

@@ -90,6 +90,40 @@ def test_cli_format_refusal(argv, message):
         "error: " + message.format(flag))
 
 
+# a minimal valid command line of every subcommand but verify, the one
+# that takes --threads
+THREAD_REFUSALS = [
+    "norm --gen rad:1 --N 64 --H 8",
+    "unorm --gen rad:1 --range 0:64 --window 16 --stride 16",
+    "gen --gen rad:1 --range 0:4",
+    "dual --gen rad:1 --N 16",
+    "dualfn --gen rad:1 --N 16 --H 4",
+    "search --gen rad:1 --N 16",
+    "weighted --w rad:1 --system rot:0.1 --obs ex --N 16",
+    "ww --gen rad:1 --N 16",
+    "heis --tau 0.1,1,0 --range 0:4",
+    "bench --N 64 --H 4",
+]
+
+
+@pytest.mark.parametrize("argv", THREAD_REFUSALS,
+                         ids=[a.split()[0] for a in THREAD_REFUSALS])
+def test_cli_threads_refusal(argv):
+    """The command line runs; with --threads it exits 2 before anything
+    runs, nothing on stdout, and the last stderr line is the error of the
+    subcommand's own parser, which names it."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.dispatch(argv.split()) == 0
+    out, err = io.StringIO(), io.StringIO()
+    with (redirect_stdout(out), redirect_stderr(err),
+          pytest.raises(SystemExit) as exc):
+        cli.dispatch(argv.split() + ["--threads", "2"])
+    assert (exc.value.code, out.getvalue()) == (cli.USAGE_EXIT, "")
+    assert err.getvalue().splitlines()[-1] == (
+        f"unif-lab {argv.split()[0]}: error: unrecognized arguments: "
+        "--threads 2")
+
+
 def _interval(n=8):
     return ul.IntervalSpec(0, n)
 

@@ -210,14 +210,14 @@ def assert_close(got, want, case):
     assert abs(got - want) <= 1e-12 * abs(want), case
 
 
-def ref_powered_fft_k2(x, h, with_tail=False):
+def ref_powered_fft_k2(x, h):
     """Spectral oracle for the k = 2 cyclic box average on I = [0, N).
 
     avg_{h2<H} (1/N) sum_n g(n) conj(g(n+h2)) = sum_j |hat g(j)|^2 kern(j)
     with kern = fft(indicator of [0,H)) / H and g = conj(shift_{h1} a) * a,
     one FFT per row h1.  The shell max(h) = H-1 is the row h1 = H-1 plus,
     in every other row, the h2 = H-1 term: |hat g|^2 against e(-j(H-1)/N).
-    Returns (grid average, shell average; 0 unless with_tail)."""
+    Returns (grid average, shell average)."""
     n = x.size
     indicator = np.zeros(n, dtype=np.float64)
     indicator[:h] = 1.0
@@ -230,8 +230,7 @@ def ref_powered_fft_k2(x, h, with_tail=False):
         mags2 = ghat.real ** 2 + ghat.imag ** 2
         row = complex(np.sum(mags2 * kern))
         acc += row
-        if with_tail:
-            shell += h * row if h1 == h - 1 else complex(np.dot(mags2, last))
+        shell += h * row if h1 == h - 1 else complex(np.dot(mags2, last))
     return acc / h, shell / (2 * h - 1)
 
 
@@ -293,28 +292,28 @@ class TestBoxNormExactCases:
     def test_quad_phase_small_and_h_monotone(self):
         alpha = math.sqrt(2) / 2
         a = ul.quad_phase_seq(alpha)
-        big = ul.box_norm(a, ul.BoxParams(2, 256, ul.IntervalSpec(0, 65536)),
-                          with_tail=False).value
-        small = ul.box_norm(a, ul.BoxParams(2, 16, ul.IntervalSpec(0, 65536)),
-                            with_tail=False).value
+        big = ul.box_norm(a, ul.BoxParams(2, 256,
+                                          ul.IntervalSpec(0, 65536))).value
+        small = ul.box_norm(a, ul.BoxParams(2, 16,
+                                            ul.IntervalSpec(0, 65536))).value
         assert big <= 0.6
         assert big < small
 
     def test_homogeneity(self):
         a = ul.rademacher_seq(13)
         p = ul.BoxParams(2, 16, ul.IntervalSpec(0, 512), ul.cyclic(512))
-        base = ul.box_norm(a, p, with_tail=False).value
+        base = ul.box_norm(a, p).value
         for c in (2.0, -0.5j, 0.3 + 0.4j):
-            scaled = ul.box_norm(ul.scale(a, c), p, with_tail=False).value
+            scaled = ul.box_norm(ul.scale(a, c), p).value
             assert scaled == pytest.approx(abs(c) * base, abs=1e-12)
 
     def test_cyclic_shift_invariance(self):
         n = 512
         a = ul.wrap_cyclic(ul.from_samples(ul.rademacher_seq(6).sample(0, n)), n)
         p = ul.BoxParams(2, 32, ul.IntervalSpec(0, n), ul.cyclic(n))
-        base = ul.box_norm(a, p, with_tail=False).value
+        base = ul.box_norm(a, p).value
         for h in (1, 17, 311):
-            assert ul.box_norm(ul.shift(a, h), p, with_tail=False).value == \
+            assert ul.box_norm(ul.shift(a, h), p).value == \
                 pytest.approx(base, abs=1e-12)
 
     def test_modulation_invariance_k2(self):
@@ -322,10 +321,10 @@ class TestBoxNormExactCases:
         a = ul.wrap_cyclic(ul.from_samples(ul.rademacher_seq(15).sample(0, n)), n)
         for h in (32, n):
             p = ul.BoxParams(2, h, ul.IntervalSpec(0, n), ul.cyclic(n))
-            base = ul.box_norm(a, p, with_tail=False).value
+            base = ul.box_norm(a, p).value
             for j in (1, 100, 333):
                 mod = ul.product(a, ul.exp_seq(j / n))
-                got = ul.box_norm(mod, p, with_tail=False).value
+                got = ul.box_norm(mod, p).value
                 assert got == pytest.approx(base, abs=1e-9)
 
 
@@ -338,8 +337,8 @@ class TestPathAgreement:
             a = ul.rademacher_seq(seed)
             mode = ul.cyclic(n) if cyc else ul.INTERVAL
             p = ul.BoxParams(k, h, ul.IntervalSpec(0, n), mode)
-            fast = ul.box_norm(a, p, path="fast", with_tail=False).powered
-            direct = ul.box_norm(a, p, path="direct", with_tail=False).powered
+            fast = ul.box_norm(a, p, path="fast").powered
+            direct = ul.box_norm(a, p, path="direct").powered
             if cyc:
                 values = a.sample(0, n)
             else:
@@ -357,8 +356,8 @@ class TestPathAgreement:
             a = ul.rademacher_seq(seed)
             p = ul.BoxParams(2, h, ul.IntervalSpec(0, n), ul.cyclic(n))
             x = uniformity._operand_array(a, p)
-            got = uniformity._cube_average([x] * 4, 2, h, n, with_tail=True)
-            want = ref_powered_fft_k2(a.sample(0, n), h, with_tail=True)
+            got = uniformity._cube_average([x] * 4, 2, h, n)
+            want = ref_powered_fft_k2(a.sample(0, n), h)
             assert abs(got[0] - want[0]) <= 1e-9, (n, h, seed)
             assert abs(got[1] - want[1]) <= 1e-9, (n, h, seed)
 
@@ -366,8 +365,8 @@ class TestPathAgreement:
         n = 256
         a = ul.rademacher_seq(3)
         p = ul.BoxParams(2, n, ul.IntervalSpec(0, n), ul.cyclic(n))
-        spectral = ul.box_norm(a, p, path="spectral", with_tail=False).powered
-        direct = ul.box_norm(a, p, path="direct", with_tail=False).powered
+        spectral = ul.box_norm(a, p, path="spectral").powered
+        direct = ul.box_norm(a, p, path="direct").powered
         coefs = np.fft.fft(a.sample(0, n)) / n
         assert spectral == pytest.approx(float(np.sum(np.abs(coefs) ** 4)), abs=1e-12)
         assert spectral == pytest.approx(direct, abs=1e-9)
@@ -440,7 +439,7 @@ class TestU1Norm:
             a = ul.rademacher_seq(seed)
             interval = ul.IntervalSpec(0, 2048)
             u1 = ul.u1_norm(a, interval, 32)
-            bx = ul.box_norm(a, ul.BoxParams(1, 32, interval), with_tail=False).value
+            bx = ul.box_norm(a, ul.BoxParams(1, 32, interval)).value
             assert u1 == pytest.approx(bx, abs=1e-12)
 
     def test_rademacher_scale(self):
@@ -521,7 +520,7 @@ class TestCsg:
         a = ul.from_samples(ul.rademacher_seq(31).sample(0, n))
         p = ul.BoxParams(2, h, ul.IntervalSpec(0, n), ul.cyclic(n))
         rep = ul.csg_check([a, a, a, a], p)
-        powered = ul.box_norm(a, p, with_tail=False).powered
+        powered = ul.box_norm(a, p).powered
         assert rep.lhs == pytest.approx(powered, abs=1e-12)
         assert rep.rhs == pytest.approx(powered, abs=1e-9)
         assert rep.holds
@@ -633,6 +632,36 @@ class TestProxy:
         assert rep.value == pytest.approx(1.0, abs=1e-9)
         assert rep.params.interval.lo == 100
 
+    @pytest.mark.parametrize("per_window", ["cyclic", "interval"])
+    def test_report_is_the_winners_box_norm(self, monkeypatch, per_window):
+        # one box_norm per window, and the winner's report is a fresh
+        # box_norm on its window, h_tail included, bit for bit; the
+        # interval windows read a margin of 3 * 15 points past the range
+        vals = ul.rademacher_seq(5).sample(0, 4096 + 45).copy()
+        vals[1536:2048] = ul.exp_seq(0.3).sample(0, 512)
+        a = ul.from_samples(vals)
+        calls = []
+        box_norm = uniformity.box_norm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return box_norm(*args, **kwargs)
+
+        monkeypatch.setattr(uniformity, "box_norm", counted)
+        rep = ul.uniformity_norm_proxy(a, ul.IntervalSpec(0, 4096), 512, 256,
+                                       3, 16, per_window=per_window)
+        assert len(calls) == len(range(0, 4096 - 512 + 1, 256))
+        m = rep.params.interval.lo
+        assert m == 1536
+        if per_window == "interval":
+            fresh = box_norm(a, ul.BoxParams(3, 16, ul.IntervalSpec(m, 512)))
+            assert fresh.h_tail > 0.0
+        else:
+            fresh = box_norm(ul.shift(a, m), ul.BoxParams(
+                3, 512, ul.IntervalSpec(0, 512), ul.cyclic(512)))
+        assert (rep.value.hex(), rep.powered.hex(), rep.h_tail.hex()) == \
+            (fresh.value.hex(), fresh.powered.hex(), fresh.h_tail.hex())
+
 
 class TestReports:
     def test_value_powers_consistent(self):
@@ -676,18 +705,6 @@ class TestReports:
         oracle = abs(brute_powered(values, k, h, n, cyc, shell=True))
         rep = ul.box_norm(ul.from_samples(values), p, path=path)
         assert rep.h_tail == pytest.approx(oracle, abs=1e-12)
-
-    @pytest.mark.parametrize("path, h", [
-        ("auto", 5), ("fast", 5), ("direct", 5), ("auto", 16),
-        ("spectral", 16), ("fast", 16)])
-    def test_tail_leaves_value_unchanged(self, path, h):
-        a = ul.rademacher_seq(4)
-        p = ul.BoxParams(2, h, ul.IntervalSpec(0, 16), ul.cyclic(16))
-        with_tail = ul.box_norm(a, p, path=path)
-        without = ul.box_norm(a, p, path=path, with_tail=False)
-        assert with_tail.value == without.value
-        assert with_tail.powered == without.powered
-        assert without.h_tail == 0.0
 
     @pytest.mark.parametrize("path, k, h, cyc, lo, ran", [
         ("auto", 2, 16, True, 0, "spectral"),
@@ -878,7 +895,7 @@ class TestOperandSampling:
         seqs = [ul.from_samples(ul.rademacher_seq(m).sample(0, n))
                 for m in range(4)]
         p = ul.BoxParams(2, h, ul.IntervalSpec(0, n), ul.cyclic(n))
-        want = [ul.box_norm(s, p, with_tail=False).value for s in seqs]
+        want = [ul.box_norm(s, p).value for s in seqs]
         evaluated = []
         orig = ul.ComplexSeq.eval
 
@@ -905,11 +922,10 @@ class TestKernelBitIdentity:
                 xs = cube_operands(pattern, k, h, out_len, cyclic,
                                    seed=out_len + k)
                 case = f"out_len={out_len} {pattern}"
-                tail = pattern != "distinct"  # a shell needs symmetric xs
                 arrays = summed_operands(xs)
-                got = uniformity._cube_average(arrays, k, h, out_len, tail)
+                got = uniformity._cube_average(arrays, k, h, out_len)
                 want = reference_kernel(lambda: uniformity._cube_average(
-                    arrays, k, h, out_len, tail))
+                    arrays, k, h, out_len))
                 assert got == want, case
                 acc = uniformity._cube_average(xs, k, h, out_len, per_n=True)
                 ref_acc = reference_kernel(lambda: uniformity._cube_average(
@@ -954,7 +970,7 @@ class TestSortedWalk:
             assert acc.tobytes() == full_acc.tobytes()
         if pattern != "distinct":
             shell = uniformity._cube_average(summed_operands(xs), k, h,
-                                             out_len, True)[1]
+                                             out_len)[1]
             assert_close(shell, shell_average(full_shell, k, h, out_len),
                          "shell")
 
@@ -975,7 +991,7 @@ class TestSortedWalk:
                 assert np.max(np.abs(acc - full_acc)) <= 1e-12 * scale, case
                 assert_close(acc.mean(), full_acc.mean(), case)
                 shell = uniformity._cube_average(summed_operands(xs), k, h,
-                                                 out_len, True)[1]
+                                                 out_len)[1]
                 assert_close(shell, shell_average(full_shell, k, h, out_len),
                              case)
 
@@ -989,8 +1005,7 @@ class TestKernelWorkspace:
                 xs = cube_operands(pattern, k, 5, 64, False)
                 arrays = summed_operands(xs)  # xs's arrays, and ones for None
                 before = [x.tobytes() for x in arrays]
-                uniformity._cube_average(arrays, k, 5, 64,
-                                         pattern != "distinct")
+                uniformity._cube_average(arrays, k, 5, 64)
                 uniformity._cube_average(xs, k, 5, 64, per_n=True)
                 assert [x.tobytes() for x in arrays] == before, (k, pattern)
 
@@ -1010,10 +1025,10 @@ class TestKernelWorkspace:
         operands = {c: cube_operands("single", c[0], c[1], c[2], True)
                     for c in cases}
         for c in cases:
-            first[c] = uniformity._cube_average(operands[c], *c, True)
-            assert uniformity._cube_average(operands[c], *c, True) == first[c]
+            first[c] = uniformity._cube_average(operands[c], *c)
+            assert uniformity._cube_average(operands[c], *c) == first[c]
         for c in reversed(cases):
-            assert uniformity._cube_average(operands[c], *c, True) == first[c]
+            assert uniformity._cube_average(operands[c], *c) == first[c]
 
     def test_dual_function_output_is_its_own(self):
         a = ul.rademacher_seq(8)
@@ -1111,7 +1126,7 @@ class TestKernelBlocks:
                 if pattern != "distinct":
                     def tail():
                         return uniformity._cube_average(
-                            summed_operands(xs), k, h, out_len, True)[1]
+                            summed_operands(xs), k, h, out_len)[1]
                     shell, one_shell = tail(), unchunked(tail)
                     assert_close(shell, shell_average(
                         full_grid(xs, k, h, out_len)[1], k, h, out_len), case)
@@ -1189,11 +1204,10 @@ class TestSummedKernel:
                                    seed=out_len + 10 * k + h)
                 case = f"H={h} out_len={out_len}"
                 acc = uniformity._cube_average(xs, k, h, out_len, per_n=True)
-                tail = pattern != "distinct"  # a shell needs symmetric xs
                 got = uniformity._cube_average(summed_operands(xs), k, h,
-                                               out_len, tail)
+                                               out_len)
                 assert_close(got[0], acc.mean(), case)
-                if tail:
+                if pattern != "distinct":  # mixed operands have no shell
                     shell = full_grid(xs, k, h, out_len)[1]
                     assert_close(got[1], shell_average(shell, k, h, out_len),
                                  case)
@@ -1223,8 +1237,7 @@ class TestSummedKernel:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(uniformity, "_centred_prefix", counted)
                 mp.setattr(uniformity, "_sliding_sums", no_window)
-                uniformity._cube_average(xs, k, h, out_len,
-                                         pattern != "distinct")
+                uniformity._cube_average(xs, k, h, out_len)
             chunks = -(-out_len // BLOCK_TEST)
             assert len(lens) == chunks * per_chunk, out_len
             assert sum(lens) == per_chunk * (out_len + chunks * (h - 1))
@@ -1234,11 +1247,13 @@ class TestKernelPasses:
     """What a call computes besides the windows' prefixes.  Every call
     conjugates each distinct operand some level shifts (those at vertices
     m >= 2) once per chunk, and no merge conjugates.  An n-summed call
-    takes two dot products per window, plus the shell's edge term
+    takes two dot products per window; a symmetric one (at k = 1 any two
+    arrays are, one per popcount) also takes the shell's edge term
     h_1 = H-1 at k = 1 and in each window whose outer shifts hold H-1
     exactly once: 1 per chunk at k = 2, H-1 at k = 3, C(H, 2) at k = 4.
-    A per-n call conjugates each window once and makes one product per
-    merge, none for the dual function's constant 1."""
+    A per-n call conjugates each window once, makes one product per
+    merge, none for the dual function's constant 1, and takes no dot
+    product."""
 
     @pytest.fixture(autouse=True)
     def small_block(self, monkeypatch):
@@ -1264,16 +1279,15 @@ class TestKernelPasses:
             vdots.append(1)
             return vdot(a, b)
 
-        tail = pattern != "distinct"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uniformity.np, "conj", counted_conj)
             mp.setattr(uniformity.np, "vdot", counted_vdot)
-            got = uniformity._cube_average(xs, k, h, out_len, tail)
+            got = uniformity._cube_average(xs, k, h, out_len)
         chunks = -(-out_len // BLOCK_TEST)
         shifted = len({id(x) for x in xs[2:]})
         assert len(conjs) == chunks * shifted  # each its chunk and margin
         assert sum(conjs) == shifted * (out_len + chunks * k * (h - 1))
-        if pattern == "distinct":
+        if pattern == "distinct" and k > 1:  # mixed: the full grid, no shell
             windows, edges = h ** (k - 1), 0
         else:
             windows = math.comb(h + k - 2, k - 1)
@@ -1281,7 +1295,37 @@ class TestKernelPasses:
                                       else 0)
         assert len(vdots) == chunks * (2 * windows + edges)
         assert got == reference_kernel(lambda: uniformity._cube_average(
-            xs, k, h, out_len, tail))
+            xs, k, h, out_len))
+
+    @pytest.mark.parametrize("out_len", [9, 3 * BLOCK_TEST + 17],
+                             ids=["one-chunk", "four-chunks"])
+    @pytest.mark.parametrize("pattern", ["single", "dual"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_shell_leaves_sum_unchanged(self, k, pattern, out_len):
+        """Every chunk's _cube_sum call of a symmetric n-summed average
+        gets a shell, and its accumulator gains the same bits as a call on
+        the same operands with shell=None."""
+        cube_sum, chunks, top = uniformity._cube_sum, [], k
+
+        def both(xs, cs, k, h, out_len, acc, shell, ws, walk):
+            if k < top:  # the recursion below the top call
+                return cube_sum(xs, cs, k, h, out_len, acc, shell, ws, walk)
+            alone = [0j]
+            cube_sum(xs, cs, k, h, out_len, alone, None, {}, walk)
+            assert shell == [0j]
+            cube_sum(xs, cs, k, h, out_len, acc, shell, ws, walk)
+            chunks.append(np.array([alone[0], acc[0]]))
+
+        for h in (1, 2, 5):
+            xs = summed_operands(cube_operands(pattern, k, h, out_len, False,
+                                               seed=k + h))
+            chunks.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(uniformity, "_cube_sum", both)
+                uniformity._cube_average(xs, k, h, out_len)
+            assert len(chunks) == -(-out_len // BLOCK_TEST), h
+            for alone, summed in chunks:
+                assert alone.tobytes() == summed.tobytes(), h
 
     @pytest.mark.parametrize("out_len", [9, 3 * BLOCK_TEST + 17],
                              ids=["one-chunk", "four-chunks"])
@@ -1290,8 +1334,8 @@ class TestKernelPasses:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_per_n_counts(self, k, h, pattern, out_len):
         xs = cube_operands(pattern, k, h, out_len, False, seed=k + h)
-        conjs, products = [], []
-        conj, multiply = np.conj, np.multiply
+        conjs, products, vdots = [], [], []
+        conj, multiply, vdot = np.conj, np.multiply, np.vdot
 
         def counted_conj(x, *args, **kwargs):
             conjs.append(len(x))
@@ -1301,10 +1345,16 @@ class TestKernelPasses:
             products.append(1)
             return multiply(*args, **kwargs)
 
+        def counted_vdot(a, b):
+            vdots.append(1)
+            return vdot(a, b)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uniformity.np, "conj", counted_conj)
             mp.setattr(uniformity.np, "multiply", counted_multiply)
+            mp.setattr(uniformity.np, "vdot", counted_vdot)
             got = uniformity._cube_average(xs, k, h, out_len, per_n=True)
+        assert not vdots  # no shell on a per-n call
         chunks = -(-out_len // BLOCK_TEST)
         shifted = len({id(x) for x in xs[2:]})
         windows = math.comb(h + k - 2, k - 1)
@@ -1358,7 +1408,7 @@ class TestBlockedWorkspace:
         p = self.params(self.K, self.H)
         x = uniformity._operand_array(big, p)
         self._check(lambda: uniformity._cube_average(
-            [x] * (1 << self.K), self.K, self.H, self.N, True), p)
+            [x] * (1 << self.K), self.K, self.H, self.N), p)
 
     def test_dual_function(self, big):
         # one operand, the samples (the constant 1 at the base vertex is
@@ -1463,7 +1513,7 @@ class TestPolynomialPhaseClosedForm:
             vals = poly_phase_samples(alpha, d, n + k * (h - 1))
             p = ul.BoxParams(k, h, ul.IntervalSpec(0, n))
         x = uniformity._operand_array(ul.from_samples(vals), p)
-        got, shell = uniformity._cube_average([x] * (1 << k), k, h, n, True)
+        got, shell = uniformity._cube_average([x] * (1 << k), k, h, n)
         want = poly_phase_powered(alpha, d, k, h)
         assert abs(got - want) <= CLOSED_FORM_TOL, (got, want)
         below = poly_phase_powered(alpha, d, k, h - 1)
@@ -1543,7 +1593,7 @@ class TestSignSequenceExact:
         dual = exact_cube_sums([np.ones_like(signs)]
                                + [signs] * ((1 << k) - 1), k, h, n)
         total = int(np.dot(signs[:n], dual))
-        got, shell = uniformity._cube_average([x] * (1 << k), k, h, n, True)
+        got, shell = uniformity._cube_average([x] * (1 << k), k, h, n)
         err = abs(Fraction(got.real) - Fraction(total, n * h ** k))
         assert err <= SIGN_S_TOL and abs(got.imag) <= SIGN_S_TOL, float(err)
         # the shell's n-sum, relative to the |I| H^k terms of the grid
