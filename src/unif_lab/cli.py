@@ -1,13 +1,15 @@
 """Batch command-line front end.
 
 Every subcommand is a pure function of its flags: fixed flags and seed give
-byte-identical output.  Every command runs single-threaded; verify alone
-takes --threads, and ignores it.  Timing lines (bench) go to stderr so
-stdout stays reproducible.  A subcommand takes --json or --csv only where
-the flag picks or names the format it prints (gen and dual pick, heis names
-its mode's), and never both; the other format's flag is a usage error.  A
-flag the subcommand does not take is refused by that subcommand's parser,
-whose usage and error lines name it.
+byte-identical output.  verify and bench draw from --seed alone (default
+0).  Every command runs single-threaded; verify alone takes --threads, and
+ignores it.  Timing lines (bench) go to stderr so stdout stays
+reproducible.  A subcommand takes --json or --csv only where the flag picks
+or names the format it prints (gen and dual pick, heis names its mode's),
+and never both; the other format's flag is a usage error.  A flag the
+subcommand does not take is refused by that subcommand's parser, whose
+usage and error lines name it; a flag placed before the subcommand's name,
+by the top-level parser.
 
 Exit codes: 0 success, 2 usage error (also a box average or dual function
 estimated past uniformity._MAX_COST element operations, and a `verify` seed
@@ -224,6 +226,9 @@ def _cmd_gen(args) -> int:
 def _cmd_dual(args) -> int:
     if args.trig:
         _require_format(args, "json", "dual --trig")
+        for flag in ("gen", "N"):
+            if getattr(args, flag) is not None:
+                raise GeneratorSpecError(f"dual --trig does not take --{flag}")
         poly = generators.parse_trig_terms(args.trig)
         obj = {"op": "dual", "params": {"trig": args.trig},
                "hk2": duality.hk_norm_k2(poly),
@@ -298,7 +303,8 @@ def _parse_x0(sys_: ergodic_weights.DynSystem, text: Optional[str]):
 def _cmd_weighted(args) -> int:
     if args.grid and args.N is not None:
         raise GeneratorSpecError("weighted takes --N or --grid, not both")
-    threshold = _parse_number(args.threshold, "--threshold")
+    if not args.grid and args.threshold is not None:
+        raise GeneratorSpecError("weighted --threshold needs --grid")
     w = generators.parse_generator(args.w)
     sys_ = _parse_system(args.system)
     fs = _parse_list(args.obs, "--obs", lambda name, _:
@@ -308,8 +314,9 @@ def _cmd_weighted(args) -> int:
               "x0": args.x0 or ""}
     if args.grid:
         ns = _parse_list(args.grid, "--grid value", _parse_int)
-        rep = ergodic_weights.cauchy_scan(w, sys_, fs, x0, ns,
-                                          threshold=threshold)
+        kw = {} if args.threshold is None else {
+            "threshold": _parse_number(args.threshold, "--threshold")}
+        rep = ergodic_weights.cauchy_scan(w, sys_, fs, x0, ns, **kw)
         obj = {"op": "weighted", "params": {**params, "grid": args.grid},
                "values": [[v.real, v.imag] for v in rep.values],
                "deltas": list(rep.deltas),
@@ -406,22 +413,11 @@ def _cmd_verify(args) -> int:
     if args.trials > _MAX_COUNT:
         raise GeneratorSpecError(
             f"--trials must be at most {_MAX_COUNT}, got {args.trials}")
-    seed = 0 if args.seed is None else args.seed
-    if args.gen:
-        # `--gen rad:SEED` re-bases the driving sign sequences on SEED
-        if not args.gen.startswith("rad:"):
-            raise GeneratorSpecError(
-                "verify draws its own seeded corpus; only rad:SEED is "
-                "accepted as a --gen override")
-        if args.seed is not None:
-            raise GeneratorSpecError("verify takes --seed or --gen rad:SEED, "
-                                     "not both")
-        seed = _parse_int(args.gen.split(":", 1)[1], "seed")
     kwargs = _suite_kwargs(args)
-    rep = _SUITES[args.suite](args.trials, seed=seed, **kwargs)
+    rep = _SUITES[args.suite](args.trials, seed=args.seed, **kwargs)
     obj = {"op": "verify", "params": {"suite": args.suite,
                                       "trials": args.trials,
-                                      "seed": seed, **kwargs},
+                                      "seed": args.seed, **kwargs},
            "violations": rep.violations, "worst_slack": rep.worst_slack,
            "ok": rep.ok}
     _emit_json(args, obj)
@@ -433,14 +429,12 @@ def _cmd_verify(args) -> int:
 
 # --- bench ----------------------------------------------------------------
 
-def run_bench(n: int, h: int, k: int = 2, seed: int = 0) -> Dict:
+def run_bench(n: int, h: int, seed: int = 0) -> Dict:
     """Direct vs fast box-norm timing at k = 2, cyclic.
 
     Returns values, their difference, and wall times; timings land on stderr
     in the CLI so stdout stays byte-reproducible.
     """
-    if k != 2:
-        raise ValueError("bench compares the k=2 paths")
     a = generators.rademacher_seq(seed)
     p = BoxParams(2, h, IntervalSpec(0, n), cyclic(n))
     t0 = time.perf_counter()
@@ -450,7 +444,7 @@ def run_bench(n: int, h: int, k: int = 2, seed: int = 0) -> Dict:
     t2 = time.perf_counter()
     diff = abs(direct.value - fast.value)
     return {
-        "N": n, "H": h, "k": k, "seed": seed,
+        "N": n, "H": h, "k": 2, "seed": seed,
         "direct_value": direct.value, "fast_value": fast.value,
         "max_abs_diff": diff, "agree_1e9": diff <= 1e-9,
         "direct_seconds": t1 - t0, "fast_seconds": t2 - t1,
@@ -459,7 +453,7 @@ def run_bench(n: int, h: int, k: int = 2, seed: int = 0) -> Dict:
 
 
 def _cmd_bench(args) -> int:
-    res = run_bench(args.N, args.H, args.k, args.seed)
+    res = run_bench(args.N, args.H, args.seed)
     sys.stderr.write(
         f"direct: {res['direct_seconds']:.3f}s  fast: {res['fast_seconds']:.3f}s"
         f"  speedup: {res['speedup']:.1f}x\n")
@@ -556,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x0", default=None)
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--grid", default=None, help="comma list of N values")
-    sp.add_argument("--threshold", default="0.01")
+    sp.add_argument("--threshold", default=None)
     sp.set_defaults(fn=_cmd_weighted)
 
     sp = sub.add_parser("ww", help="Wiener-Wintner frequency scan (CSV)")
@@ -577,12 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="seeded inequality suites (exit 4 on violation)")
     sp.add_argument("suite", choices=sorted(_SUITES))
     sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--gen", default=None, help="rad:SEED seed override")
     sp.add_argument("--len", type=int, default=None)
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--H", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None, help="default 0")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=1,
                     help="accepted and ignored")
     _add_common(sp, "json")
@@ -592,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, "json")
     sp.add_argument("--N", type=int, default=1 << 16)
     sp.add_argument("--H", type=int, default=256)
-    sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_bench)
 
@@ -623,8 +615,15 @@ def _normalize_argv(argv: Sequence[str]) -> List[str]:
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args, unknown = build_parser().parse_known_args(
-        _normalize_argv(list(argv)))
+    argv = _normalize_argv(list(argv))
+    ap = build_parser()
+    args, unknown = ap.parse_known_args(argv)
+    if argv[0] != args.command:
+        # the top level registers only -h, so every token before the
+        # subcommand's name is one it left over
+        before = argv[:argv.index(args.command)]
+        ap.error(f"unrecognized arguments: {' '.join(before)}")
+    del ap  # cyclic garbage from here, not held live through the command
     if unknown:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:

@@ -237,7 +237,7 @@ def test_criterion_13_thue_morse():
 
 
 def test_criterion_14_fast_vs_direct():
-    res = cli.run_bench(1 << 16, 256, 2, 0)
+    res = cli.run_bench(1 << 16, 256)
     ok = res["max_abs_diff"] <= 1e-9 and res["speedup"] >= 10.0
     check(14, "fast path: identical to direct to 1e-9 and >= 10x faster at "
               "N=2^16, H=256, k=2",

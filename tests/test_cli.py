@@ -261,8 +261,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv", [
         ["mono", "--seed", "-1", "--N", "32", "--H", "4"],
         ["vdc", "--seed", "-1", "--len", "64", "--H", "4"],
-        ["mono", "--gen", "rad:-1", "--N", "32", "--H", "4"],
-    ], ids=["mono", "vdc", "mono-gen"])
+    ], ids=["mono", "vdc"])
     def test_verify_refuses_negative_seeds(self, argv):
         # mono exited 2 with numpy's "expected non-negative integer", which
         # named no flag; vdc ran and exited 0
@@ -281,7 +280,7 @@ class TestSubcommands:
             "k": 2}
 
     @pytest.mark.parametrize("flags, seed", [
-        ([], 0), (["--seed", "7"], 7), (["--gen", "rad:7"], 7)])
+        ([], 0), (["--seed", "7"], 7)])
     def test_verify_seed_from_one_flag(self, flags, seed):
         code, out, _ = run_cli(["verify", "csg", "--trials", "1", "--N", "16",
                                 "--H", "4"] + flags)
@@ -303,16 +302,6 @@ class TestSubcommands:
         assert code == 2
         assert out == ""
         assert "--trials must be at most" in err
-
-    @pytest.mark.parametrize("seed, message", [
-        pytest.param("x", "bad seed: 'x'", id="not-int"),
-        pytest.param("9" * 5000, "seed has more than 4300 digits",
-                     id="long")])
-    def test_verify_gen_seed_errors_name_the_field(self, seed, message):
-        code, out, err = run_cli(["verify", "csg", "--trials", "1",
-                                  "--gen", "rad:" + seed])
-        assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
 
     def test_bench_small(self):
         code, out, err = run_cli(["bench", "--N", "512", "--H", "16"])
@@ -558,11 +547,15 @@ class TestBadNumbers:
                       "fourier", "--grid", "0:1:3"],
                      "search --dict fourier does not take --grid",
                      id="search-fourier-grid"),
-        # --gen rad:SEED used to win and --seed was dropped
-        pytest.param(["verify", "csg", "--trials", "2", "--seed", "5",
-                      "--gen", "rad:7"],
-                     "verify takes --seed or --gen rad:SEED, not both",
-                     id="verify-seed-gen"),
+        pytest.param(["dual", "--trig", "t=0.1,l=1", "--gen", "rad:3",
+                      "--N", "64"], "dual --trig does not take --gen",
+                     id="dual-trig-gen"),
+        pytest.param(["dual", "--trig", "t=0.1,l=1", "--N", "64"],
+                     "dual --trig does not take --N", id="dual-trig-N"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "rot:0.1",
+                      "--obs", "ex", "--N", "64", "--threshold", "0.5"],
+                     "weighted --threshold needs --grid",
+                     id="weighted-N-threshold"),
         # the cyclic proxy named the window's indices, or its wrapped
         # [0, window) ones, not the search range
         pytest.param(["unorm", "--gen", "rad:1", "--range",

@@ -32,10 +32,6 @@ CLI_REFUSALS = [
      "skew has no observable 'ez'"),
     ("heis --tau 0.1,2,0 --range 0:8 --check-closed-form",
      "--check-closed-form needs tau=(alpha,1,0), identity x0, f=ez"),
-    ("verify vdc --gen exp:0.1",
-     "verify draws its own seeded corpus; only rad:SEED is accepted as a "
-     "--gen override"),
-    ("bench --k 3", "bench compares the k=2 paths"),
     ("gen --gen heis:x0=(0,0,0) --range 0:4", "heis spec needs tau=(a,b,c)"),
     ("gen --gen trig:t=0.1,l=abc --range 0:4", "bad coefficient 'abc'"),
     ("dual --trig t=0.1,l=0.5 --csv", "dual --trig prints JSON, not CSV"),
@@ -88,6 +84,35 @@ def test_cli_format_refusal(argv, message):
     flag = argv.split()[-1]
     assert err.getvalue().splitlines()[-1].endswith(
         "error: " + message.format(flag))
+
+
+# flags no parser registers: exit 2 before anything runs, nothing on stdout,
+# and argparse's error, naming the parser that refused, as the last stderr
+# line.  verify seeds from --seed alone, and bench compares the k = 2 paths;
+# a flag before the subcommand's name is the top-level parser's
+UNREGISTERED = [
+    ("verify vdc --trials 1 --gen rad:7",
+     "unif-lab verify: error: unrecognized arguments: --gen rad:7"),
+    ("bench --N 64 --H 4 --k 2",
+     "unif-lab bench: error: unrecognized arguments: --k 2"),
+    ("--bogus norm --gen rad:1 --N 64 --H 8",
+     "unif-lab: error: unrecognized arguments: --bogus"),
+    ("norm --gen rad:1 --N 64 --H 8 --bogus",
+     "unif-lab norm: error: unrecognized arguments: --bogus"),
+    ("--bogus norm --gen rad:1 --N 64 --H 8 --other",
+     "unif-lab: error: unrecognized arguments: --bogus"),
+]
+
+
+@pytest.mark.parametrize("argv, last_line", UNREGISTERED,
+                         ids=[a for a, _ in UNREGISTERED])
+def test_cli_unregistered_flag(argv, last_line):
+    out, err = io.StringIO(), io.StringIO()
+    with (redirect_stdout(out), redirect_stderr(err),
+          pytest.raises(SystemExit) as exc):
+        cli.dispatch(argv.split())
+    assert (exc.value.code, out.getvalue()) == (cli.USAGE_EXIT, "")
+    assert err.getvalue().splitlines()[-1] == last_line
 
 
 # a minimal valid command line of every subcommand but verify, the one
