@@ -13,8 +13,9 @@ by the top-level parser.
 
 Exit codes: 0 success, 2 usage error (also a box average or dual function
 estimated past uniformity._MAX_COST element operations, and a `verify` seed
-below 0), 3 numeric-contract violation (e.g. a box average below -1e-9,
-which at H < N legitimate input can give, or a non-finite CSV value), 4 a
+below 0), 3 numeric-contract violation (e.g. a box average below
+-1e-9*M, M = max|a|^(2^k) over the samples it read, which at H < N
+legitimate input can give, or a non-finite CSV value), 4 a
 `verify` suite found a violated inequality.  Every suite derives its trials
 from the seed in uniformity._run_trials, so on exit 4 one stderr line gives
 the call that reruns the worst trial alone, from SuiteReport.replay.
@@ -600,15 +601,11 @@ _DASH_VALUE_FLAGS = {"--range", "--tau", "--x0", "--lo", "--grid"}
 
 def _normalize_argv(argv: Sequence[str]) -> List[str]:
     out: List[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _DASH_VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _DASH_VALUE_FLAGS:  # a flag still bare
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

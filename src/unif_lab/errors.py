@@ -28,16 +28,17 @@ class FrequencyGridMismatch(UnifLabError):
 
 
 class NegativityViolation(UnifLabError):
-    """A box-norm average came out non-finite or below -1e-9.
+    """A box-norm average came out non-finite or below -1e-9*M.
 
-    Dips within 1e-9 are clamped.  At H < N the uniform h average is not a
+    M = max|a|^(2^k) over the samples the average read; dips within 1e-9*M
+    are clamped.  At H < N the uniform h average is not a
     positive-definite kernel, so legitimate input can land here; in cyclic
     mode at H = N the average is a sum of squares and cannot.
     """
 
 
 class SupBoundViolation(UnifLabError):
-    """An operation requiring |a_n| <= 1 received a sequence with a larger bound."""
+    """An operation requiring |a_n| <= 1 read a sample above 1, or NaN."""
 
 
 class GeneratorSpecError(UnifLabError):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DuplicateFrequencyError, GeneratorSpecError
 from .nilmanifold import (IDENTITY_POINT, HeisElem, HeisPoint, PointFunction,
                           character_ex, character_ey, character_ez,
-                          nilsequence)
+                          heis_reduce, nilsequence)
 from .seq_core import ComplexSeq, IntervalSpec, _e, _frac
 
 
@@ -39,7 +39,7 @@ def exp_seq(t: float) -> ComplexSeq:
     def _eval(ns: np.ndarray) -> np.ndarray:
         return _e(_frac(ns.astype(np.float64) * t))
 
-    return ComplexSeq(_eval, None, 1.0)
+    return ComplexSeq(_eval, None)
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,6 @@ class TrigPoly:
     def coefs(self) -> np.ndarray:
         return np.array([c for _, c in self.terms], dtype=np.complex128)
 
-    @property
-    def sup_bound(self) -> float:
-        return float(np.sum(np.abs(self.coefs)))
-
 
 def trig_poly_seq(p: TrigPoly) -> ComplexSeq:
     """a_n = sum_m lambda_m e(n t_m)."""
@@ -81,7 +77,7 @@ def trig_poly_seq(p: TrigPoly) -> ComplexSeq:
             out += c * _e(_frac(nf * t))
         return out
 
-    return ComplexSeq(_eval, None, p.sup_bound)
+    return ComplexSeq(_eval, None)
 
 
 def _exact_term_frac(c: float, ns: np.ndarray, j: int) -> np.ndarray:
@@ -135,7 +131,7 @@ def poly_phase_seq(coeffs: Sequence[float]) -> ComplexSeq:
         acc = _frac(acc)  # rebinding frees the sum before _e allocates
         return _e(acc)
 
-    return ComplexSeq(_eval, None, 1.0)
+    return ComplexSeq(_eval, None)
 
 
 def quad_phase_seq(alpha: float) -> ComplexSeq:
@@ -213,7 +209,7 @@ def genpoly_seq(ast: GenPolyAst, form: str = "frac") -> ComplexSeq:
                 return _frac(frac).astype(np.complex128)
             return _e(frac)
 
-    return ComplexSeq(_eval, None, 1.0)
+    return ComplexSeq(_eval, None)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +231,7 @@ def thue_morse_seq(form: str = "pm") -> ComplexSeq:
             return parity.astype(np.complex128)
         return (1.0 - 2.0 * parity).astype(np.complex128)
 
-    return ComplexSeq(_eval, None, 1.0)
+    return ComplexSeq(_eval, None)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +271,7 @@ def rademacher_seq(seed: int) -> ComplexSeq:
             bits = _splitmix64(u) >> np.uint64(63)
         return (1.0 - 2.0 * bits.astype(np.float64)).astype(np.complex128)
 
-    return ComplexSeq(_eval, (-_RAD_WINDOW, _RAD_WINDOW), 1.0)
+    return ComplexSeq(_eval, (-_RAD_WINDOW, _RAD_WINDOW))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,7 @@ def block_counterexample_seq(spec: BlockSpec) -> Tuple[ComplexSeq,
         j = np.maximum(j, 1)  # [0, N_1) is part of block 1
         return _e(_frac(ns.astype(np.float64) / j.astype(np.float64)))
 
-    return ComplexSeq(_eval, (-(last - 1), last), 1.0), spec.intervals()
+    return ComplexSeq(_eval, (-(last - 1), last)), spec.intervals()
 
 
 # ---------------------------------------------------------------------------
@@ -601,11 +597,11 @@ def named_character(name: str) -> PointFunction:
 
 
 def _parse_point(text: str, what: str) -> HeisPoint:
-    """x,y,z (parentheses optional), each taken mod 1 twice as
-    nilmanifold._reduce_arrays does: -1e-20 % 1.0 rounds to exactly 1.0,
-    the second % 1.0 gives 0.0."""
-    return HeisPoint(*((v % 1.0) % 1.0
-                       for v in _parse_list(text, what, count=3)))
+    """x,y,z (parentheses optional): the canonical representative of the
+    coset of HeisElem(x, y, z), by heis_reduce.  A step of 1 in y moves z
+    by x, so 0.5,1.5,0 is the point 0.5,0.5,0.5; -1e-20,0,0 is 0,0,0.
+    ValueError where that step takes z past float range."""
+    return heis_reduce(HeisElem(*_parse_list(text, what, count=3)))[0]
 
 
 def parse_heis_spec(arg: str) -> ComplexSeq:

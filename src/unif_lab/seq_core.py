@@ -1,8 +1,10 @@
 """Bounded two-sided sequences and the averaging primitives built on them.
 
-A sequence is an evaluator n -> complex valid on a declared integer range
-(possibly unbounded for closed-form generators), together with a declared
-bound on |a_n|.  Two averaging modes are supported everywhere downstream:
+A sequence is an evaluator n -> complex and the integer range it is valid
+on (unbounded for closed-form generators), nothing more: it declares no
+bound on |a_n|.  An operation that needs one (vdc_bound's |a_n| <= 1)
+measures it on the samples it reads.  Two averaging modes are supported
+everywhere downstream:
 
   interval  -- plain finite truncation: sums run over an interval [lo, lo+len),
                reading past its edges only up to a declared margin;
@@ -83,15 +85,17 @@ def cyclic(n: int) -> DomainMode:
 
 @dataclass(frozen=True)
 class ComplexSeq:
-    """A bounded sequence a: Z -> C given by a vectorized evaluator.
+    """A sequence a: Z -> C given by a vectorized evaluator and the range
+    it is valid on.
 
     ``eval_fn`` maps an int64 numpy array of indices to a complex128 array
     and must be pure: the same index always yields the bit-identical value.
+    ``valid_range`` is the half-open [lo, hi) it may be read on, None for
+    all of Z.
     """
 
     eval_fn: Callable[[np.ndarray], np.ndarray]
     valid_range: Range
-    sup_bound: float
 
     def eval(self, ns: np.ndarray) -> np.ndarray:
         return np.asarray(self.eval_fn(np.asarray(ns, dtype=np.int64)),
@@ -100,14 +104,11 @@ class ComplexSeq:
     def at(self, n: int) -> complex:
         return complex(self.eval(np.array([n], dtype=np.int64))[0])
 
-    def contains(self, lo: int, hi: int) -> bool:
-        """Whether [lo, hi) lies inside the valid range."""
-        if self.valid_range is None:
-            return True
-        return self.valid_range[0] <= lo and hi <= self.valid_range[1]
-
     def require_range(self, lo: int, hi: int, what: str = "operation") -> None:
-        if not self.contains(lo, hi):
+        """SequenceRangeError, naming `what`, unless [lo, hi) lies inside
+        the valid range."""
+        rng = self.valid_range
+        if rng is not None and not (rng[0] <= lo and hi <= rng[1]):
             raise SequenceRangeError(
                 f"{what} needs indices [{lo}, {hi}) but valid range is "
                 f"{self.valid_range}")
@@ -176,14 +177,18 @@ def _cube_vertices(h: Sequence[int]) -> List[Tuple[int, bool]]:
 
 
 def from_samples(values: np.ndarray, lo: int = 0) -> ComplexSeq:
-    """Wrap a finite array as a sequence valid on [lo, lo + len(values))."""
+    """Wrap an array as a sequence valid on [lo, lo + len(values)).
+
+    The values are neither scanned nor checked here: the operations that
+    read them check what they need (finiteness, vdc_bound's |a_n| <= 1) on
+    the samples they take.
+    """
     arr = np.ascontiguousarray(np.asarray(values, dtype=np.complex128))
-    bound = float(np.max(np.abs(arr))) if arr.size else 0.0
 
     def _eval(ns: np.ndarray) -> np.ndarray:
         return arr[ns - lo]
 
-    return ComplexSeq(_eval, (lo, lo + arr.size), bound)
+    return ComplexSeq(_eval, (lo, lo + arr.size))
 
 
 def constant_seq(c: complex) -> ComplexSeq:
@@ -192,7 +197,7 @@ def constant_seq(c: complex) -> ComplexSeq:
     def _eval(ns: np.ndarray) -> np.ndarray:
         return np.full(ns.shape, cval, dtype=np.complex128)
 
-    return ComplexSeq(_eval, None, abs(cval))
+    return ComplexSeq(_eval, None)
 
 
 def wrap_cyclic(a: ComplexSeq, n: int) -> ComplexSeq:
@@ -206,7 +211,7 @@ def wrap_cyclic(a: ComplexSeq, n: int) -> ComplexSeq:
     def _eval(ns: np.ndarray) -> np.ndarray:
         return a.eval(ns % n)
 
-    return ComplexSeq(_eval, None, a.sup_bound)
+    return ComplexSeq(_eval, None)
 
 
 def sample_mode(a: ComplexSeq, lo: int, hi: int, mode: DomainMode) -> np.ndarray:
@@ -313,27 +318,23 @@ def shift(a: ComplexSeq, h: int) -> ComplexSeq:
     """(sigma^h a)(n) = a(n + h)."""
     rng = None if a.valid_range is None else (a.valid_range[0] - h,
                                               a.valid_range[1] - h)
-    return ComplexSeq(lambda ns: a.eval(ns + h), rng, a.sup_bound)
+    return ComplexSeq(lambda ns: a.eval(ns + h), rng)
 
 
 def conjugate(a: ComplexSeq) -> ComplexSeq:
-    return ComplexSeq(lambda ns: np.conj(a.eval(ns)), a.valid_range,
-                      a.sup_bound)
+    return ComplexSeq(lambda ns: np.conj(a.eval(ns)), a.valid_range)
 
 
 def product(a: ComplexSeq, b: ComplexSeq) -> ComplexSeq:
     rng = _intersect(a.valid_range, b.valid_range)
-    return ComplexSeq(lambda ns: a.eval(ns) * b.eval(ns), rng,
-                      a.sup_bound * b.sup_bound)
+    return ComplexSeq(lambda ns: a.eval(ns) * b.eval(ns), rng)
 
 
 def add(a: ComplexSeq, b: ComplexSeq) -> ComplexSeq:
     rng = _intersect(a.valid_range, b.valid_range)
-    return ComplexSeq(lambda ns: a.eval(ns) + b.eval(ns), rng,
-                      a.sup_bound + b.sup_bound)
+    return ComplexSeq(lambda ns: a.eval(ns) + b.eval(ns), rng)
 
 
 def scale(a: ComplexSeq, c: complex) -> ComplexSeq:
     cval = complex(c)
-    return ComplexSeq(lambda ns: cval * a.eval(ns), a.valid_range,
-                      abs(cval) * a.sup_bound)
+    return ComplexSeq(lambda ns: cval * a.eval(ns), a.valid_range)

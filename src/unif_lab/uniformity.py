@@ -6,7 +6,9 @@ Definitions (finite stage; e(t) = exp(2*pi*i*t), C z = conj(z)):
                       C^{|eps|} a_{n + eps . h}
   powered value S_H = (1/H^k) sum_{h in [0,H)^k} c_h
   box norm      ||a||_{I,k;H} = (Re S_H)^(1/2^k), clamped at 0 when the
-                finite average dips above -1e-9; deeper negativity raises.
+                finite average dips above -1e-9*M, M = max|a|^(2^k) over
+                the samples read (the scale of every c_h); deeper
+                negativity raises.
 
 Two index domains: interval mode reads a margin of k*(H-1) points past I;
 cyclic(N) mode wraps indices mod N, which is what makes the box-norm
@@ -84,7 +86,7 @@ from .seq_core import (INTERVAL, ComplexSeq, DomainMode, IntervalSpec,
                        _sliding_sums, add, conjugate, cyclic, from_samples,
                        product, sample_mode, shift, wrap_cyclic)
 
-NEGATIVITY_FLOOR = -1e-9
+NEGATIVITY_FLOOR = -1e-9  # times M = max|a|^(2^k) over the samples read
 _MAX_K = 16  # the cube's vertex table then has 2^16 = 65,536 entries
 # Output points per _cube_sum pass (one chunk of _cube_average).  Past ~2^15
 # points a pass's arrays leave the L2 cache.  Of 2^11 .. 2^15, 2^13 was
@@ -465,17 +467,41 @@ def box_correlation(a: ComplexSeq, h: Sequence[int], p: BoxParams) -> complex:
     return complex(term.mean())
 
 
+def _require_floor(raw: float, x: np.ndarray, k: int, what: str) -> None:
+    """NegativityViolation, naming `what`, unless raw, a negative or
+    non-finite average of 2^k-fold products of the samples x, is finite and
+    at least NEGATIVITY_FLOOR * M with M = max|x|^(2^k), the scale of every
+    product: the floor is relative, as rounding is.
+
+    Callers skip the call for a finite raw >= 0, so only an average that
+    dips below 0 finds M.  With |raw| = mr 2^er and max|x| = mt 2^et
+    (frexp) the test compares
+      log2(|raw| / M) = log2(mr) - 2^k log2(mt) + (er - 2^k et)
+    with log2(1e-9), and a NaN or infinite raw fails it: M neither
+    overflows nor underflows at k <= 16, and scaling x by 2^j, which scales
+    raw by exactly 2^(j 2^k), leaves every term as it was.
+    """
+    top = float(np.max(np.abs(x)))
+    (mr, er), (mt, et) = math.frexp(abs(raw)), math.frexp(top)
+    if (math.log2(mr) - math.log2(mt) * (1 << k) + (er - (et << k))
+            <= math.log2(-NEGATIVITY_FLOOR)):
+        return
+    raise NegativityViolation(
+        f"{what} is not finite or is below the noise floor "
+        f"{NEGATIVITY_FLOOR}*M, M = max|a|^{1 << k} = {top!r}^{1 << k}")
+
+
 def _norm_report(x: np.ndarray, p: BoxParams, path: str) -> NormReport:
     """The box norm of operand samples x (_powered_array's) and its h_tail,
     |average of c_h over the shell max(h) = H-1|.  h_tail is 0 at H = N in
     cyclic mode, where the average runs over the whole group and there is
-    no truncation remainder."""
+    no truncation remainder.  A negative S_H is clamped to 0 unless
+    _require_floor refuses it."""
     s_h, shell = _powered_array(x, p, path)
     raw = s_h.real
-    if not math.isfinite(raw) or raw < NEGATIVITY_FLOOR:
-        raise NegativityViolation(
-            f"box average {raw} is not finite or is below the noise floor "
-            f"{NEGATIVITY_FLOOR} (k={p.k}, H={p.H}, {p.mode.describe()})")
+    if not 0.0 <= raw < math.inf:
+        _require_floor(raw, x, p.k, f"box average {raw} (k={p.k}, H={p.H}, "
+                                    f"{p.mode.describe()})")
     powered = max(raw, 0.0)
     full_group = p.mode.is_cyclic and p.H == p.mode.modulus
     return NormReport(powered ** (1.0 / (1 << p.k)), powered, p,
@@ -511,7 +537,9 @@ def u1_norm(a: ComplexSeq, interval: IntervalSpec, h: int,
     """((1/H) sum_{h'<H} Re c_{h'})^(1/2) from the k = 1 correlation formula.
 
     Kept as an independent direct loop; equality with box_norm at k = 1 is a
-    cross-check, not a shared code path.
+    cross-check, not a shared code path.  Its floor is box_norm's, scaled
+    by M = max|a|^2 over the points read, which a negative average alone
+    samples again.
     """
     base = sample_mode(a, interval.lo, interval.hi, mode)
     acc = 0.0
@@ -519,8 +547,9 @@ def u1_norm(a: ComplexSeq, interval: IntervalSpec, h: int,
         shifted = sample_mode(a, interval.lo + hh, interval.hi + hh, mode)
         acc += float(np.mean(base * np.conj(shifted)).real)
     powered = acc / h
-    if powered < NEGATIVITY_FLOOR:
-        raise NegativityViolation(f"k=1 average {powered} below noise floor")
+    if powered < 0.0:
+        read = sample_mode(a, interval.lo, interval.hi + h - 1, mode)
+        _require_floor(powered, read, 1, f"k=1 average {powered}")
     return max(powered, 0.0) ** 0.5
 
 
@@ -594,14 +623,20 @@ def vdc_bound(a: ComplexSeq, interval: IntervalSpec, h: int) -> VdcReport:
     input at a power-of-two |I| (run_vdc_suite's) every partial sum is an
     integer and 1/|I| is exact, so the bits are those of the mean of the
     product.
+
+    The hypothesis |a_n| <= 1 is checked on the samples read, a on
+    [I.lo - H, I.hi + H): SupBoundViolation unless their largest modulus is
+    at most 1 + 1e-12, so a NaN sample is refused too.
     """
     if h < 1:
         raise ValueError(f"van der Corput needs H >= 1, got {h}")
-    if a.sup_bound > 1.0 + 1e-12:
-        raise SupBoundViolation(
-            f"van der Corput needs |a_n| <= 1, declared bound {a.sup_bound}")
     length = interval.length
     samples = a.sample(interval.lo - h, interval.hi + h)
+    top = float(np.max(np.abs(samples)))
+    if not top <= 1.0 + 1e-12:
+        raise SupBoundViolation(
+            f"van der Corput needs |a_n| <= 1, max |a_n| {top} on "
+            f"[{interval.lo - h}, {interval.hi + h})")
     base = samples[h:h + length]
     lhs = abs(complex(base.mean())) ** 2
     acc = 0.0 + 0.0j

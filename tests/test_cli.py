@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unif_lab as ul
@@ -72,6 +72,51 @@ class TestNorm:
                                 "--k", "1", "--H", "3"])
         assert code == 3
         assert "contract" in err
+
+    @pytest.mark.parametrize("gen, length, h, want", [
+        # exp:0.1's -0.140 at scale 1e-5: -1.4e-11, clamped to 0 by an
+        # absolute floor of -1e-9 while the unit-scale input exits 3
+        ("trig:t=0.1,l=0.00001", 4096, 8, 3),
+        # -4.86e-7 is rounding: the exact average of these samples is
+        # +3.7e-23, and max|a|^2 = 1e10
+        ("trig:t=0.5,l=100000", 1004, 2, 0)])
+    def test_negativity_floor_scales_with_the_input(self, gen, length, h,
+                                                    want):
+        code, out, err = run_cli(["norm", "--gen", gen, "--k", "1", "--mode",
+                                  "interval", "--len", str(length), "--H",
+                                  str(h)])
+        assert code == want
+        if want == 3:
+            assert out == ""
+            assert "M = max|a|^2 = " in err
+        else:
+            assert json.loads(out)["powered"] == 0.0
+
+    @given(terms=st.lists(st.tuples(st.integers(0, 999),
+                                    st.integers(-1000, 1000).filter(bool)),
+                          min_size=1, max_size=2,
+                          unique_by=lambda term: term[0]),
+           j=st.integers(-40, 40), k=st.integers(1, 3), h=st.integers(1, 8),
+           length=st.integers(1, 200))
+    @example(terms=[(100, 1000)], j=-17, k=1, h=8, length=4096)
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_scale(self, terms, j, k, h, length):
+        # scaling the input by 2^j is exact in floats and scales S_H by
+        # exactly 2^(j 2^k): the printed powered value follows it bit for
+        # bit, and the exit code does not move
+        def run(scale):
+            spec = "trig:" + ";".join(f"t={t / 1000!r},l={c / 1000 * scale!r}"
+                                      for t, c in terms)
+            code, out, _ = run_cli(["norm", "--gen", spec, "--k", str(k),
+                                    "--mode", "interval", "--len",
+                                    str(length), "--H", str(h)])
+            return code, json.loads(out)["powered"] if code == 0 else None
+
+        code, powered = run(1.0)
+        scaled_code, scaled = run(2.0 ** j)
+        assert scaled_code == code
+        if code == 0:
+            assert scaled == math.ldexp(powered, j << k)
 
 
 class TestSubcommands:
@@ -689,6 +734,20 @@ class TestBadNumbers:
         pytest.param(["gen", "--gen", "heis:tau=(0.1,1,0);x0=({})",
                       "--range", "-3:4"], "-1e-20,0,0", "0,0,0",
                      id="heis-spec-x0"),
+        # a step of 1 in y moves z by x: x0 names the point of its coset
+        pytest.param(["heis", "--tau", "0.1,0.2,0.3", "--x0", "{}",
+                      "--range", "0:4"], "0.5,-0.25,0", "0.5,0.75,0.5",
+                     id="heis-x0-coset"),
+        pytest.param(["heis", "--tau", "0.1,0.2,0.3", "--x0", "{}",
+                      "--range", "0:4"], "0.5,1.5,0", "0.5,0.5,0.5",
+                     id="heis-x0-coset-up"),
+        pytest.param(["weighted", "--w", "rad:1", "--system", "heis:0.1,1,0",
+                      "--x0", "{}", "--obs", "ez,ex", "--N", "64"],
+                     "0.5,-0.25,0", "0.5,0.75,0.5",
+                     id="weighted-heis-x0-coset"),
+        pytest.param(["gen", "--gen", "heis:tau=(0.1,0.2,0.3);x0=({})",
+                      "--range", "0:4"], "0.5,-0.25,0", "0.5,0.75,0.5",
+                     id="heis-spec-x0-coset"),
         # named constants used to be read by exp: and quad: only
         pytest.param(["heis", "--tau", "{},1,0", "--range", "-3:4"], "sqrt2",
                      repr(2 ** 0.5), id="heis-tau-sqrt2"),

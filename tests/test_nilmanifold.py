@@ -109,6 +109,20 @@ class TestReduce:
         assert (point.x, point.y, point.z) == (0.5, 0.25, 0.9)
         assert lattice == (0, 0, 0)
 
+    @pytest.mark.parametrize("g, want, lattice", [
+        # y + q rounds up to 1.0 after z took x*q: q - 1 keeps z in g's
+        # coset, so the point is the one y = -1e-20 ~ 0 gives
+        ((0.3, -1e-20, 0.0), (0.3, 0.0, 0.0), (0, 0, 0)),
+        ((0.3, -2.0 ** -60, 0.7), (0.3, 0.0, 0.7), (0, 0, 0)),
+        ((0.25, -1e-20, 0.5), (0.25, 0.0, 0.5), (0, 0, 0)),
+        # off the seam: a whole step in y takes x from z
+        ((0.25, 1.0, 0.5), (0.25, 0.0, 0.25), (0, -1, 0)),
+    ])
+    def test_seam_where_y_rounds_to_one(self, g, want, lattice):
+        point, used = ul.heis_reduce(ul.HeisElem(*g))
+        assert (point.x, point.y, point.z) == want
+        assert used == lattice
+
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         for _ in range(50):

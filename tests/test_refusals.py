@@ -33,6 +33,10 @@ CLI_REFUSALS = [
     ("heis --tau 0.1,2,0 --range 0:8 --check-closed-form",
      "--check-closed-form needs tau=(alpha,1,0), identity x0, f=ez"),
     ("gen --gen heis:x0=(0,0,0) --range 0:4", "heis spec needs tau=(a,b,c)"),
+    # x0's canonical z takes x*floor(y), here past float range
+    ("heis --tau 0.1,1,0 --x0 2,1e308,0 --range 0:4",
+     "cannot reduce HeisElem(x=2.0, y=1e+308, z=0.0): z + x*q = -inf "
+     "overflows"),
     ("gen --gen trig:t=0.1,l=abc --range 0:4", "bad coefficient 'abc'"),
     ("dual --trig t=0.1,l=0.5 --csv", "dual --trig prints JSON, not CSV"),
     ("heis --tau 0.1,1,0 --range 0:4 --json", "heis prints CSV, not JSON"),
@@ -177,7 +181,9 @@ LIBRARY_REFUSALS = [
     ("u1_norm",
      lambda: ul.u1_norm(ul.exp_seq(0.3), ul.IntervalSpec(0, 3000), 3),
      NegativityViolation,
-     re.compile(r"k=1 average -0\.0393\d* below noise floor")),
+     re.compile(r"k=1 average -0\.0393\d* is not finite or is below the "
+                r"noise floor -1e-09\*M, M = max\|a\|\^2 = "
+                r"(1\.0|0\.9999999999999)\d*\^2")),
     ("proxy per_window",
      lambda: ul.uniformity_norm_proxy(ul.constant_seq(1.0), _interval(64),
                                       16, 16, 2, 4, per_window="torus"),
@@ -195,6 +201,11 @@ LIBRARY_REFUSALS = [
      ValueError, "need 4 sequences for k=2"),
     ("HeisPoint", lambda: ul.HeisPoint(0.5, 1.5, 0.0),
      ValueError, "point coordinate 1.5 outside [0,1)"),
+    ("heis_reduce overflow",
+     lambda: ul.heis_reduce(ul.HeisElem(-3.0, -1e308, 0.5)),
+     ValueError,
+     "cannot reduce HeisElem(x=-3.0, y=-1e+308, z=0.5): z + x*q = -inf "
+     "overflows"),
     ("cube_orbit k < 1",
      lambda: ul.cube_orbit(ul.IDENTITY_POINT, ul.HeisElem(0.1, 1.0, 0.0),
                            (), 0),

@@ -423,6 +423,33 @@ class TestNegativityContract:
         with pytest.raises(NegativityViolation, match="not finite"):
             ul.box_norm(ul.from_samples(vals), p, path=path)
 
+    def test_floor_is_relative_to_the_samples(self):
+        # exp:0.1's average at k = 1, H = 8 is -0.140; scaled by 1e-5 it is
+        # -1.4e-11, which an absolute floor of -1e-9 clamped to 0.  Scaled
+        # up, a rounding dip of a few 1e-17 * max|a|^2 stays clamped.
+        p = ul.BoxParams(1, 8, ul.IntervalSpec(0, 4096))
+        small = ul.scale(ul.exp_seq(0.1), 1e-5)
+        with pytest.raises(NegativityViolation,
+                           match=r"noise floor -1e-09\*M, M = max\|a\|\^2 = "
+                                 r"(1\.0\d*e-05|9\.9999\d*e-06)\^2"):
+            ul.box_norm(small, p)
+        with pytest.raises(NegativityViolation, match=r"M = max\|a\|\^2"):
+            ul.u1_norm(small, p.interval, p.H)
+        big = ul.scale(ul.exp_seq(0.5), 1e5)
+        p = ul.BoxParams(1, 2, ul.IntervalSpec(0, 1004))
+        assert box_powered_signed(big, p) < -1e-9
+        assert ul.box_norm(big, p).powered == 0.0
+
+    @pytest.mark.parametrize("k", [11, 16])
+    def test_floor_scale_neither_overflows_nor_underflows(self, k):
+        # M = max|a|^(2^k) is 2^(+-2^k), past float range both ways from
+        # k = 11: compared through log2
+        uniformity._require_floor(-1e300, np.array([2.0]), k, "avg")
+        with pytest.raises(NegativityViolation, match=r"M = max\|a\|"):
+            uniformity._require_floor(-1e-300, np.array([0.5]), k, "avg")
+        with pytest.raises(NegativityViolation, match="not finite"):
+            uniformity._require_floor(math.nan, np.array([0.5]), k, "avg")
+
     def test_exact_zero_clamps(self):
         # alternating sequence, even H: the k=1 average is exactly zero
         rep_val = ul.u1_norm(ul.exp_seq(0.5), ul.IntervalSpec(0, 1000), 64)
@@ -476,6 +503,30 @@ class TestVdc:
         big = ul.scale(ul.constant_seq(1.0), 2.0)
         with pytest.raises(SupBoundViolation):
             ul.vdc_bound(big, ul.IntervalSpec(0, 100), 4)
+
+    def test_bound_is_read_off_the_samples(self):
+        # a - a/2 is +-0.5 everywhere; a bound declared through the algebra
+        # (1 + 0.5) used to refuse it
+        a = ul.rademacher_seq(1)
+        interval, h = ul.IntervalSpec(0, 512), 8
+        rep = ul.vdc_bound(ul.add(a, ul.scale(a, -0.5)), interval, h)
+        vals = 0.5 * a.sample(interval.lo - h, interval.hi + h)
+        want = ul.vdc_bound(ul.from_samples(vals, lo=interval.lo - h),
+                            interval, h)
+        assert rep == want
+        assert rep.holds
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan], ids=["1.5", "nan"])
+    def test_any_sample_read_is_checked(self, bad):
+        # index I.lo - H: read by the shifted averages, outside I itself
+        interval, h = ul.IntervalSpec(20, 100), 8
+        vals = np.ones(interval.length + 2 * h, dtype=np.complex128)
+        vals[0] = bad
+        a = ul.from_samples(vals, lo=interval.lo - h)
+        with pytest.raises(SupBoundViolation,
+                           match=rf"^van der Corput needs \|a_n\| <= 1, "
+                                 rf"max \|a_n\| {bad} on \[12, 128\)$"):
+            ul.vdc_bound(a, interval, h)
 
     def test_seeded_suite(self):
         rep = run_vdc_suite(100, length=2048, h=32, seed=5)
@@ -841,7 +892,7 @@ class TestOperandSampling:
             seen.append(ns.copy())
             return vals[ns]
 
-        return ul.ComplexSeq(fn, (0, n), 1.0), vals, seen
+        return ul.ComplexSeq(fn, (0, n)), vals, seen
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_spectral_evaluates_one_period(self, k):
