@@ -24,9 +24,9 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import GeneratorSpecError
-from .generators import _exact_term_frac, named_character
+from .generators import named_character
 from .nilmanifold import HeisElem, HeisPoint, orbit_points
-from .seq_core import ComplexSeq, _e, _frac, _samples
+from .seq_core import ComplexSeq, _e, _exact_term_frac, _frac, _samples
 
 RotationPoint = float
 SkewPoint = Tuple[float, float]

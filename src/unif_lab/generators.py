@@ -25,7 +25,8 @@ from .errors import DuplicateFrequencyError, GeneratorSpecError
 from .nilmanifold import (IDENTITY_POINT, HeisElem, HeisPoint, PointFunction,
                           character_ex, character_ey, character_ez,
                           heis_reduce, nilsequence)
-from .seq_core import ComplexSeq, IntervalSpec, _e, _frac
+from .seq_core import (ComplexSeq, IntervalSpec, _e, _exact_term_frac,
+                       _frac)
 
 
 # ---------------------------------------------------------------------------
@@ -78,42 +79,6 @@ def trig_poly_seq(p: TrigPoly) -> ComplexSeq:
         return out
 
     return ComplexSeq(_eval, None)
-
-
-def _exact_term_frac(c: float, ns: np.ndarray, j: int) -> np.ndarray:
-    """frac(c * n^j) with no rounding in the product.
-
-    Writes c = m * 2^-d exactly (53-bit integer m), so that
-    frac(c * n^j) = ((m * n^j) mod 2^d) / 2^d in exact integer arithmetic.
-    A plain Horner evaluation loses ~ulp(c * n^j) before the mod, which for
-    n^2 phases at n ~ 6e4 already exceeds 1e-12; the box-correlation
-    telescoping identities are only testable at that precision with the
-    exact reduction.
-
-    For d <= 64 the residue is computed in uint64 wraparound arithmetic:
-    2^d divides 2^64, so the product mod 2^64 (negative n and m by two's
-    complement) keeps the low d bits exact.  The one rounding is the
-    correctly rounded residue -> float64 conversion, and dividing by the
-    power of two 2^d is exact, so the result is bit-identical to Python's
-    int / int.  Larger d, that is 0 < |c| < 2^-12, is out of uint64's reach
-    and falls back to a per-index big-int loop.
-    """
-    mant, exp = math.frexp(c)
-    m2 = int(mant * (1 << 53))
-    d = 53 - exp
-    if d <= 0 or m2 == 0:
-        return np.zeros(ns.shape, dtype=np.float64)  # c * n^j is an integer
-    if d > 64:
-        mod = 1 << d
-        return np.array([((m2 * (int(n) ** j)) % mod) / mod
-                         for n in np.ravel(ns)],
-                        dtype=np.float64).reshape(np.shape(ns))
-    un = np.asarray(ns, dtype=np.int64).view(np.uint64)
-    acc = np.full(un.shape, m2 % (1 << 64), dtype=np.uint64)
-    for _ in range(j):
-        acc *= un
-    acc &= np.uint64((1 << d) - 1)
-    return acc.astype(np.float64) / float(1 << d)
 
 
 def poly_phase_seq(coeffs: Sequence[float]) -> ComplexSeq:

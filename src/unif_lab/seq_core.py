@@ -16,13 +16,14 @@ Summation is deterministic: numpy's pairwise reduction over a fixed memory
 layout, indices enumerated left to right, h-grids lexicographically.  Results
 are therefore bit-stable from run to run and independent of worker counts.
 
-The primitives every later module shares live here once: the phase e(t) and
-t mod 1, the checked samples a_0 .. a_{N-1} and their Fourier grid, and the
-vertex table of the cube {0,1}^k.
+The primitives every later module shares live here once: the phase e(t),
+t mod 1 and the exact frac(c n^j), the checked samples a_0 .. a_{N-1} and
+their Fourier grid, and the vertex table of the cube {0,1}^k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -132,6 +133,42 @@ def _frac(v: np.ndarray) -> np.ndarray:
     if isinstance(f, np.ndarray):
         return np.subtract(v, f, out=f)
     return v - f
+
+
+def _exact_term_frac(c: float, ns: np.ndarray, j: int) -> np.ndarray:
+    """frac(c * n^j) with no rounding in the product.
+
+    Writes c = m * 2^-d exactly (53-bit integer m), so that
+    frac(c * n^j) = ((m * n^j) mod 2^d) / 2^d in exact integer arithmetic.
+    A plain Horner evaluation loses ~ulp(c * n^j) before the mod, which for
+    n^2 phases at n ~ 6e4 already exceeds 1e-12; the box-correlation
+    telescoping identities are only testable at that precision with the
+    exact reduction.
+
+    For d <= 64 the residue is computed in uint64 wraparound arithmetic:
+    2^d divides 2^64, so the product mod 2^64 (negative n and m by two's
+    complement) keeps the low d bits exact.  The one rounding is the
+    correctly rounded residue -> float64 conversion, and dividing by the
+    power of two 2^d is exact, so the result is bit-identical to Python's
+    int / int.  Larger d, that is 0 < |c| < 2^-12, is out of uint64's reach
+    and falls back to a per-index big-int loop.
+    """
+    mant, exp = math.frexp(c)
+    m2 = int(mant * (1 << 53))
+    d = 53 - exp
+    if d <= 0 or m2 == 0:
+        return np.zeros(ns.shape, dtype=np.float64)  # c * n^j is an integer
+    if d > 64:
+        mod = 1 << d
+        return np.array([((m2 * (int(n) ** j)) % mod) / mod
+                         for n in np.ravel(ns)],
+                        dtype=np.float64).reshape(np.shape(ns))
+    un = np.asarray(ns, dtype=np.int64).view(np.uint64)
+    acc = np.full(un.shape, m2 % (1 << 64), dtype=np.uint64)
+    for _ in range(j):
+        acc *= un
+    acc &= np.uint64((1 << d) - 1)
+    return acc.astype(np.float64) / float(1 << d)
 
 
 def _e(phase: np.ndarray) -> np.ndarray:

@@ -538,8 +538,9 @@ def u1_norm(a: ComplexSeq, interval: IntervalSpec, h: int,
 
     Kept as an independent direct loop; equality with box_norm at k = 1 is a
     cross-check, not a shared code path.  Its floor is box_norm's, scaled
-    by M = max|a|^2 over the points read, which a negative average alone
-    samples again.
+    by M = max|a|^2 over the points read, which a negative or non-finite
+    average alone samples again; a non-finite one is refused, as box_norm
+    refuses it.
     """
     base = sample_mode(a, interval.lo, interval.hi, mode)
     acc = 0.0
@@ -547,7 +548,7 @@ def u1_norm(a: ComplexSeq, interval: IntervalSpec, h: int,
         shifted = sample_mode(a, interval.lo + hh, interval.hi + hh, mode)
         acc += float(np.mean(base * np.conj(shifted)).real)
     powered = acc / h
-    if powered < 0.0:
+    if not 0.0 <= powered < math.inf:
         read = sample_mode(a, interval.lo, interval.hi + h - 1, mode)
         _require_floor(powered, read, 1, f"k=1 average {powered}")
     return max(powered, 0.0) ** 0.5
@@ -565,9 +566,11 @@ def uniformity_norm_proxy(a: ComplexSeq, search_range: IntervalSpec,
     identities are exact; the h argument is ignored in this mode.
     per_window "interval": plain truncation on [M, M+window_len) with the
     given H, reading the margin from the ambient sequence.  Either way a
-    must be valid on the whole search range.  Past _MAX_COST element
-    operations for all windows together (one window's _cube_cost times
-    their number) it raises ValueError before the first window.
+    must be valid on the whole search range, and interval windows read
+    k(H-1) past their own ends too: a must be valid up to the last start
+    plus window_len + k(H-1).  Past _MAX_COST element operations for all
+    windows together (one window's _cube_cost times their number) it
+    raises ValueError.  Each refusal comes before the first window.
     """
     if per_window not in ("cyclic", "interval"):
         raise ValueError("per_window must be 'cyclic' or 'interval'")
@@ -577,6 +580,9 @@ def uniformity_norm_proxy(a: ComplexSeq, search_range: IntervalSpec,
     if len(starts) == 0:
         raise ValueError("search range shorter than the window")
     a.require_range(search_range.lo, search_range.hi, "search range")
+    if per_window == "interval":  # the last window reads k(H-1) past it
+        end = starts[-1] + window_len + k * (h - 1)
+        a.require_range(search_range.lo, end, f"windows' span at k={k}, H={h}")
     first = (BoxParams(k, h, IntervalSpec(search_range.lo, window_len))
              if per_window == "interval"
              else _cyclic_box(k, window_len, window_len))

@@ -214,6 +214,14 @@ class TestSubcommands:
         assert obj["ok"]
         assert obj["max_abs_dev"] <= 1e-6
 
+    def test_heis_seam_point_stays_in_its_coset(self):
+        # y = -1e-20 rounds up to 1.0 under q = 1; z took x*q = 0.3 for a
+        # step y did not take, and e(z) printed e(0.3)
+        code, out, _ = run_cli(["heis", "--tau", "0,-1e-20,0", "--x0",
+                                "0.3,0,0", "--range", "1:2"])
+        assert code == 0
+        assert out.splitlines() == ["n,re,im", "1,1.0,0.0"]
+
     def test_heis_check_reference_is_exact(self):
         # the reference once rounded the O(n^2) product alpha*n(n+1)/2,
         # 1.2e-2 off at n = 1e7; max_abs_dev now measures the orbit alone

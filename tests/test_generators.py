@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import unif_lab as ul
 from unif_lab.errors import DuplicateFrequencyError, GeneratorSpecError
 from unif_lab.generators import (Add, Const, Floor, Mul, Var,
-                                 _exact_term_frac, parse_generator,
-                                 parse_genpoly_expr, parse_trig_terms)
+                                 parse_generator, parse_genpoly_expr,
+                                 parse_trig_terms)
+from unif_lab.seq_core import _exact_term_frac
 
 
 def digit_sum_parity(n: int) -> int:

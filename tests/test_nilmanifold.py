@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import unif_lab as ul
 from unif_lab import nilmanifold
 from unif_lab.generators import named_character, parse_heis_spec
-from unif_lab.nilmanifold import (_reduce_arrays, character_ex, character_ez,
-                                  orbit_points)
+from unif_lab.nilmanifold import (_lift, _reduce_arrays, character_ex,
+                                  character_ez, orbit_points)
 from unif_lab.seq_core import _cube_vertices, _e
 
 coord = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -95,6 +95,20 @@ class TestPow:
         assert elems_close(ul.heis_pow(tau, -7),
                            ul.heis_inv(ul.heis_pow(tau, 7)), tol=1e-9)
 
+    @given(coord, coord, coord, st.integers(-2 ** 63, 2 ** 63 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_lift_at_n(self, tx, ty, tz, n):
+        tau = ul.HeisElem(tx, ty, tz)
+        got = ul.heis_pow(tau, n)
+        want = _lift(tau, ul.IDENTITY_POINT, np.array([n], dtype=np.int64))
+        assert (np.array([got.x, got.y, got.z]).view(np.uint64).tolist()
+                == [c.view(np.uint64)[0] for c in want])
+
+    @pytest.mark.parametrize("n", [2 ** 63, -2 ** 63 - 1, 10 ** 30])
+    def test_refuses_n_outside_int64(self, n):
+        with pytest.raises(ValueError, match="outside int64"):
+            ul.heis_pow(ul.HeisElem(0.1, 0.2, 0.3), n)
+
 
 class TestReduce:
     def test_worked_example(self):
@@ -122,6 +136,19 @@ class TestReduce:
         point, used = ul.heis_reduce(ul.HeisElem(*g))
         assert (point.x, point.y, point.z) == want
         assert used == lattice
+
+    @given(coord, st.one_of(coord, st.floats(-2.0 ** -53, 0.0)), coord)
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_array_reduction_at_one_point(self, x, y, z):
+        # negative y below 2^-53 in size lands on the seam
+        g = ul.HeisElem(x, y, z)
+        point, (p, q, r) = ul.heis_reduce(g)
+        got = np.array([point.x, point.y, point.z]).view(np.uint64).tolist()
+        one = [np.array([c]) for c in (x, y, z)]
+        for want in (_reduce_arrays(*one), ref_reduce_arrays(*one)):
+            assert got == [c.view(np.uint64)[0] for c in want]
+        gamma = ul.HeisElem(float(p), float(q), float(r))
+        assert elems_close(ul.heis_mul(g, gamma), point.lift(), tol=1e-9)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
@@ -153,10 +180,13 @@ class TestReduce:
 
 
 def ref_reduce_arrays(x, y, z):
-    """_reduce_arrays as it was written with np.remainder (% 1.0)."""
+    """_reduce_arrays as it was written with np.remainder (% 1.0), and q one
+    less where y + q rounds up to 1.0, so that z moves with y's step."""
     q = -np.floor(y)
+    y = y + q
+    q = q - (y == 1.0)
     z = z + x * q
-    y = (y + q) % 1.0
+    y = y % 1.0
     x = (x - np.floor(x)) % 1.0
     z = (z - np.floor(z)) % 1.0
     return x, y, z
@@ -165,7 +195,7 @@ def ref_reduce_arrays(x, y, z):
 class TestReduceArrays:
     EDGES = [-1e-20, 1e-20, -5e-324, 0.0, -0.0, 1.0, -1.0, 1 - 2.0 ** -53,
              -(1 - 2.0 ** -53), -2.0 ** 52 + 0.5, 2.0 ** 53, -1e15 - 0.25,
-             0.5, -0.5]
+             0.5, -0.5, -2.0 ** -60]
 
     def check(self, x, y, z):
         got = _reduce_arrays(x, y, z)
@@ -177,6 +207,30 @@ class TestReduceArrays:
     def test_matches_remainder_on_edges(self):
         grid = np.array(np.meshgrid(self.EDGES, self.EDGES, self.EDGES))
         self.check(*grid.reshape(3, -1))
+
+    def test_edges_agree_with_heis_reduce(self):
+        grid = np.array(np.meshgrid(self.EDGES, self.EDGES, self.EDGES))
+        got = [c.view(np.uint64) for c in _reduce_arrays(*grid.reshape(3, -1))]
+        for i, g in enumerate(grid.reshape(3, -1).T.tolist()):
+            point, _ = ul.heis_reduce(ul.HeisElem(*g))
+            bits = np.array([point.x, point.y, point.z]).view(np.uint64)
+            assert bits.tolist() == [c[i] for c in got], g
+
+    def test_inputs_are_not_written(self):
+        rng = np.random.default_rng(11)
+        xyz = [np.concatenate([[-1e-20, 1.0, -0.5], 1e3 * v])
+               for v in rng.standard_normal((3, 1000))]
+        before = [c.copy() for c in xyz]
+        _reduce_arrays(*xyz)
+        for c, b in zip(xyz, before):
+            assert c.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+
+    def test_seam_keeps_the_orbit_in_its_coset(self):
+        # y = -1e-20 after one step: y + q rounds up to 1.0, and z must not
+        # take x*q for the step y did not take
+        got = orbit_points(ul.HeisElem(0.0, -1e-20, 0.0),
+                           ul.HeisPoint(0.3, 0.0, 0.0), np.array([1]))
+        assert [c[0] for c in got] == [0.3, 0.0, 0.0]
 
     @pytest.mark.parametrize("scale", [1.0, 1e3, 1e9, 1e15])
     def test_matches_remainder_on_random_points(self, scale):

@@ -423,6 +423,13 @@ class TestNegativityContract:
         with pytest.raises(NegativityViolation, match="not finite"):
             ul.box_norm(ul.from_samples(vals), p, path=path)
 
+    def test_u1_norm_refuses_a_non_finite_average(self):
+        # NaN < 0.0 is false, so a NaN average once passed the floor test
+        vals = np.ones(64, dtype=np.complex128)
+        vals[5] = np.nan
+        with pytest.raises(NegativityViolation, match="not finite"):
+            ul.u1_norm(ul.from_samples(vals), ul.IntervalSpec(0, 32), 4)
+
     def test_floor_is_relative_to_the_samples(self):
         # exp:0.1's average at k = 1, H = 8 is -0.140; scaled by 1e-5 it is
         # -1.4e-11, which an absolute floor of -1e-9 clamped to 0.  Scaled
@@ -712,6 +719,20 @@ class TestProxy:
                 3, 512, ul.IntervalSpec(0, 512), ul.cyclic(512)))
         assert (rep.value.hex(), rep.powered.hex(), rep.h_tail.hex()) == \
             (fresh.value.hex(), fresh.powered.hex(), fresh.h_tail.hex())
+
+    def test_interval_span_refused_before_the_first_window(self, monkeypatch):
+        # the last of 29 windows starts at 1792 and reads to
+        # 1792 + 256 + 2 * 7 = 2062, past the samples' 2048
+        a = ul.from_samples(ul.rademacher_seq(1).sample(0, 2048))
+        calls = []
+        monkeypatch.setattr(uniformity, "box_norm",
+                            lambda *args, **kwargs: calls.append(1))
+        with pytest.raises(SequenceRangeError,
+                           match=r"windows' span at k=2, H=8 needs "
+                                 r"indices \[0, 2062\)"):
+            ul.uniformity_norm_proxy(a, ul.IntervalSpec(0, 2048), 256, 64,
+                                     2, 8, per_window="interval")
+        assert calls == []
 
 
 class TestReports:
