@@ -21,18 +21,16 @@ Computation paths, all agreeing to better than 1e-9:
   fast      one cube recursion over 2^k per-vertex arrays (_cube_sum),
             entered only through _cube_average, that differences the last
             coordinate down to a mean-centered prefix-sum sliding window,
-            with its products and prefix in buffers made once per chunk and
-            reused for every shift.  Box averages need only the n-sum,
-            which the base takes from two dot products on the centred
-            prefix, with no window or per-n array.  Every call conjugates
-            its shifted operands once per chunk, not once per window, so
-            a merge is one product.  The dual function keeps the per-n
-            window and passes None, the constant 1, at the base vertex,
-            which merges as the shifted conjugate itself, with no
-            product.  For symmetric operands (one array per |eps|: box
-            norms, the dual function) c_h is invariant under permuting h,
-            so at every k it walks only sorted outer shifts,
-            O(C(H+k-2, k-1) * |I|), and reads the shell below off that walk;
+            which its k = 2 level runs in its own shift loop, with no call
+            per window, in buffers made once per chunk.  Box averages need
+            only the n-sum, which the base takes from two dot products on
+            the centred prefix.  Every call conjugates its shifted operands
+            once per chunk, so a merge is one product.  The dual function
+            keeps the per-n window and passes None, the constant 1, at the
+            base vertex, which merges as the shifted conjugate itself.  For
+            symmetric operands (one array per |eps|: box norms, the dual
+            function) c_h is invariant under permuting h, so it walks only
+            sorted outer shifts, O(C(H+k-2, k-1) * |I|);
             only csg_check's 2^k mixed operands walk the full grid,
             O(H^(k-1) * |I|).  _cube_average tests the operands for
             symmetry once, then runs the n-range in near-equal chunks of at
@@ -47,12 +45,13 @@ Computation paths, all agreeing to better than 1e-9:
 
 Every path but spectral also returns, from the same pass, the average of
 c_h over the outermost shell max(h) = H-1: the h_tail diagnostic that every
-box norm reports, csg_check's included.  On the fast path every symmetric
-n-summed walk reads it off: the windows whose largest outer shift is H-1
-plus, by the same permutation symmetry, a share of the h_1 < H-1 part of
-those holding H-1 once, so only those take an extra dot product (one at
-k = 2, H-1 at k = 3); it agrees with the full grid's shell sum to a few
-parts in 1e15 (_cube_sum).
+box norm reports, csg_check's included.  On the fast path the k = 2 loop
+of a symmetric n-summed walk reads it off its last window, h_2 = H-1, plus,
+by the same permutation symmetry, a share of that window's h_1 < H-1 part
+when H-1 occurs once in its outer shifts, so only those take an extra dot
+product (one at k = 2, H-1 at k = 3); it agrees with the full grid's shell
+sum to a few parts in 1e15 (_cube_sum).  fast skips the shell where nobody
+reads it: box_powered_signed, and cyclic H = N, where h_tail is 0.
 Box averages, csg_check's mixed pairing and the dual function sample
 through _operand_array alone, once per sequence: csg_check's norms and
 dual_pairing's base read the arrays already sampled.  It first raises
@@ -199,20 +198,20 @@ def _cube_sum(xs: List[Optional[np.ndarray]],
 
     Vertex m holds eps with eps_{i+1} = bit i of m.  Recursion on the last
     cube coordinate: at shift h_k, vertex v and v + 2^(k-1) merge into
-    xs[v] * conj(shift_{h_k} xs[v + 2^(k-1)]), a (k-1)-cube; at k = 1 the
-    h sum is a sliding window.  Pairs of the same two arrays (by identity)
-    are multiplied once, so a single sequence costs one product per shift.
+    xs[v] * conj(shift_{h_k} xs[v + 2^(k-1)]), a (k-1)-cube.  Pairs of the
+    same two arrays (by identity) are multiplied once, so a single sequence
+    costs one product per shift.  The k = 2 level, the last merge of every
+    walk, runs the base (a sliding window of the merged pair) in its own
+    shift loop; a k = 1 call is the base's one window.
 
     cs[m] is conj(xs[m]) or None; at k >= 2 every shifted vertex
     m >= 2^(k-1) has one, so a merge is the one product
     cs[v + 2^(k-1)][h_k:] * xs[v].  xs[0] may be None, the constant 1 (the
-    dual function): its merge is the view cs[2^(k-1)][h_k:] itself, with
-    no buffer and no product, and at k = 1 the per-n base skips its
-    multiply, while the n-summed base needs an array there.  At k >= 3 each
-    merged product whose lower vertex v has cs[v] also gets its own
-    conjugate, xs[v + 2^(k-1)][h_k:] * cs[v], which is conj of the merge
-    bit for bit (rounding commutes with negation): the cs of the level
-    below, where it is shifted.
+    dual function): its merge is the view cs[2^(k-1)][h_k:] itself, and at
+    k = 1 the per-n base skips its multiply; the n-summed base needs an
+    array there.  At k >= 3 a merge whose lower vertex v has cs[v] also
+    gets its conjugate, xs[v + 2^(k-1)][h_k:] * cs[v], bit for bit (rounding
+    commutes with negation): the cs of the level below.
 
     `acc` is either an out_len-point array, which gains every acc[n] (the
     dual function), or a one-element list, which gains only their n-sum
@@ -223,101 +222,95 @@ def _cube_sum(xs: List[Optional[np.ndarray]],
                                    + conj(H mu) * sum_{n<L} x0[n],
     with L = out_len, and the last sum is p[L-1] + L mu when x0 is x1.
 
-    Symmetric operands (one array per popcount |eps|: box averages and the
-    dual function) give a c_h that a permutation of the h coordinates
-    leaves unchanged.  The walk then visits only the sorted outer shifts
-    h_k <= ... <= h_2 and weights each by its number of orderings,
+    For symmetric operands (one array per popcount |eps|) c_h is invariant
+    under permuting h, so the walk visits only the sorted outer shifts
+    h_k <= ... <= h_2, each weighted by its number of orderings,
     mult = (k-1)!/prod r_i! for runs of r_i equal values: C(H+k-2, k-1)
-    windows in place of H^(k-1), which at k <= 2 is the same loop with
-    every weight 1.  `walk` carries (least next shift, shifts chosen, their
-    multiplicity, length of the last run) down the recursion, from
-    (0, 0, 1, 0) at the top; it is None for mixed operands (csg_check),
-    which walk the full grid.
+    windows, not H^(k-1) (the same at k <= 2).  `walk` carries (least
+    next shift, shifts chosen, their multiplicity, length of the last run)
+    from (0, 0, 1, 0) at the top to the k = 2 loop, which keeps each
+    window's weight and run itself; it is None for mixed operands
+    (csg_check), which walk the full grid.
 
     A one-element `shell` list also gains the n-sum of c_h over the shell
-    max(h) = H-1, read off the walk: _cube_average passes one for every
-    symmetric n-summed call and None for mixed operands and per-n calls,
-    and acc gains the same bits either way.  At k = 1 it is the edge term
-    E = c_{H-1} of the one window.  At k >= 2 it is
-      sum over windows with h_2 = H-1 of mult * B
-      + sum over those where H-1 occurs once of mult/(k-1) * (B - E):
-    by the permutation symmetry, the h_1 = H-1 terms of the windows below
-    the shell add up to the h_1 < H-1 part of the windows holding H-1
-    once.  So only those windows, one at k = 2 and H-1 at k = 3, take the
-    edge dot product E = vdot(x1[H-1:H-1+L], x0).
+    max(h) = H-1 (None: not summed; acc gains the same bits either way).
+    At k = 1 it is the edge term E = vdot(x1[H-1:H-1+L], x0).  At k >= 2
+    the k = 2 loop's last window, h_2 = H-1, adds mult * B, and when H-1
+    occurs once in its outer shifts also mult/(k-1) * (B - E): by the
+    permutation symmetry, the h_1 = H-1 terms of the windows below the
+    shell add up to the h_1 < H-1 part of the windows holding H-1 once.
+    So only those windows, one at k = 2 and H-1 at k = 3, take E.
 
     The merged products, their conjugates, the prefix and (per-n) the
-    window are written into the buffers of `ws`, keyed by level: made on
-    the first shift of a pass and reused for every later shift.  The
-    arithmetic is the same, in the same order, as with a fresh array per
-    shift.  _cube_average hands each chunk of at most _BLOCK output points
-    a fresh ws, so these buffers are O(_BLOCK) long.
+    window go into buffers of `ws`, keyed by level (the base's by 1), made
+    once per chunk (of at most _BLOCK points): the same arithmetic, in the
+    same order, as fresh arrays.
     """
-    if k == 1:
-        mult = 1 if walk is None else walk[2]
-        if isinstance(acc, np.ndarray):  # per-n: the window itself
-            if 1 not in ws:  # [prefix scratch, window]
-                ws[1] = [np.empty(len(xs[1]), dtype=np.complex128),
-                         np.empty(out_len, dtype=np.complex128)]
-            scratch, w = ws[1]
-            _sliding_sums(xs[1], h, out_len, out=w, scratch=scratch)
-            np.conj(w, out=w)
-            if xs[0] is not None:  # None is the constant 1
-                w *= xs[0][:out_len]
-            if mult != 1:
-                w *= mult
-            acc += w
-            return
-        x0, x1 = xs[0][:out_len], xs[1]
-        if 1 not in ws:  # [prefix scratch]
-            ws[1] = [np.empty(len(x1), dtype=np.complex128)]
-        p, mu = _centred_prefix(x1, ws[1][0])
-        s0 = (p[out_len - 1] + out_len * mu if xs[0] is x1
-              else np.add.reduce(x0))
-        base = (np.vdot(p[h - 1:h - 1 + out_len], x0)
-                - np.vdot(p[:out_len - 1], x0[1:])
-                + np.conj(h * mu) * s0)
-        total = base if mult == 1 else mult * base
-        acc[0] += total
-        if shell is None or (walk[1] and walk[0] != h - 1):
-            return
-        if not walk[1]:  # k = 1: the edge term alone
-            shell[0] += np.vdot(x1[h - 1:h - 1 + out_len], x0)
-            return
-        shell[0] += total
-        if walk[3] == 1 and h > 1:  # H-1 once: the share of the edges below
-            share = mult // walk[1]
-            rest = base - np.vdot(x1[h - 1:h - 1 + out_len], x0)
-            shell[0] += rest if share == 1 else share * rest
-        return
-    half = 1 << (k - 1)
-    m = out_len + (k - 1) * (h - 1)
-    pairs: dict = {}  # (id, id) of a vertex pair -> its first vertex
-    rep = [pairs.setdefault((id(xs[v]), id(xs[v + half])), v)
-           for v in range(half)]
-    if k not in ws:  # per distinct vertex pair: the merge and its conjugate
-        ws[k] = ({v: np.empty(m, dtype=np.complex128) for v in pairs.values()
-                  if xs[v] is not None},
-                 {v: np.empty(m, dtype=np.complex128) for v in pairs.values()
-                  if k > 2 and cs[v] is not None})
-    merged, conj_merged = ws[k]
-    below = [merged.get(r) for r in rep]
-    below_cs = [conj_merged.get(r) for r in rep]
-    if walk is None:
-        lo, inner = 0, None
+    lo, chosen, mult, run = walk or (0, 0, 1, 0)
+    conj, multiply, vdot = np.conj, np.multiply, np.vdot
+    if k == 1:  # a top-level call: one window, on the operands themselves
+        shifts, merges, below = (0,), [], xs
     else:
-        lo, chosen, mult, run = walk
-    for hh in range(lo, h):
-        if walk is not None:  # hh joins the sorted outer tuple
-            r = run + 1 if hh == lo else 1
-            inner = (hh, chosen + 1, mult * (chosen + 1) // r, r)
-        for v, buf in merged.items():
-            np.multiply(cs[v + half][hh:hh + m], xs[v][:m], out=buf)
-        for v, buf in conj_merged.items():
-            np.multiply(xs[v + half][hh:hh + m], cs[v][:m], out=buf)
-        if xs[0] is None:  # the constant 1 times the shifted conjugate
+        half, shifts = 1 << (k - 1), range(lo, h)
+        m = out_len + (k - 1) * (h - 1)
+        pairs: dict = {}  # (id, id) of a vertex pair -> its first vertex
+        rep = [pairs.setdefault((id(xs[v]), id(xs[v + half])), v)
+               for v in range(half)]
+        if k not in ws:  # per distinct vertex pair: the merge, its conjugate
+            ws[k] = ({v: np.empty(m, dtype=np.complex128)
+                      for v in pairs.values() if xs[v] is not None},
+                     {v: np.empty(m, dtype=np.complex128)
+                      for v in pairs.values() if k > 2 and cs[v] is not None})
+        merged, conj_merged = ws[k]
+        below, below_cs = ([d.get(r) for r in rep] for d in ws[k])
+        # (buffer, shifted, lower) of each product: merges, then conjugates
+        merges = ([(buf, cs[v + half], xs[v][:m]) for v, buf in merged.items()]
+                  + [(buf, xs[v + half], cs[v][:m])
+                     for v, buf in conj_merged.items()])
+    x1, per_n = below[1], isinstance(acc, np.ndarray)
+    view = k > 1 and xs[0] is None  # the constant 1 merges as a view
+    if k <= 2 and 1 not in ws:  # [prefix scratch, window (per-n)]
+        ws[1] = [np.empty(len(x1), dtype=np.complex128),
+                 np.empty(out_len, dtype=np.complex128) if per_n else None]
+    scratch, w = ws.get(1, (None, None))
+    same = below[0] is x1
+    x0 = None if below[0] is None else below[0][:out_len]
+    for hh in shifts:
+        r = run + 1 if hh == lo else 1  # hh's run in the sorted outer tuple
+        weight = mult * (chosen + 1) // r
+        for buf, shifted, lower in merges:
+            multiply(shifted[hh:hh + m], lower, out=buf)
+        if view:  # the constant 1 times the shifted conjugate
             below[0] = cs[half][hh:hh + m]
-        _cube_sum(below, below_cs, k - 1, h, out_len, acc, shell, ws, inner)
+            x0 = below[0][:out_len]
+        if k > 2:
+            _cube_sum(below, below_cs, k - 1, h, out_len, acc, shell, ws,
+                      walk and (hh, chosen + 1, weight, r))
+        elif per_n:  # the window itself
+            _sliding_sums(x1, h, out_len, out=w, scratch=scratch)
+            conj(w, out=w)
+            if x0 is not None:  # None is the constant 1
+                w *= x0
+            if weight != 1:
+                w *= weight
+            acc += w
+        else:  # its n-sum, from the centred prefix
+            p, mu = _centred_prefix(x1, scratch)
+            s0 = p[out_len - 1] + out_len * mu if same else np.add.reduce(x0)
+            base = (vdot(p[h - 1:h - 1 + out_len], x0)
+                    - vdot(p[:out_len - 1], x0[1:]) + conj(h * mu) * s0)
+            total = base if weight == 1 else weight * base
+            acc[0] += total
+    if shell is None or k > 2:
+        return
+    if k == 1:  # the edge term alone
+        shell[0] += vdot(x1[h - 1:h - 1 + out_len], x0)
+        return
+    shell[0] += total  # the last window, h_2 = H-1
+    if r == 1 and h > 1:  # H-1 once: the share of the edges below
+        share = weight // (chosen + 1)
+        rest = base - vdot(x1[h - 1:h - 1 + out_len], x0)
+        shell[0] += rest if share == 1 else share * rest
 
 
 def _fsum(zs: List[complex]) -> complex:
@@ -326,33 +319,31 @@ def _fsum(zs: List[complex]) -> complex:
 
 
 def _cube_average(xs: List[Optional[np.ndarray]], k: int, h: int, out_len: int,
-                  *, per_n: bool = False
+                  *, per_n: bool = False, tail: bool = True
                   ) -> Union[Tuple[complex, complex], np.ndarray]:
     """(1/H^k) sum_h c_h with vertex m reading xs[m], and the average of c_h
-    over the shell max(h) = H-1 (0 for mixed operands); with per_n, the
-    out_len-point array of the per-n sums over H^k (the dual function)
-    instead.  The one entry into the cube kernel (_cube_sum).
+    over the shell max(h) = H-1 (0 for mixed operands, or without tail);
+    with per_n, the out_len-point array of the per-n sums over H^k (the
+    dual function) instead.  The one entry into the cube kernel (_cube_sum).
 
     The operand list is tested for symmetry (one array per popcount, by
     identity) once per call; symmetric lists take the sorted walk, and an
-    n-summed one also reads the shell off it, the only walk that has one.
+    n-summed one also reads the shell off it, the only walk that has one,
+    unless tail is False, which leaves S_H's bits as they are.
     The n-range then runs in near-equal chunks of at most _BLOCK points, so
     each pass's workspace stays in cache: acc[n] reads only
     xs[m][n : n + k*(H-1) + 1], so a chunk runs the recursion on views
-    covering itself plus that margin, one view per distinct operand (pair
-    merging and the walk test operands by identity), with a fresh
-    workspace, adding into its slice of the per-n array (or, n-summed, into
-    a sum and a shell of its own).  Each chunk also conjugates each
-    distinct operand at a vertex m >= 2 (those some level shifts: every
-    one that is shifted, and at k >= 3 the lower vertices whose merges the
-    level below shifts) into a buffer made once per call, and passes
-    these as _cube_sum's cs.  xs[0] may be None, the constant 1, in a
-    per-n call (the dual function); it has no view.  Operands hold
-    exactly out_len + k*(H-1) points, so at out_len <= _BLOCK the one
-    chunk's views are the whole arrays; past it, each chunk's windows
-    centre on the chunk's own mean and the sum runs chunk by chunk, which
-    moves the last bits.  The n-summed total and the shell are the exact
-    sums (math.fsum) of the chunks' own sums.
+    covering itself plus that margin, one per distinct operand (by
+    identity), with a fresh workspace, adding into its slice of the per-n
+    array (or, n-summed, into a sum and a shell of its own).  Each chunk
+    also conjugates each distinct operand at a vertex m >= 2 (those some
+    level shifts) into a buffer made once per call: _cube_sum's cs.
+    xs[0] may be None, the constant 1, in a per-n call (the dual
+    function); it has no view.  Operands hold exactly out_len + k*(H-1)
+    points, so at out_len <= _BLOCK the one chunk's views are the whole
+    arrays; past it, each chunk's windows centre on the chunk's own mean,
+    which moves the last bits.  The n-summed total and the shell are the
+    exact sums (math.fsum) of the chunks' own sums.
     """
     by_weight: dict = {}  # popcount -> the first array seen with it
     walk = ((0, 0, 1, 0) if all(by_weight.setdefault(m.bit_count(), x) is x
@@ -372,14 +363,13 @@ def _cube_average(xs: List[Optional[np.ndarray]], k: int, h: int, out_len: int,
         conjs = {i: np.conj(views[i], out=buf[:hi - lo + margin])
                  for i, buf in conj_bufs.items()}
         part = acc[lo:hi] if per_n else [0j]
-        shell = None if per_n or walk is None else [0j]
+        shell = None if per_n or walk is None or not tail else [0j]
         _cube_sum([views.get(id(x)) for x in xs],
                   [conjs.get(id(x)) for x in xs], k, h, hi - lo, part, shell,
                   {}, walk)
         if not per_n:
             sums.append(part[0])
-        if shell is not None:
-            shells.append(shell[0])
+        shells += shell or []
     if per_n:
         acc /= h ** k
         return acc
@@ -389,8 +379,8 @@ def _cube_average(xs: List[Optional[np.ndarray]], k: int, h: int, out_len: int,
     # e(alpha n^4)'s at k = 4, H = 8, this 2.8e-15.  The 0j start keeps the
     # printed signed zeros.
     total = 0j + _fsum(sums)
-    tail = _fsum(shells) / (out_len * (h ** k - (h - 1) ** k))
-    return total / out_len / h ** k, tail
+    return (total / out_len / h ** k,
+            _fsum(shells) / (out_len * (h ** k - (h - 1) ** k)))
 
 
 def _powered_direct(x: np.ndarray, k: int, h: int,
@@ -439,16 +429,17 @@ def _resolve_path(path: str, p: BoxParams) -> str:
     return path
 
 
-def _powered_array(x: np.ndarray, p: BoxParams,
-                   path: str) -> Tuple[complex, complex]:
-    """(S_H, outermost-shell average; 0 on spectral) in one pass over
-    operand samples x, on a path that _resolve_path returned.  x starts at
-    I.lo and covers what the path reads; spectral reads the period x[:N]."""
+def _powered_array(x: np.ndarray, p: BoxParams, path: str,
+                   tail: bool = True) -> Tuple[complex, complex]:
+    """(S_H, outermost-shell average; 0 on spectral, or on fast without
+    tail) in one pass over operand samples x, on a path that _resolve_path
+    returned.  x starts at I.lo and covers what the path reads; spectral
+    reads the period x[:N]."""
     out_len = p.interval.length
     if path == "spectral":
         return _powered_spectral(x[:out_len], p.k), 0j
     if path == "fast":
-        return _cube_average([x] * (1 << p.k), p.k, p.H, out_len)
+        return _cube_average([x] * (1 << p.k), p.k, p.H, out_len, tail=tail)
     return _powered_direct(x, p.k, p.H, out_len)
 
 
@@ -495,15 +486,15 @@ def _norm_report(x: np.ndarray, p: BoxParams, path: str) -> NormReport:
     """The box norm of operand samples x (_powered_array's) and its h_tail,
     |average of c_h over the shell max(h) = H-1|.  h_tail is 0 at H = N in
     cyclic mode, where the average runs over the whole group and there is
-    no truncation remainder.  A negative S_H is clamped to 0 unless
-    _require_floor refuses it."""
-    s_h, shell = _powered_array(x, p, path)
+    no truncation remainder, so fast skips its shell there.  A negative
+    S_H is clamped to 0 unless _require_floor refuses it."""
+    full_group = p.mode.is_cyclic and p.H == p.mode.modulus
+    s_h, shell = _powered_array(x, p, path, tail=not full_group)
     raw = s_h.real
     if not 0.0 <= raw < math.inf:
         _require_floor(raw, x, p.k, f"box average {raw} (k={p.k}, H={p.H}, "
                                     f"{p.mode.describe()})")
     powered = max(raw, 0.0)
-    full_group = p.mode.is_cyclic and p.H == p.mode.modulus
     return NormReport(powered ** (1.0 / (1 << p.k)), powered, p,
                       0.0 if full_group else abs(shell), path)
 
@@ -527,9 +518,11 @@ def box_powered_signed(a: ComplexSeq, p: BoxParams, path: str = "auto") -> float
     H a structured factor (a pure exponential, say) can push a single k-level
     average well below zero while the k+1 aggregate stays nonnegative, so
     identity checks need the signed quantity that box_norm refuses to expose.
+    It sums no shell; S_H keeps its bits.
     """
     path = _resolve_path(path, p)
-    return _powered_array(_operand_array(a, p, path), p, path)[0].real
+    return _powered_array(_operand_array(a, p, path), p, path,
+                          tail=False)[0].real
 
 
 def u1_norm(a: ComplexSeq, interval: IntervalSpec, h: int,

@@ -1167,6 +1167,19 @@ class TestKernelMemory:
 
 
 BLOCK_TEST = 64  # uniformity._BLOCK in TestKernelBlocks, so chunks stay cheap
+
+
+def vdot_count(fn):
+    """(fn(), the number of np.vdot calls it made)."""
+    vdots, vdot = [], np.vdot
+
+    def counted(u, v):
+        vdots.append(1)
+        return vdot(u, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uniformity.np, "vdot", counted)
+        return fn(), len(vdots)
 BLOCK_LENS = (BLOCK_TEST - 1, BLOCK_TEST, BLOCK_TEST + 1, 3 * BLOCK_TEST + 17)
 
 
@@ -1447,6 +1460,83 @@ class TestKernelPasses:
         want = reference_kernel(lambda: uniformity._cube_average(
             xs, k, h, out_len, per_n=True))
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("out_len", [9, 3 * BLOCK_TEST + 17],
+                             ids=["one-chunk", "four-chunks"])
+    @pytest.mark.parametrize("per_n", [False, True], ids=["summed", "per-n"])
+    @pytest.mark.parametrize("pattern", OPERAND_PATTERNS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_cube_sum_calls(self, k, pattern, per_n, out_len):
+        """The k = 2 level runs its windows' base in its own loop, with no
+        _cube_sum call per window: one call per chunk at the top, and one
+        per run of each level below it down to k = 2, that is once per
+        outer tuple of the shifts chosen above that level.  The base still
+        runs once per window: C(H+k-2, k-1) sorted windows per chunk for
+        symmetric operands, H^(k-1) for mixed ones."""
+        h = 4
+        xs = cube_operands(pattern, k, h, out_len, False, seed=k + h)
+        if not per_n:
+            xs = summed_operands(xs)
+        mixed = pattern == "distinct" and k > 1
+        base_name = "_sliding_sums" if per_n else "_centred_prefix"
+        cube_sum, base = uniformity._cube_sum, getattr(uniformity, base_name)
+        levels, bases = [], []
+
+        def counted_sum(*args):
+            levels.append(args[2])  # the call's k
+            return cube_sum(*args)
+
+        def counted_base(*args, **kwargs):
+            bases.append(1)
+            return base(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(uniformity, "_cube_sum", counted_sum)
+            mp.setattr(uniformity, base_name, counted_base)
+            uniformity._cube_average(xs, k, h, out_len, per_n=per_n)
+
+        def runs(j):  # the outer tuples of the k - j shifts above level j
+            return h ** (k - j) if mixed else math.comb(h + k - j - 1, k - j)
+
+        chunks = -(-out_len // BLOCK_TEST)
+        assert Counter(levels) == {j: chunks * runs(j)
+                                   for j in range(min(k, 2), k + 1)}
+        assert len(bases) == chunks * runs(1)
+
+    @pytest.mark.parametrize("out_len", [9, 3 * BLOCK_TEST + 17],
+                             ids=["one-chunk", "four-chunks"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_signed_average_sums_no_shell(self, k, out_len):
+        """box_powered_signed, whose callers read no h_tail, takes two dot
+        products per window per chunk and no edge term, and gets the bits
+        of the same S_H with the shell summed."""
+        h, span = 5, 3 + out_len + k * 4
+        rng = np.random.default_rng(k)
+        a = ul.from_samples(rng.standard_normal(span)
+                            + 1j * rng.standard_normal(span))
+        p = ul.BoxParams(k, h, ul.IntervalSpec(3, out_len))
+        got, vdots = vdot_count(lambda: ul.box_powered_signed(a, p, "fast"))
+        chunks = -(-out_len // BLOCK_TEST)
+        assert vdots == chunks * 2 * math.comb(h + k - 2, k - 1)
+        x = uniformity._operand_array(a, p)
+        with_shell = uniformity._powered_array(x, p, "fast")
+        assert with_shell[1] != 0
+        assert repr(got) == repr(with_shell[0].real)
+
+    @pytest.mark.parametrize("k, n", [(1, 9), (2, 9), (3, 9),
+                                      (2, 3 * BLOCK_TEST + 17)])
+    def test_full_group_sums_no_shell(self, k, n):
+        """At cyclic H = N the h average runs over the whole group: fast
+        sums no shell there (two dot products per window per chunk) and
+        h_tail stays 0.0."""
+        p = ul.BoxParams(k, n, ul.IntervalSpec(0, n), ul.cyclic(n))
+        a = ul.rademacher_seq(k + n)
+        rep, vdots = vdot_count(lambda: ul.box_norm(a, p, path="fast"))
+        chunks = -(-n // BLOCK_TEST)
+        assert vdots == chunks * 2 * math.comb(n + k - 2, k - 1)
+        assert rep.h_tail == 0.0 and rep.path == "fast"
+        direct = ul.box_norm(a, p, path="direct")
+        assert abs(rep.powered - direct.powered) <= 1e-12
 
 
 class TestBlockedWorkspace:
