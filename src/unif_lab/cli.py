@@ -6,7 +6,10 @@ byte-identical output.  verify and bench draw from --seed alone (default
 ignores it.  Timing lines (bench) go to stderr so stdout stays
 reproducible.  A subcommand takes --json or --csv only where the flag picks
 or names the format it prints (gen and dual pick, heis names its mode's),
-and never both; the other format's flag is a usage error.  A flag the
+and never both; the other format's flag is a usage error.  A CSV cell is
+the bytes of repr of its value, from csvtext's vectorised Schubfach
+(shortest round-trip digits), whose power-of-ten table the first CSV call
+builds; import and build_parser leave it unbuilt.  A flag the
 subcommand does not take is refused by that subcommand's parser, whose
 usage and error lines name it; a flag placed before the subcommand's name,
 by the top-level parser.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -33,7 +37,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from . import duality, ergodic_weights, generators, nilmanifold, uniformity
+from . import (csvtext, duality, ergodic_weights, generators, nilmanifold,
+               uniformity)
 from .errors import (GeneratorSpecError, NegativityViolation,
                      SupBoundViolation, UnifLabError)
 from .generators import _parse_int, _parse_list, _parse_number
@@ -46,9 +51,10 @@ CONTRACT_EXIT = 3
 VERIFY_EXIT = 4
 # a larger --trials or --grid step count would run for days (or forever)
 _MAX_COUNT = 10 ** 6
-# CSV rows formatted per write: keeps the text held at once small without
-# paying a write call per row
-_CSV_BLOCK = 4096
+# CSV rows formatted per write: keeps the text and the formatter's arrays
+# held at once small without paying a write call per row, or numpy's
+# per-call cost on short arrays
+_CSV_BLOCK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -147,22 +153,17 @@ def _emit_json(args, obj) -> None:
 
 
 def _emit_csv(args, header: Sequence[str], *columns: np.ndarray) -> None:
-    """Equal-length numeric columns as CSV rows, each cell its repr.
+    """Equal-length int64 or float64 columns as CSV rows, each cell its repr.
 
     Every column is checked finite before anything is written, so a
     contract violation leaves the output empty.  Rows are then formatted
-    and written _CSV_BLOCK at a time.
+    and written _CSV_BLOCK at a time by csvtext.rows, whose float cells are
+    repr's shortest round-trip digits from a vectorised Schubfach; its
+    power-of-ten table is built on the first CSV call, not at import.
     """
     _require_finite("output value", *columns)
-
-    def blocks():
-        yield ",".join(header) + "\n"
-        for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            cells = [map(repr, col[lo:lo + _CSV_BLOCK].tolist())
-                     for col in columns]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
-
-    _emit(args, blocks())
+    _emit(args, itertools.chain([",".join(header) + "\n"],
+                                csvtext.rows(columns, _CSV_BLOCK)))
 
 
 def _require_format(args, printed: str, what: str) -> None:

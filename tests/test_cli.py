@@ -1,5 +1,6 @@
 """CLI surface: grammar, output shapes, exit codes, reproducibility."""
 
+import argparse
 import cmath
 import io
 import json
@@ -867,6 +868,33 @@ class TestCsvBytes:
         code, out, _ = run_cli(argv + ["--out", str(path)])
         assert code == 0
         assert out == ""
+        assert path.read_bytes() == want.encode()
+
+    # one value of each layout: zeros, subnormals (the first two take the
+    # formatter's scaled step), exponent form both ways, fixed notation at
+    # both of its ends, integral floats
+    LAYOUTS = [-0.0, 5e-324, -1e-323, 1.5e-323, 2.2250738585072009e-308,
+               -9.999999999999999e-05, 0.0001, 1e-300, -1.7976931348623157e308,
+               1e16, 9999999999999998.0, -3.0, 1e15, 0.1, -123.456, 2.5e-07,
+               6.02214076e+23]
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1],
+                             ids=["1", "block-1", "block", "block+1"])
+    def test_direct_call_mixes_every_layout(self, offset, tmp_path, capsys):
+        rows = 1 if offset is None else cli._CSV_BLOCK + offset
+        ns = np.arange(-rows, 0, dtype=np.int64) * 3
+        ns[0] = -2 ** 63
+        a = np.resize(np.array(self.LAYOUTS), rows)
+        b = np.roll(np.resize(np.array(self.LAYOUTS[::-1]), rows), 5)
+        zeros = np.zeros(rows)  # as dualfn's im on rad: input
+        header = ("n", "a", "zero", "b")
+        want = _csv(header, ns.tolist(), a, zeros, b)
+        cli._emit_csv(argparse.Namespace(out=None), header, ns, a, zeros, b)
+        assert capsys.readouterr().out == want
+        path = tmp_path / "out.csv"
+        cli._emit_csv(argparse.Namespace(out=str(path)), header, ns, a,
+                      zeros, b)
+        assert capsys.readouterr().out == ""
         assert path.read_bytes() == want.encode()
 
 

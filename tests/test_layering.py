@@ -11,7 +11,7 @@ import unif_lab
 
 # each module imports only modules to its left, and only at module top
 CHAIN = ("errors", "seq_core", "nilmanifold", "generators", "uniformity",
-         "duality", "ergodic_weights", "cli")
+         "duality", "ergodic_weights", "csvtext", "cli")
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "unif_lab"
 
 
