@@ -351,7 +351,7 @@ def _cmd_heis(args) -> int:
         _require_format(args, "json", "heis --check-closed-form")
     else:
         _require_format(args, "csv", "heis")
-    seq = nilmanifold.nilsequence(tau, x0, f, rng)
+    seq = nilmanifold.nilsequence(tau, x0, f)
     ns = np.arange(rng.lo, rng.hi, dtype=np.int64)
     vals = seq.eval(ns)
     if args.check_closed_form:

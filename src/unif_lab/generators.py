@@ -5,7 +5,9 @@ phases e(p(n)), generalized (bracket) polynomials built from +, *, and the
 integer part, the Thue-Morse sequence, reproducible random signs, and the
 piecewise-exponential block sequence whose per-block behavior separates the
 local norms from any global correlation bound.  The spec-string grammar at
-the end reads all of them, Heisenberg nilsequences (heis:) included.
+the end reads all of them, Heisenberg nilsequences (heis:) included; a
+bracket expression parses straight to its numpy evaluator, with no tree in
+between.
 
 Throughout, e(t) = exp(2*pi*i*t), computed by seq_core._e.
 """
@@ -17,7 +19,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,58 +110,12 @@ def quad_phase_seq(alpha: float) -> ComplexSeq:
 # Generalized (bracket) polynomials
 # ---------------------------------------------------------------------------
 
-class GenPolyAst:
-    """Expression tree over {Const, Var, Add, Mul, Floor}."""
+def genpoly_seq(p: Callable[[np.ndarray], np.ndarray],
+                form: str = "frac") -> ComplexSeq:
+    """FracPart: a_n = {p(n)} in [0,1).  ExpPhase: a_n = e(p(n)).
 
-    def eval(self, ns: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Const(GenPolyAst):
-    value: float
-
-    def eval(self, ns: np.ndarray) -> np.ndarray:
-        return np.full(ns.shape, self.value, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class Var(GenPolyAst):
-    def eval(self, ns: np.ndarray) -> np.ndarray:
-        return ns.astype(np.float64)
-
-
-@dataclass(frozen=True)
-class Add(GenPolyAst):
-    left: GenPolyAst
-    right: GenPolyAst
-
-    def eval(self, ns: np.ndarray) -> np.ndarray:
-        return self.left.eval(ns) + self.right.eval(ns)
-
-
-@dataclass(frozen=True)
-class Mul(GenPolyAst):
-    left: GenPolyAst
-    right: GenPolyAst
-
-    def eval(self, ns: np.ndarray) -> np.ndarray:
-        return self.left.eval(ns) * self.right.eval(ns)
-
-
-@dataclass(frozen=True)
-class Floor(GenPolyAst):
-    child: GenPolyAst
-
-    def eval(self, ns: np.ndarray) -> np.ndarray:
-        # Raw double floor, no snapping near integers: a constant tuned to
-        # land on a boundary will flip with rounding, and hiding that would
-        # hide a genuine discontinuity of the bracket polynomial.
-        return np.floor(self.child.eval(ns))
-
-
-def genpoly_seq(ast: GenPolyAst, form: str = "frac") -> ComplexSeq:
-    """FracPart: a_n = {p(n)} in [0,1).  ExpPhase: a_n = e(p(n))."""
+    `p` maps int64 indices to float64 values, as parse_genpoly_expr's
+    evaluators do."""
     if form not in ("frac", "exp"):
         raise ValueError("form must be 'frac' or 'exp'")
 
@@ -167,7 +123,7 @@ def genpoly_seq(ast: GenPolyAst, form: str = "frac") -> ComplexSeq:
         # a finite expression can still overflow to inf and give a NaN frac;
         # the callers' finiteness checks reject it, so numpy stays quiet
         with np.errstate(over="ignore", invalid="ignore"):
-            frac = _frac(ast.eval(ns))
+            frac = _frac(p(ns))
             if form == "frac":
                 # {p(n)} rounds up to exactly 1.0 for a tiny negative p(n);
                 # that is 0 mod 1, and [0, 1) is the documented range
@@ -317,8 +273,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*()]))")
 
 
-# The parser and the tree it builds recurse once per nesting level and per
-# chained operator; this cap keeps both far inside Python's recursion limit.
+# The parser and the evaluator it builds recurse once per nesting level and
+# per chained operator; this cap keeps both far inside Python's recursion
+# limit.
 _MAX_TOKENS = 256
 
 
@@ -337,8 +294,11 @@ def _tokenize_expr(text: str):
     return tokens
 
 
-def parse_genpoly_expr(text: str) -> GenPolyAst:
-    """Recursive-descent parser for the bracket-polynomial expression grammar."""
+def parse_genpoly_expr(text: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Recursive-descent parser for the bracket-polynomial expression
+    grammar.  It returns the expression's evaluator, from int64 indices to
+    float64 values; each grammar rule returns a closure over the
+    evaluators of its operands."""
     tokens = _tokenize_expr(text)
     idx = 0
 
@@ -353,53 +313,68 @@ def parse_genpoly_expr(text: str) -> GenPolyAst:
         idx += 1
         return tok
 
-    def parse_factor() -> GenPolyAst:
+    def const(value: float):
+        return lambda ns: np.full(ns.shape, value, dtype=np.float64)
+
+    def add(f, g):
+        return lambda ns: f(ns) + g(ns)
+
+    def mul(f, g):
+        return lambda ns: f(ns) * g(ns)
+
+    def neg(f):
+        return lambda ns: -1.0 * f(ns)
+
+    def closed(missing: str):
+        f = parse_sum()
+        if take().group("op") != ")":
+            raise GeneratorSpecError(missing)
+        return f
+
+    def parse_factor():
         tok = take()
+        op, name = tok.group("op"), tok.group("name")
         if tok.group("num"):
-            return Const(_parse_number(tok.group("num"), "numeral"))
-        if tok.group("op") == "-":
-            return Mul(Const(-1.0), parse_factor())
-        if tok.group("op") == "(":
-            node = parse_sum()
-            closing = take()
-            if closing.group("op") != ")":
-                raise GeneratorSpecError("missing ')'")
-            return node
-        name = tok.group("name")
+            return const(_parse_number(tok.group("num"), "numeral"))
+        if op == "-":
+            return neg(parse_factor())
+        if op == "(":
+            return closed("missing ')'")
+        if op is not None:
+            raise GeneratorSpecError(f"unexpected {op!r} in expression")
         if name == "n":
-            return Var()
+            return lambda ns: ns.astype(np.float64)
         if name == "floor":
-            opener = take()
-            if opener.group("op") != "(":
+            if take().group("op") != "(":
                 raise GeneratorSpecError("floor needs '('")
-            node = parse_sum()
-            closing = take()
-            if closing.group("op") != ")":
-                raise GeneratorSpecError("missing ')' after floor")
-            return Floor(node)
+            f = closed("missing ')' after floor")
+            # Raw double floor, no snapping near integers: a constant tuned
+            # to land on a boundary will flip with rounding, and hiding that
+            # would hide a genuine discontinuity of the bracket polynomial.
+            return lambda ns: np.floor(f(ns))
         if name in _NAMED_CONSTANTS:
-            return Const(_NAMED_CONSTANTS[name])
+            return const(_NAMED_CONSTANTS[name])
         raise GeneratorSpecError(f"unknown symbol {name!r}")
 
-    def parse_term() -> GenPolyAst:
-        node = parse_factor()
+    def parse_term():
+        f = parse_factor()
         while (tok := peek()) is not None and tok.group("op") == "*":
             take()
-            node = Mul(node, parse_factor())
-        return node
+            f = mul(f, parse_factor())
+        return f
 
-    def parse_sum() -> GenPolyAst:
-        node = parse_term()
+    def parse_sum():
+        f = parse_term()
         while (tok := peek()) is not None and tok.group("op") in ("+", "-"):
             op = take().group("op")
             rhs = parse_term()
-            node = Add(node, rhs if op == "+" else Mul(Const(-1.0), rhs))
-        return node
+            f = add(f, rhs if op == "+" else neg(rhs))
+        return f
 
-    node = parse_sum()
+    f = parse_sum()
     if idx != len(tokens):
         raise GeneratorSpecError(f"trailing input in expression {text!r}")
-    return node
+    return f
 
 
 def _parse_number(text: str, what: str) -> float:

@@ -32,12 +32,11 @@ spec grammar and the character names live in generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .seq_core import (TWO_PI_I, ComplexSeq, IntervalSpec, _cube_vertices,
-                       _e, _frac)
+from .seq_core import TWO_PI_I, ComplexSeq, _cube_vertices, _e, _frac
 
 
 @dataclass(frozen=True)
@@ -169,8 +168,7 @@ def character_ey(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _e(y)
 
 
-def nilsequence(tau: HeisElem, x0: HeisPoint, f: PointFunction,
-                rng: Optional[IntervalSpec] = None) -> ComplexSeq:
+def nilsequence(tau: HeisElem, x0: HeisPoint, f: PointFunction) -> ComplexSeq:
     """a_n = f(canonical representative of tau^n * lift(x0)).
 
     Uses the closed form for tau^n: the z coordinate is n*tau.z plus
@@ -181,7 +179,7 @@ def nilsequence(tau: HeisElem, x0: HeisPoint, f: PointFunction,
     def _eval(ns: np.ndarray) -> np.ndarray:
         return np.asarray(f(*orbit_points(tau, x0, ns)), dtype=np.complex128)
 
-    return ComplexSeq(_eval, None if rng is None else (rng.lo, rng.hi))
+    return ComplexSeq(_eval, None)
 
 
 def orbit_points(tau: HeisElem, x0: HeisPoint, ns: np.ndarray):

@@ -820,8 +820,7 @@ def _heis_case(rows):
     lo = -rows // 3
     tau = nilmanifold.HeisElem(0.41421356, 1.0, 0.0)
     seq = nilmanifold.nilsequence(tau, nilmanifold.IDENTITY_POINT,
-                                  generators.named_character("ez"),
-                                  ul.IntervalSpec(lo, rows))
+                                  generators.named_character("ez"))
     ns = np.arange(lo, lo + rows, dtype=np.int64)
     return (["heis", "--tau", "0.41421356,1,0", "--range",
              f"{lo}:{lo + rows}"], _samples(ns, seq.eval(ns)))

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import unif_lab as ul
 from unif_lab.errors import DuplicateFrequencyError, GeneratorSpecError
-from unif_lab.generators import (Add, Const, Floor, Mul, Var,
-                                 parse_generator, parse_genpoly_expr,
+from unif_lab.generators import (parse_generator, parse_genpoly_expr,
                                  parse_trig_terms)
 from unif_lab.seq_core import _exact_term_frac
 
@@ -132,26 +131,39 @@ class TestExactTermFrac:
 
 class TestGenPoly:
     def test_integer_has_zero_frac(self):
-        assert ul.genpoly_seq(Var(), "frac").at(7) == 0.0
+        assert ul.genpoly_seq(parse_genpoly_expr("n"), "frac").at(7) == 0.0
 
     def test_half_square(self):
-        ast = Mul(Const(0.5), Mul(Var(), Var()))
-        assert ul.genpoly_seq(ast, "frac").at(3) == pytest.approx(0.5)
+        p = parse_genpoly_expr("0.5*(n*n)")
+        assert ul.genpoly_seq(p, "frac").at(3) == pytest.approx(0.5)
 
     def test_floor_node(self):
-        ast = Floor(Mul(Const(math.sqrt(2)), Var()))
-        assert ast.eval(np.array([1])) == pytest.approx(1.0)
+        p = parse_genpoly_expr("floor(sqrt2*n)")
+        assert p(np.array([1])) == pytest.approx(1.0)
 
     def test_frac_values_in_unit_interval(self):
-        ast = Mul(Const(math.sqrt(2)), Mul(Var(), Floor(Mul(Const(math.sqrt(3)), Var()))))
-        vals = ul.genpoly_seq(ast, "frac").sample(-500, 500)
+        p = parse_genpoly_expr("sqrt2*(n*floor(sqrt3*n))")
+        vals = ul.genpoly_seq(p, "frac").sample(-500, 500)
         assert np.all(vals.real >= 0.0) and np.all(vals.real < 1.0)
         assert np.all(vals.imag == 0.0)
 
     def test_exp_form_unimodular(self):
-        ast = Add(Var(), Const(0.5))
-        vals = ul.genpoly_seq(ast, "exp").sample(0, 50)
+        p = parse_genpoly_expr("n+0.5")
+        vals = ul.genpoly_seq(p, "exp").sample(0, 50)
         assert np.allclose(np.abs(vals), 1.0)
+
+    def test_evaluator_is_its_numpy_spelling(self):
+        # the parser's closures run these numpy operations in this order,
+        # so every value keeps its bits
+        ns = np.arange(-500, 500)
+        full = np.full(ns.shape, 0.5, dtype=np.float64)
+        nf = ns.astype(np.float64)
+        inner = np.full(ns.shape, math.sqrt(2.0), dtype=np.float64) * nf
+        want = ((full * nf * np.floor(inner)) + (-1.0 * nf)
+                + np.full(ns.shape, 2.0, dtype=np.float64))
+        got = parse_genpoly_expr("0.5*n*floor(sqrt2*n)-n+2")(ns)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestThueMorse:
@@ -267,12 +279,12 @@ class TestSpecGrammar:
         assert p.terms[0][1] == 0.5 + 0.25j
 
     def test_genpoly_expression_values(self):
-        ast = parse_genpoly_expr("0.5*n*n+0.25")
-        assert ast.eval(np.array([3])) == pytest.approx(4.75)
-        ast = parse_genpoly_expr("floor(sqrt2*n)-n")
-        assert ast.eval(np.array([5])) == pytest.approx(math.floor(5 * math.sqrt(2)) - 5)
-        ast = parse_genpoly_expr("-n+2")
-        assert ast.eval(np.array([7])) == pytest.approx(-5.0)
+        p = parse_genpoly_expr("0.5*n*n+0.25")
+        assert p(np.array([3])) == pytest.approx(4.75)
+        p = parse_genpoly_expr("floor(sqrt2*n)-n")
+        assert p(np.array([5])) == pytest.approx(math.floor(5 * math.sqrt(2)) - 5)
+        p = parse_genpoly_expr("-n+2")
+        assert p(np.array([7])) == pytest.approx(-5.0)
 
     @pytest.mark.parametrize("bad", [
         "nope:1", "exp:x", "trig:t=0.1", "genpoly:frac(", "block:geoZx2",

@@ -4,6 +4,7 @@ argument checks, each with its message."""
 
 import io
 import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -38,6 +39,14 @@ CLI_REFUSALS = [
      "cannot reduce HeisElem(x=2.0, y=1e+308, z=0.0): z + x*q = -inf "
      "overflows"),
     ("gen --gen trig:t=0.1,l=abc --range 0:4", "bad coefficient 'abc'"),
+    # an operator where a factor belongs is named as the token it is
+    ("gen --gen genpoly:e(n+*n) --range 0:2", "unexpected '*' in expression"),
+    ("gen --gen genpoly:e(()) --range 0:2", "unexpected ')' in expression"),
+    ("gen --gen genpoly:e(+n) --range 0:2", "unexpected '+' in expression"),
+    ("gen --gen 'genpoly:e((n n)' --range 0:2", "missing ')'"),
+    ("gen --gen 'genpoly:e(floor n)' --range 0:2", "floor needs '('"),
+    ("gen --gen 'genpoly:e(floor(n n)' --range 0:2",
+     "missing ')' after floor"),
     ("dual --trig t=0.1,l=0.5 --csv", "dual --trig prints JSON, not CSV"),
     ("heis --tau 0.1,1,0 --range 0:4 --json", "heis prints CSV, not JSON"),
     ("heis --tau 0.1,1,0 --range 0:4 --check-closed-form --csv",
@@ -50,7 +59,7 @@ CLI_REFUSALS = [
 def test_cli_refusal(argv, message):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.dispatch(argv.split())
+        code = cli.dispatch(shlex.split(argv))
     assert (code, out.getvalue(), err.getvalue()) == (
         cli.USAGE_EXIT, "", f"error: {message}\n")
 
