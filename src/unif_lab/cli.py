@@ -2,9 +2,11 @@
 
 Every subcommand is a pure function of its flags: fixed flags and seed give
 byte-identical output.  verify and bench draw from --seed alone (default
-0).  Every command runs single-threaded; verify alone takes --threads, and
-ignores it.  Timing lines (bench) go to stderr so stdout stays
-reproducible.  A subcommand takes --json or --csv only where the flag picks
+0).  Every command but verify runs in one process on one thread; verify
+scores its trials in forked workers, one per CPU in the affinity mask
+(uniformity._run_trials), with the same output for any number of them,
+and takes --threads, which it ignores.  Timing lines (bench) go to
+stderr so stdout stays reproducible.  A subcommand takes --json or --csv only where the flag picks
 or names the format it prints (gen and dual pick, heis names its mode's),
 and never both; the other format's flag is a usage error.  A CSV cell is
 the bytes of repr of its value, from csvtext's vectorised Schubfach
@@ -15,13 +17,14 @@ usage and error lines name it; a flag placed before the subcommand's name,
 by the top-level parser.
 
 Exit codes: 0 success, 2 usage error (also a box average or dual function
-estimated past uniformity._MAX_COST element operations, and a `verify` seed
-below 0), 3 numeric-contract violation (e.g. a box average below
--1e-9*M, M = max|a|^(2^k) over the samples it read, which at H < N
-legitimate input can give, or a non-finite CSV value), 4 a
-`verify` suite found a violated inequality.  Every suite derives its trials
-from the seed in uniformity._run_trials, so on exit 4 one stderr line gives
-the call that reruns the worst trial alone, from SuiteReport.replay.
+estimated past uniformity._MAX_COST element operations, a `verify` suite
+whose trials together are, and a `verify` seed below 0), 3 numeric-contract
+violation (e.g. a box average below -1e-9*M, M = max|a|^(2^k) over the
+samples it read, which at H < N legitimate input can give, or a non-finite
+CSV value), 4 a `verify` suite found a violated inequality.  Every suite
+derives its trials from the seed in uniformity._run_trials, so on exit 4
+one stderr line gives the call that reruns the worst trial alone, from
+SuiteReport.replay.
 """
 
 from __future__ import annotations
@@ -579,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=1,
-                    help="accepted and ignored")
+                    help="accepted and ignored: trials run in one forked "
+                         "worker per CPU in the affinity mask")
     _add_common(sp, "json")
     sp.set_defaults(fn=_cmd_verify)
 

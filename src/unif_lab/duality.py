@@ -36,8 +36,9 @@ from .generators import TrigPoly, exp_seq, quad_phase_seq, trig_poly_seq
 from .nilmanifold import HeisElem, IDENTITY_POINT, character_ez, nilsequence
 from .seq_core import (ComplexSeq, _fourier, _require_finite, _samples,
                        from_samples)
-from .uniformity import (BoxParams, SuiteReport, _cube_average, _cyclic_box,
-                         _operand_array, _run_trials, _suite_seq, box_norm)
+from .uniformity import (BoxParams, SuiteReport, _call_cost, _cube_average,
+                         _cyclic_box, _operand_array, _run_trials, _suite_seq,
+                         box_norm)
 
 GRID_TOL = 1e-12
 
@@ -237,7 +238,10 @@ def run_direct_bound_suite(trials: int, n: int = 4096,
         rep = direct_bound_check(_suite_seq(s, n), b, n)
         return rep.corr - rep.bound - 1e-9
 
-    return _run_trials("direct-bound", trials, slack, seed)
+    def cost() -> int:
+        return _call_cost(_cyclic_box(2, n, n))
+
+    return _run_trials("direct-bound", trials, slack, cost, seed)
 
 
 def run_pairing_suite(trials: int, n: int = 1024, h: int = 32, k: int = 2,
@@ -250,4 +254,7 @@ def run_pairing_suite(trials: int, n: int = 1024, h: int = 32, k: int = 2,
         powered = box_norm(a, p).powered
         return abs(pairing - powered) - 1e-9
 
-    return _run_trials("dual-pairing", trials, slack, seed)
+    def cost() -> int:  # the dual function, then the box norm
+        return _call_cost(p, "fast") + _call_cost(p)
+
+    return _run_trials("dual-pairing", trials, slack, cost, seed)

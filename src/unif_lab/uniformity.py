@@ -66,19 +66,27 @@ H < N the uniform h average is not a positive-definite kernel, so S_H can
 be genuinely negative (exp:0.1, k = 1, H = 8: -0.140 on [0, 4096)) and
 raise NegativityViolation.  The seeded suites below check the inequalities;
 _run_trials derives every trial from the suite's seed, so each is
-replayable alone.
+replayable alone.  It refuses, before the first trial, a suite whose
+trials together are estimated past _MAX_COST, and scores the trials in
+contiguous blocks, one per CPU in the affinity mask: block 0 in this
+process, each other in a forked child that pipes its slacks back.  The
+report is the serial loop's, and so is the exception: the lowest-index
+raising trial's.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import NegativityViolation, SupBoundViolation
+from .errors import NegativityViolation, SupBoundViolation, UnifLabError
 from .generators import rademacher_seq
 from .seq_core import (INTERVAL, ComplexSeq, DomainMode, IntervalSpec,
                        _centred_prefix, _cube_vertices, _e, _fourier, _frac,
@@ -157,14 +165,23 @@ def _approx(cost: int) -> str:
 
 
 def _require_affordable(p: BoxParams, path: str,
-                        symmetric: bool = True) -> None:
-    """ValueError, naming the estimate, when _cube_cost exceeds _MAX_COST."""
+                        symmetric: bool = True) -> int:
+    """_cube_cost; ValueError, naming the estimate, when it exceeds
+    _MAX_COST."""
     cost = _cube_cost(p, path, symmetric)
     if cost > _MAX_COST:
         raise ValueError(
             f"the {path} path would take ~{_approx(cost)} element operations "
             f"(k={p.k}, H={p.H}, |I|={p.interval.length}), above the limit "
             f"of {_MAX_COST:.0e}")
+    return cost
+
+
+def _call_cost(p: BoxParams, path: str = "auto",
+               symmetric: bool = True) -> int:
+    """_require_affordable of one box average on p by `path` as
+    _resolve_path resolves it: its cost, or the call's own refusal."""
+    return _require_affordable(p, _resolve_path(path, p), symmetric)
 
 
 def _operand_array(a: ComplexSeq, p: BoxParams, path: str = "fast",
@@ -580,8 +597,7 @@ def uniformity_norm_proxy(a: ComplexSeq, search_range: IntervalSpec,
              if per_window == "interval"
              else _cyclic_box(k, window_len, window_len))
     path = _resolve_path("auto", first)
-    _require_affordable(first, path)  # one window alone, as box_norm would
-    each = _cube_cost(first, path)
+    each = _require_affordable(first, path)  # one window, as box_norm would
     if each * len(starts) > _MAX_COST:
         raise ValueError(
             f"the proxy's {len(starts)} windows would take "
@@ -706,8 +722,107 @@ class SuiteReport:
         return self.violations == 0
 
 
+def _cpus() -> int:
+    """How many processes _run_trials may score trials in: the CPUs this
+    process may run on, or 1 where os.fork or os.sched_getaffinity is
+    missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _score_child(slack: Callable[..., float], args: List[tuple], lo: int,
+                 hi: int, r: int, w: int) -> None:
+    """A forked worker's whole life: close the pipe's read end r, score
+    trials lo .. hi-1 and pickle to its write end w their slacks, a list,
+    or at the first trial t that raises, (t, the pickled exception; b""
+    if it does not pickle).  It leaves by os._exit, never returning into
+    the caller: it runs no atexit hook and flushes no stdio buffer
+    inherited from the parent."""
+    try:
+        os.close(r)
+        t, got = lo, []
+        try:
+            for t in range(lo, hi):
+                got.append(slack(*args[t]))
+        except Exception as exc:
+            try:
+                got = (t, pickle.dumps(exc))
+            except Exception:
+                got = (t, b"")
+        with open(w, "wb") as out:
+            pickle.dump(got, out)
+    finally:
+        os._exit(0)
+
+
+def _scored(slack: Callable[..., float], args: List[tuple],
+            workers: int) -> list:
+    """[slack(*a) for a in args], raising what that loop raises, with the
+    trials split into `workers` contiguous blocks (contiguous, so that
+    every block cycles through a suite's ks alike).  The parent scores
+    block 0; each other block runs in a child made by os.fork, which pipes
+    its result back (_score_child).  Slacks come back in trial order.  The
+    exception raised is the lowest-index trial's: block 0's at once, else
+    the first child in block order that reports one.  An exception that
+    cannot cross the pipe is raised by rerunning its trial here.  A child
+    that ends without a result raises UnifLabError.  Every child is
+    killed, if still running, and reaped on every path; where no process
+    can be forked, the parent scores the blocks left itself."""
+    ends = [len(args) * j // workers for j in range(workers + 1)]
+    pids: List[Optional[int]] = []  # None once reaped
+    pipes = []
+    rest = len(args)  # where the blocks no child took begin
+    try:
+        for lo, hi in zip(ends[1:-1], ends[2:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                os.close(r)
+                os.close(w)
+                rest = lo
+                break
+            if pid == 0:
+                _score_child(slack, args, lo, hi, r, w)
+            os.close(w)
+            pids.append(pid)
+            pipes.append(open(r, "rb"))
+        slacks = [slack(*a) for a in args[:ends[1]]]
+        for j, (lo, hi) in enumerate(zip(ends[1:], ends[2:len(pids) + 2])):
+            try:
+                got = pickle.load(pipes[j])
+            except Exception:
+                got = None
+            status = os.waitpid(pids[j], 0)[1]
+            pids[j] = None
+            if isinstance(got, list):
+                slacks += got
+                continue
+            if got is None:
+                code = os.waitstatus_to_exitcode(status)
+                raise UnifLabError(
+                    f"the worker scoring trials {lo}-{hi - 1} ended without "
+                    "a result (" + (f"signal {-code}" if code < 0
+                                    else f"exit status {code}") + ")")
+            t, blob = got
+            try:
+                exc = pickle.loads(blob)
+            except Exception:
+                slack(*args[t])  # a trial is a function of its seed alone
+                raise UnifLabError(f"trial {t} raised in its worker alone")
+            raise exc
+        return slacks + [slack(*a) for a in args[rest:]]
+    finally:
+        for pid, pipe in zip(pids, pipes):
+            pipe.close()
+            if pid is not None:
+                os.kill(pid, 9)  # SIGKILL; a child that ended is a zombie
+                os.waitpid(pid, 0)
+
+
 def _run_trials(name: str, trials: int, slack: Callable[..., float],
-                seed: int, step: int = 1,
+                cost: Callable[..., int], seed: int, step: int = 1,
                 ks: Optional[Sequence[int]] = None) -> SuiteReport:
     """Score trials t = 0, 1, ..., trials-1: the one rule that turns a
     suite's seed into its trials.
@@ -718,7 +833,17 @@ def _run_trials(name: str, trials: int, slack: Callable[..., float],
     positive slack is a violation; the report keeps the worst one, the
     first trial that gave it and the (seed, ks) keywords that replay it
     as a one-trial run.  A seed below 0, or an empty ks, raises ValueError
-    before any trial.
+    before any trial.  So does a suite whose trials together would pass
+    _MAX_COST element operations, by cost() (or cost(k)), one trial's
+    estimate, built from its calls' own preflights (_call_cost), which may
+    raise first.
+
+    The trials run in min(_cpus(), trials) processes (_scored): this one
+    scores block 0, and what the forked children call leaves no trace here,
+    so a tracer's spans and counts cover block 0 alone.  Where this process
+    runs other threads, which a fork would not copy, every trial runs here.
+    The report, and the exception raised, are those of the serial loop over
+    t: the lowest-index raising trial's.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -726,9 +851,19 @@ def _run_trials(name: str, trials: int, slack: Callable[..., float],
         raise ValueError(f"seed must be >= 0, got {seed}")
     if ks is not None and len(ks) == 0:
         raise ValueError("ks must name at least one k")
+    cycle = [()] if ks is None else [(k,) for k in ks[:trials]]
+    each = [cost(*c) for c in cycle]
+    total = sum(len(range(i, trials, len(cycle))) * c
+                for i, c in enumerate(each))
+    if total > _MAX_COST:
+        raise ValueError(
+            f"the {name} suite's {trials} trials would take "
+            f"~{_approx(total)} element operations (~{_approx(max(each))} "
+            f"for the costliest trial), above the limit of {_MAX_COST:.0e}")
     args = [(seed + step * t,) if ks is None
             else (seed + step * t, ks[t % len(ks)]) for t in range(trials)]
-    slacks = [slack(*a) for a in args]
+    workers = min(_cpus(), trials) if threading.active_count() == 1 else 1
+    slacks = _scored(slack, args, workers)
     worst = max(range(trials), key=slacks.__getitem__)
     replay = (("seed", args[worst][0]),) + (() if ks is None
                                            else (("ks", args[worst][1:]),))
@@ -776,7 +911,10 @@ def run_vdc_suite(trials: int, length: int = 8192, h: int = 64,
         rep = vdc_bound(rademacher_seq(s), interval, h)
         return rep.lhs - rep.rhs - 1e-12
 
-    return _run_trials("vdc", trials, slack, seed)
+    def cost() -> int:  # one length-point dot product per shift
+        return (2 * h + 1) * length
+
+    return _run_trials("vdc", trials, slack, cost, seed)
 
 
 def run_csg_suite(trials: int, n: int = 1024, h: int = 32,
@@ -788,7 +926,12 @@ def run_csg_suite(trials: int, n: int = 1024, h: int = 32,
         rep = csg_check(seqs, params_by_k[k])
         return rep.lhs - rep.rhs - 1e-9
 
-    return _run_trials("csg", trials, slack, seed, 1000, ks)
+    def cost(k: int) -> int:  # the mixed pairing, then 2^k box norms
+        p = params_by_k[k]
+        return (_call_cost(p, "fast", symmetric=False)
+                + (1 << k) * _call_cost(p))
+
+    return _run_trials("csg", trials, slack, cost, seed, 1000, ks)
 
 
 def run_subadditivity_suite(trials: int, n: int = 1024, h: int = 32,
@@ -801,7 +944,10 @@ def run_subadditivity_suite(trials: int, n: int = 1024, h: int = 32,
         rhs = box_norm(a, p).value + box_norm(b, p).value
         return lhs - rhs - 1e-9
 
-    return _run_trials("subadditivity", trials, slack, seed, 2, ks)
+    def cost(k: int) -> int:
+        return 3 * _call_cost(_cyclic_box(k, h, n))
+
+    return _run_trials("subadditivity", trials, slack, cost, seed, 2, ks)
 
 
 def run_monotonicity_suite(trials: int, n: int = 1024, h: int = 32,
@@ -813,7 +959,11 @@ def run_monotonicity_suite(trials: int, n: int = 1024, h: int = 32,
         hi = box_norm(a, _cyclic_box(k + 1, h, n)).value
         return lo - hi - 1e-9
 
-    return _run_trials("monotonicity", trials, slack, seed, ks=ks)
+    def cost(k: int) -> int:
+        return (_call_cost(_cyclic_box(k, h, n))
+                + _call_cost(_cyclic_box(k + 1, h, n)))
+
+    return _run_trials("monotonicity", trials, slack, cost, seed, ks=ks)
 
 
 def run_recursion_suite(trials: int, n: int = 1024, h: int = 32,
@@ -837,4 +987,8 @@ def run_recursion_suite(trials: int, n: int = 1024, h: int = 32,
         rhs = box_powered_signed(a, _cyclic_box(k + 1, h, n))
         return abs(lhs - rhs) - 1e-9
 
-    return _run_trials("recursion", trials, slack, seed, ks=ks)
+    def cost(k: int) -> int:
+        return (h * _call_cost(_cyclic_box(k, h, n))
+                + _call_cost(_cyclic_box(k + 1, h, n)))
+
+    return _run_trials("recursion", trials, slack, cost, seed, ks=ks)

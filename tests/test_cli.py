@@ -5,6 +5,7 @@ import cmath
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -20,7 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unif_lab as ul
-from unif_lab import cli, generators, nilmanifold
+from unif_lab import cli, generators, nilmanifold, uniformity
+from unif_lab.errors import NegativityViolation
 
 
 def run_cli(argv):
@@ -433,6 +435,97 @@ class TestSubcommands:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["value"] == pytest.approx(1.0, abs=1e-9)
+
+
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestVerifyWorkers:
+    """verify scores its trials in uniformity._cpus() processes (patched
+    here): the report, stdout, stderr and exit code are the same for
+    any number of them."""
+
+    def verify(self, argv, workers, monkeypatch):
+        monkeypatch.setattr(uniformity, "_cpus", lambda: workers)
+        return run_cli(["verify"] + argv.split())
+
+    @pytest.mark.parametrize("suite", sorted(cli._SUITES))
+    def test_report_and_bytes(self, suite, monkeypatch):
+        kwargs = TestSubcommands.SMALL[suite]
+        flag = {"length": "--len", "n": "--N", "h": "--H"}
+        argv = f"{suite} --trials 7 --seed 11 " + " ".join(
+            f"{flag[name]} {value}" for name, value in kwargs.items())
+        runs = []
+        for workers in (1, 2, 3, 8):  # 8 is more workers than trials
+            output = self.verify(argv, workers, monkeypatch)
+            runs.append((repr(cli._SUITES[suite](7, seed=11, **kwargs)),
+                         output))
+        assert all(run == runs[0] for run in runs), runs
+        assert no_child_left()
+
+    def test_replay_line_from_a_child(self, monkeypatch):
+        # the one violation is trial 8, in the last block at 2 and 3 workers
+        argv = "mono --trials 12 --seed 553166"
+        want = self.verify(argv, 1, monkeypatch)
+        assert want[0] == 4 and "worst trial 8;" in want[2]
+        for workers in (2, 3):
+            assert self.verify(argv, workers, monkeypatch) == want
+        assert no_child_left()
+
+    @pytest.mark.parametrize("first", [1, 4], ids=["block-0", "child"])
+    def test_lowest_index_exception(self, first, monkeypatch):
+        # exit 3 from the first raising trial, not exit 2 from a later one
+        # in another block (9 trials, blocks 0-2, 3-5 and 6-8)
+        drawn = uniformity._suite_seq
+        raises = {first: NegativityViolation(f"drawn at {first}"),
+                  7: ValueError("drawn at 7")}
+
+        def suite_seq(seed, n):
+            if seed in raises:
+                raise raises[seed]
+            return drawn(seed, n)
+
+        monkeypatch.setattr(uniformity, "_suite_seq", suite_seq)
+        argv = "mono --trials 9 --N 32 --H 4"
+        want = self.verify(argv, 1, monkeypatch)
+        assert want == (3, "", f"numeric contract violation: drawn at "
+                                f"{first}\n")
+        assert self.verify(argv, 3, monkeypatch) == want
+        assert no_child_left()
+
+    def test_subprocess_prints_what_dispatch_prints(self):
+        # forked workers print nothing of their own
+        for argv in ("subadd --trials 26 --seed 1 --N 64 --H 8",
+                     "mono --trials 12 --seed 553166"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "unif_lab.cli", "verify",
+                 *argv.split()], capture_output=True)
+            code, out, err = run_cli(["verify"] + argv.split())
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                code, out.encode(), err.encode())
+
+    def test_total_preflight(self, monkeypatch):
+        # each k = 3 box norm is 2.18e9 element operations, affordable
+        # alone; the 3000 trials' 3 norms each were hours of work
+        def drawn(seed, n):
+            raise AssertionError("a trial ran")
+
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(uniformity, "_suite_seq", drawn)
+        monkeypatch.setattr(os, "fork", fork)
+        code, out, err = run_cli("verify subadd --trials 3000 --N 65536 "
+                                 "--H 256".split())
+        assert (code, out) == (2, "")
+        assert err == ("error: the subadditivity suite's 3000 trials would "
+                       "take ~6.59e+12 element operations (~6.54e+09 for "
+                       "the costliest trial), above the limit of 1e+12\n")
 
 
 NORM_FLAGS = ["--N", "64", "--H", "8"]

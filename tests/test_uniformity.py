@@ -7,6 +7,7 @@ import itertools
 import math
 import os
 import re
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -16,7 +17,8 @@ import pytest
 
 import unif_lab as ul
 from unif_lab import duality, seq_core, uniformity
-from unif_lab.errors import NegativityViolation, SequenceRangeError, SupBoundViolation
+from unif_lab.errors import (NegativityViolation, SequenceRangeError,
+                             SupBoundViolation, UnifLabError)
 from unif_lab.uniformity import (box_powered_signed, run_csg_suite,
                                  run_monotonicity_suite, run_recursion_suite,
                                  run_subadditivity_suite, run_vdc_suite)
@@ -648,6 +650,135 @@ class TestSuiteInequalities:
         monkeypatch.setattr(uniformity, "_suite_seq", drawn)
         with pytest.raises(ValueError, match=r"^ks must name at least one k$"):
             suite(2, n=32, h=4, ks=())
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def raising_slack(raises):
+    """A trial slack -s, but raising raises[s] at the seeds it names."""
+    def slack(s):
+        if s in raises:
+            raise raises[s]
+        return -float(s)
+
+    return slack
+
+
+class TwoArgError(Exception):
+    """An exception that pickles but does not unpickle: its one stored arg
+    is not what __init__ takes."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+class TestTrialMap:
+    """_run_trials scores contiguous blocks of trials in forked workers
+    (_cpus of them, patched here); its report, and the exception it
+    raises, are the serial loop's."""
+
+    def run(self, slack, trials, workers, monkeypatch, ks=None):
+        monkeypatch.setattr(uniformity, "_cpus", lambda: workers)
+        cost = (lambda *k: 1)
+        return uniformity._run_trials("t", trials, slack, cost, 0, ks=ks)
+
+    @pytest.mark.parametrize("workers", [2, 3, 9, 50])
+    def test_report_is_the_serial_one(self, workers, monkeypatch):
+        def slack(s, k):
+            return math.sin(s * k) - 0.5
+
+        want = self.run(slack, 9, 1, monkeypatch, ks=(1, 2))
+        got = self.run(slack, 9, workers, monkeypatch, ks=(1, 2))
+        assert repr(got) == repr(want)
+        assert got.violations > 0 and got.worst_trial > 0
+        assert no_child_left()
+
+    @pytest.mark.parametrize("first, later", [(4, 7), (7, 8), (1, 7)],
+                             ids=["child-1", "child-2", "block-0"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_lowest_index_exception(self, first, later, workers,
+                                    monkeypatch):
+        # 9 trials in 3 blocks: 0-2 (the parent), 3-5 and 6-8 (children)
+        slack = raising_slack({first: KeyError("first"),
+                               later: ValueError("later")})
+        with pytest.raises(KeyError, match="first"):
+            self.run(slack, 9, workers, monkeypatch)
+        assert no_child_left()
+
+    def test_exception_that_does_not_unpickle(self, monkeypatch):
+        # rerun in the parent, it raises what the serial loop raises
+        slack = raising_slack({5: TwoArgError("odd", 5)})
+        with pytest.raises(TwoArgError, match="^odd at 5$"):
+            self.run(slack, 9, 3, monkeypatch)
+        assert no_child_left()
+
+    def test_child_without_a_result(self, monkeypatch):
+        parent = os.getpid()
+
+        def slack(s):
+            if s == 7 and os.getpid() != parent:
+                os.kill(os.getpid(), 9)
+            return -1.0
+
+        with pytest.raises(UnifLabError, match=r"^the worker scoring trials "
+                           r"6-8 ended without a result \(signal 9\)$"):
+            self.run(slack, 9, 3, monkeypatch)
+        assert no_child_left()
+
+    def test_no_fork_with_other_threads(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked with another thread running")
+
+        monkeypatch.setattr(os, "fork", fork)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            got = self.run(raising_slack({}), 9, 3, monkeypatch)
+        finally:
+            stop.set()
+            other.join()
+        assert got == self.run(raising_slack({}), 9, 1, monkeypatch)
+
+    def test_parent_scores_what_it_cannot_fork(self, monkeypatch):
+        def fork():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", fork)
+        slack = raising_slack({8: KeyError("last")})
+        with pytest.raises(KeyError, match="last"):
+            self.run(slack, 9, 3, monkeypatch)
+        got = self.run(raising_slack({}), 9, 3, monkeypatch)
+        assert got == self.run(raising_slack({}), 9, 1, monkeypatch)
+
+    @pytest.mark.parametrize("trials, limit, refused", [
+        (5, 2352, False), (5, 2351, True)])
+    def test_total_preflight(self, trials, limit, refused, monkeypatch):
+        # subadditivity at N = 32, H = 4: 3 box norms a trial, of 35, 152
+        # and 410 element operations at k = 1, 2 and 3; ks 1, 2, 3, 1, 2
+        # give 3 * (2 * 35 + 2 * 152 + 410) = 2352 in all
+        monkeypatch.setattr(uniformity, "_MAX_COST", limit)
+        monkeypatch.setattr(uniformity, "_cpus", lambda: 2)
+        if refused:
+            def drawn(seed, n):
+                raise AssertionError("a trial ran")
+
+            monkeypatch.setattr(uniformity, "_suite_seq", drawn)
+            with pytest.raises(ValueError, match=re.escape(
+                    "the subadditivity suite's 5 trials would take ~2.35e+03 "
+                    "element operations (~1.23e+03 for the costliest trial), "
+                    "above the limit of 2e+03")):
+                run_subadditivity_suite(trials, n=32, h=4)
+        else:
+            assert run_subadditivity_suite(trials, n=32, h=4).trials == 5
+        assert no_child_left()
 
 
 class TestProxy:
@@ -1715,21 +1846,54 @@ if FULL:
     SIGN_CASES += [("rad:11", 2, 64, 1 << 20), ("rad:3", 3, 16, 1 << 20)]
 
 
-def exact_cube_sums(xs, k, h, out_len):
-    """sum_{h in [0,H)^k} prod_m xs[m][n + eps.h] at every n < out_len, in
-    int64 for integer operands: the full grid of the cube recursion, with
-    a window of integer prefix sums at its base."""
+# Re and Im of i^e, e = 0, 1, 2, 3
+UNIT_RE = np.array([1, 0, -1, 0], dtype=np.int64)
+UNIT_IM = np.array([0, 1, 0, -1], dtype=np.int64)
+UNITS = UNIT_RE + 1j * UNIT_IM
+
+
+def unit_exponents(x):
+    """e with x = i^e, for x in {1, i, -1, -i} (checked), as int8."""
+    e = ((x.imag != 0) + 2 * (x.real + x.imag < 0)).astype(np.int8)
+    assert np.array_equal(UNITS[e], x)
+    return e
+
+
+def times_unit(e, re, im):
+    """i^e (re + i im), exactly, as int64 (re, im)."""
+    c, s = UNIT_RE[e], UNIT_IM[e]
+    return c * re - s * im, c * im + s * re
+
+
+def exact_cube_sums(es, k, h, out_len):
+    """sum_{h in [0,H)^k} prod_m C^{|m|} i^{es[m][n + eps(m).h]} at every
+    n < out_len, as int64 (re, im), for exponent arrays es[m] (mod 4):
+    the conjugate at an odd vertex negates its exponent, a product adds
+    them.  The full grid of the cube recursion, with a window of integer
+    prefix sums of Re and Im at its base."""
+    return _exact_sums([(e if bin(m).count("1") % 2 == 0 else -e) & 3
+                        for m, e in enumerate(es)], k, h, out_len)
+
+
+def _exact_sums(es, k, h, out_len):
     if k == 1:
-        prefix = np.concatenate(([0], np.cumsum(xs[1])))
-        return xs[0][:out_len] * (prefix[h:h + out_len] - prefix[:out_len])
+        def window(part):
+            prefix = np.concatenate(([0], np.cumsum(part)))
+            return prefix[h:h + out_len] - prefix[:out_len]
+
+        return times_unit(es[0][:out_len], window(UNIT_RE[es[1]]),
+                          window(UNIT_IM[es[1]]))
     half = 1 << (k - 1)
     m = out_len + (k - 1) * (h - 1)
-    total = np.zeros(out_len, dtype=np.int64)
+    re = np.zeros(out_len, dtype=np.int64)
+    im = np.zeros(out_len, dtype=np.int64)
     for hh in range(h):
-        total += exact_cube_sums(
-            [xs[v][:m] * xs[v + half][hh:hh + m] for v in range(half)],
+        dre, dim = _exact_sums(
+            [(es[v][:m] + es[v + half][hh:hh + m]) & 3 for v in range(half)],
             k - 1, h, out_len)
-    return total
+        re += dre
+        im += dim
+    return re, im
 
 
 class TestSignSequenceExact:
@@ -1752,14 +1916,16 @@ class TestSignSequenceExact:
         x = uniformity._operand_array(ul.parse_generator(spec), p)
         signs = x.real.astype(np.int64)
         assert np.array_equal(signs, x) and np.all(np.abs(signs) == 1)
-        dual = exact_cube_sums([np.ones_like(signs)]
-                               + [signs] * ((1 << k) - 1), k, h, n)
+        e = unit_exponents(x)
+        dual, imag = exact_cube_sums([np.zeros_like(e)]
+                                     + [e] * ((1 << k) - 1), k, h, n)
+        assert not imag.any()
         total = int(np.dot(signs[:n], dual))
         got, shell = uniformity._cube_average([x] * (1 << k), k, h, n)
         err = abs(Fraction(got.real) - Fraction(total, n * h ** k))
         assert err <= SIGN_S_TOL and abs(got.imag) <= SIGN_S_TOL, float(err)
         # the shell's n-sum, relative to the |I| H^k terms of the grid
-        inner = int(np.sum(exact_cube_sums([signs] * (1 << k), k, h - 1, n)))
+        inner = int(np.sum(exact_cube_sums([e] * (1 << k), k, h - 1, n)[0]))
         count = h ** k - (h - 1) ** k
         shell_sum = shell * (n * count)
         err = abs(Fraction(shell_sum.real) - (total - inner))
@@ -1767,3 +1933,81 @@ class TestSignSequenceExact:
         assert abs(shell_sum.imag) <= SIGN_S_TOL * n * h ** k
         d = duality._dual_values(x, p)
         assert np.max(np.abs(d - dual / h ** k)) <= SIGN_DUAL_TOL
+
+
+# (k, H, N) past the chunk size; fourth roots of unity have conjugates that
+# differ from themselves, so a lost or doubled conjugate moves these sums
+UNIT_CASES = [(1, 64, SIGN_N), (2, 64, SIGN_N), (3, 16, SIGN_N),
+              (4, 4, 8193)]
+MIXED_CASES = [(2, 32, SIGN_N), (3, 8, SIGN_N)]
+if FULL:
+    UNIT_CASES += [(2, 64, 1 << 20), (3, 8, 1 << 20)]
+    MIXED_CASES += [(2, 32, 1 << 20), (3, 8, 1 << 20)]
+
+
+def unit_operands(k, h, n, cyclic, count, symmetric=True):
+    """BoxParams and `count` operand arrays (_operand_array's) of
+    i^(two random bits) draws, sampled through from_samples."""
+    p = ul.BoxParams(k, h, ul.IntervalSpec(0, n),
+                     ul.cyclic(n) if cyclic else ul.INTERVAL)
+    rng = np.random.default_rng([k, h, n, cyclic])
+    span = n if cyclic else n + k * (h - 1)
+    return p, [uniformity._operand_array(
+        ul.from_samples(UNITS[rng.integers(0, 4, span)]), p,
+        symmetric=symmetric) for _ in range(count)]
+
+
+def assert_exact(got, re, im, scale, tol):
+    """|got - (re + i im) / scale| <= tol in each part, exactly."""
+    for part, want in ((got.real, re), (got.imag, im)):
+        err = abs(Fraction(part) - Fraction(int(want), scale))
+        assert err <= tol, float(err)
+
+
+class TestFourthRootsExact:
+    """For input in {1, i, -1, -i} every cube product is one of them, so
+    N H^k S_H and H^k D_k a(n) are Gaussian integers: two int64 sums each,
+    exact while N H^k <= 2^62.  The kernel against them, in both modes,
+    past the chunk size: the symmetric walk n-summed (with its shell) and
+    per-n (the dual function), and csg_check's mixed full-grid walk."""
+
+    @pytest.mark.parametrize("k,h,n", UNIT_CASES,
+                             ids=[f"k{c[0]}-H{c[1]}-N{c[2]}"
+                                  for c in UNIT_CASES])
+    @pytest.mark.parametrize("cyclic", [True, False],
+                             ids=["cyclic", "interval"])
+    def test_symmetric_walk(self, k, h, n, cyclic):
+        assert n > uniformity._BLOCK and n * h ** k <= 1 << 62
+        p, (x,) = unit_operands(k, h, n, cyclic, 1)
+        e = unit_exponents(x)
+        dre, dim = exact_cube_sums([np.zeros_like(e)]
+                                   + [e] * ((1 << k) - 1), k, h, n)
+        d = duality._dual_values(x, p)
+        err = np.max(np.abs(d - (dre + 1j * dim) / h ** k))
+        assert err <= SIGN_DUAL_TOL, err
+        # N H^k S_H = sum_n a_n H^k D_k a(n)
+        tre, tim = (int(part.sum()) for part in times_unit(e[:n], dre, dim))
+        got, shell = uniformity._cube_average([x] * (1 << k), k, h, n)
+        assert_exact(got, tre, tim, n * h ** k, SIGN_S_TOL)
+        # the shell's n-sum, relative to the |I| H^k terms of the grid
+        ire, iim = (int(part.sum()) for part in
+                    exact_cube_sums([e] * (1 << k), k, h - 1, n))
+        count = h ** k - (h - 1) ** k
+        assert_exact(shell * (count / h ** k), tre - ire, tim - iim,
+                     n * h ** k, SIGN_S_TOL)
+
+    @pytest.mark.parametrize("k,h,n", MIXED_CASES,
+                             ids=[f"k{c[0]}-H{c[1]}-N{c[2]}"
+                                  for c in MIXED_CASES])
+    @pytest.mark.parametrize("cyclic", [True, False],
+                             ids=["cyclic", "interval"])
+    def test_mixed_walk(self, k, h, n, cyclic):
+        # 2^k distinct operands, sampled as csg_check samples them
+        assert n > uniformity._BLOCK and n * h ** k <= 1 << 62
+        p, xs = unit_operands(k, h, n, cyclic, 1 << k, symmetric=False)
+        re, im = exact_cube_sums([unit_exponents(x) for x in xs], k, h, n)
+        got = uniformity._cube_average(xs, k, h, n)[0]
+        assert_exact(got, re.sum(), im.sum(), n * h ** k, SIGN_S_TOL)
+        per_n = uniformity._cube_average(xs, k, h, n, per_n=True)
+        err = np.max(np.abs(per_n - (re + 1j * im) / h ** k))
+        assert err <= SIGN_DUAL_TOL, err
